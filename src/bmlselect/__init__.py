@@ -21,7 +21,6 @@ from .covariance import (
 from .criteria import (
     CRITERION_NAMES,
     NEEDS_PRIOR,
-    CriterionScore,
     aic,
     bic,
     dic,
@@ -86,7 +85,6 @@ __all__ = [
     "estimate_phi_full_model",
     "CRITERION_NAMES",
     "NEEDS_PRIOR",
-    "CriterionScore",
     "aic",
     "bic",
     "dic",

@@ -14,22 +14,24 @@ import csv
 import sys
 
 from . import __version__
-from .covariance import PRIOR_KINDS, CovarianceSpec, PriorScale, estimate_lambda, estimate_phi_full_model
+from .covariance import PRIOR_KINDS, CovarianceSpec
 from .criteria import CRITERION_NAMES, NEEDS_PRIOR, score
 from .exceptions import (
     BmlselectError,
     CandidateExplosionError,
     CovarianceError,
     DataParseError,
-    DegenerateVarianceError,
-    LambdaEstimationError,
-    NoAdmissibleCandidateError,
     PenaltyUndefinedError,
     SaturatedModelError,
-    SingularDesignError,
 )
-from .model_core import CandidateModel, Dataset, gls_fit, whiten
-from .selection import SelectionOptions, report_from_table, score_candidates
+from .model_core import CandidateModel, Dataset
+from .selection import (
+    SelectionOptions,
+    fit_candidate,
+    report_from_table,
+    resolve_whitened,
+    score_candidates,
+)
 from .simulation import (
     BETA_PATTERNS,
     DEFAULT_CRITERIA,
@@ -370,21 +372,11 @@ def _cmd_criteria(ns, cfg) -> int:
     criteria = _resolve_criteria(ns, cfg, CRITERION_NAMES)
     prior_kind, lam = _resolve_prior(ns, cfg)
 
-    phi_est = estimate_phi_full_model(dataset)
-    if phi_est is not None:
-        from dataclasses import replace
-
-        dataset = replace(dataset, cov=dataset.cov.with_phi(phi_est.value))
-    wd = whiten(dataset)
+    wd, phi_est = resolve_whitened(dataset)
+    cov = dataset.cov if phi_est is None else dataset.cov.with_phi(phi_est.value)
     model = CandidateModel(tuple(range(1, dataset.p_omega + 1)))
-    prior = None
-    if any(name in NEEDS_PRIOR for name in criteria):
-        if lam is None:
-            lam_est = estimate_lambda(wd, model, prior_kind)
-            prior = PriorScale(prior_kind, lam_est.value)
-        else:
-            prior = PriorScale(prior_kind, lam)
-    fit = gls_fit(wd, model, prior)
+    needs_prior = any(name in NEEDS_PRIOR for name in criteria)
+    fit, prior, _ = fit_candidate(wd, model, prior_kind, lam, needs_prior)
 
     values = []
     for name in criteria:
@@ -398,7 +390,7 @@ def _cmd_criteria(ns, cfg) -> int:
         "data": data_path,
         "n": dataset.n,
         "p": dataset.p_omega,
-        "covariance": dataset.cov.describe(),
+        "covariance": cov.describe(),
         "prior": prior_kind,
         "lambda": "none"
         if prior is None
@@ -572,22 +564,9 @@ def main(argv=None) -> int:
         if ns.command == "criteria":
             return _cmd_criteria(ns, cfg)
         return _cmd_simulate(ns, cfg)
-    except DataParseError as exc:
+    except (DataParseError, CovarianceError, CandidateExplosionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CovarianceError, CandidateExplosionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        SingularDesignError,
-        DegenerateVarianceError,
-        LambdaEstimationError,
-        SaturatedModelError,
-        PenaltyUndefinedError,
-        NoAdmissibleCandidateError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except BmlselectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -24,17 +24,13 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .exceptions import CovarianceError, LambdaEstimationError, SingularDesignError
+from .exceptions import CovarianceError, LambdaEstimationError
 
 if TYPE_CHECKING:
-    from .model_core import CandidateModel, Dataset, WhitenedData
+    from .model_core import Dataset, WhitenedFit
 
 COVARIANCE_KINDS = ("identity", "ar1", "nerm", "custom")
 PRIOR_KINDS = ("ridge", "zellner")
-
-# Shared relative pivot rule: a QR pivot below this fraction of the largest
-# pivot marks the column as linearly dependent.
-RANK_PIVOT_RTOL = 1e-10
 
 # Deterministic optimizer: coarse grid at ~0.08 decades per point, then
 # golden-section refinement.  The lambda range reaches far enough down that
@@ -383,38 +379,28 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     return ScalarEstimate(float(phi_hat), bool(at_boundary))
 
 
-def estimate_lambda(
-    whitened: "WhitenedData",
-    model: "CandidateModel",
-    prior_kind: str = "ridge",
-) -> ScalarEstimate:
-    """Empirical-Bayes estimate of the prior scale for one candidate.
+def estimate_lambda(fit: "WhitenedFit", prior_kind: str = "ridge") -> ScalarEstimate:
+    """Empirical-Bayes estimate of the prior scale for one fitted candidate.
 
     Maximizes the candidate's marginal likelihood over lambda with the
     plug-in variance y'Py/n held fixed; the search runs on log(lambda) over
-    ``LAMBDA_BOUNDS``.  For the null model there is no prior to scale and a
+    ``LAMBDA_BOUNDS``.  It reads the R factor and Q'y that
+    :func:`~bmlselect.model_core.gls_fit` kept on the fit, so the columns are
+    not factored again.  For the null model there is no prior to scale and a
     neutral value of 1 is returned.
     """
     if prior_kind not in PRIOR_KINDS:
         raise ValueError(f"unknown prior kind {prior_kind!r}")
-    p = model.p
+    p = fit.p
     if p == 0:
         return ScalarEstimate(1.0, False)
-    yt = whitened.y
-    xj = whitened.x[:, model.zero_based]
-    q, r = np.linalg.qr(xj, mode="reduced")
-    rd = np.abs(np.diag(r))
-    if rd.max() == 0.0 or rd.min() < RANK_PIVOT_RTOL * rd.max():
-        raise SingularDesignError(f"singular design for candidate {model.label()}")
-    c = q.T @ yt
-    yty = float(yt @ yt)
-    ypy = max(float(yty - c @ c), 0.0)
-    n = whitened.n
-    sigma2 = ypy / n
+    if fit.r is None:
+        raise ValueError("fit carries no QR factor to estimate lambda from")
+    r, c = fit.r, fit.qty
+    yty, ypy = fit.yty, fit.ypy
+    sigma2 = ypy / fit.n
     if not sigma2 > 0.0:
-        raise LambdaEstimationError(
-            f"lambda estimation failed for candidate {model.label()}: zero residual variance"
-        )
+        raise LambdaEstimationError("lambda estimation failed: zero residual variance")
 
     lams = _LAMBDA_GRID
     ts = _LOG_LAMBDA_GRID
@@ -454,9 +440,7 @@ def estimate_lambda(
     try:
         t_hat, _ = _refine_minimum(objective, ts, vals, rtol=0.0, atol=GOLDEN_RTOL)
     except ValueError as exc:
-        raise LambdaEstimationError(
-            f"lambda estimation failed for candidate {model.label()}: {exc}"
-        ) from exc
+        raise LambdaEstimationError(f"lambda estimation failed: {exc}") from exc
     span = ts[-1] - ts[0]
     at_boundary = (t_hat - ts[0]) <= 1e-6 * span or (ts[-1] - t_hat) <= 1e-6 * span
     return ScalarEstimate(float(math.exp(t_hat)), bool(at_boundary))

@@ -10,7 +10,6 @@ likelihoods (``ic_pi1``, ``ic_r``), each with a large-n approximation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -42,16 +41,6 @@ CRITERION_NAMES = (
 
 # Criteria whose value involves the coefficient prior N(0, sigma^2 W).
 NEEDS_PRIOR = frozenset({"ic_pi1", "ic_pi1_star", "dic", "ml"})
-
-# Criteria whose penalty involves 1 / (n - p - 2).
-NEEDS_DOF_MARGIN = frozenset({"ic_pi1", "ic_r", "ic_r_star", "ric"})
-
-
-@dataclass(frozen=True)
-class CriterionScore:
-    criterion: str
-    value: float
-    candidate: CandidateModel
 
 
 def _require_dof(fit: WhitenedFit) -> None:

@@ -3,21 +3,27 @@
 Every selection criterion is assembled from a handful of scalars computed
 here: the quadratic forms y'Py and y'Ay, the log-determinants of V, of
 X'V^{-1}X and of W X'V^{-1}X + I, and the two variance estimates.  The
-production path uses two factorizations only, a Cholesky whitening of the
-error covariance followed by a QR of the whitened candidate design; the
-n x n projection matrices of the theory are never formed (test oracles do
-form them).
+production path whitens the data once per error covariance (a Cholesky
+factor, or an O(n) recursion for AR(1)) and then factors each candidate's
+whitened design with exactly one QR.  The fit keeps that R factor and Q'y,
+so the lambda search and the prior step (:meth:`WhitenedFit.with_prior`)
+read them instead of factoring the columns again; the n x n projection
+matrices of the theory are never formed (test oracles do form them).
+
+One rank rule, :func:`_full_rank_pivots`, judges every QR factor: a pivot
+below ``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
+marks the design as rank deficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .covariance import RANK_PIVOT_RTOL, CovarianceSpec, PriorScale, make_whitener
+from .covariance import CovarianceSpec, PriorScale, make_whitener
 from .exceptions import (
     CovarianceError,
     DegenerateVarianceError,
@@ -26,6 +32,10 @@ from .exceptions import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Shared relative pivot rule: a QR pivot below this fraction of the largest
+# pivot marks the column as linearly dependent.
+RANK_PIVOT_RTOL = 1e-10
 
 # A residual sum of squares at or below this fraction of y'V^{-1}y is an
 # exact interpolation up to rounding; taking its log would be meaningless.
@@ -85,9 +95,7 @@ class Dataset:
             raise ValueError("y contains non-finite values")
         if not np.all(np.isfinite(x)):
             raise ValueError("x_full contains non-finite values")
-        rd = np.abs(np.diag(np.linalg.qr(x, mode="r")))
-        if rd.max() == 0.0 or rd.min() < RANK_PIVOT_RTOL * rd.max():
-            raise SingularDesignError("full design matrix is rank deficient")
+        _full_rank_pivots(np.linalg.qr(x, mode="r"), "full design matrix is rank deficient")
         if self.cov.kind == "nerm" and sum(self.cov.group_sizes) != y.shape[0]:
             raise CovarianceError(
                 f"nerm group sizes sum to {sum(self.cov.group_sizes)}, expected n = {y.shape[0]}"
@@ -129,9 +137,10 @@ class WhitenedFit:
 
     ``ypy`` is the GLS residual quadratic form y'Py; both variance estimates
     derive from this one stored scalar.  ``yay`` and ``logdet_wxvx_plus_i``
-    are present only when the fit was computed with a prior scale.  ``yty``
-    is the whitened total sum of squares y'V^{-1}y, kept for degeneracy
-    checks.
+    are present only once a prior scale was applied (:meth:`with_prior`).
+    ``yty`` is the whitened total sum of squares y'V^{-1}y, kept for
+    degeneracy checks.  ``r`` and ``qty`` are the candidate's QR factor R
+    and Q'y, kept so that later steps never factor the columns again.
     """
 
     p: int
@@ -143,6 +152,8 @@ class WhitenedFit:
     logdet_xvx: float
     yay: float | None = None
     logdet_wxvx_plus_i: float | None = None
+    r: np.ndarray | None = None
+    qty: np.ndarray | None = None
 
     @property
     def sigma2_hat(self) -> float:
@@ -154,9 +165,40 @@ class WhitenedFit:
             raise SaturatedModelError(f"saturated model: p = {self.p} >= n = {self.n}")
         return self.ypy / (self.n - self.p)
 
-    @property
-    def has_prior(self) -> bool:
-        return self.yay is not None
+    def with_prior(self, prior: PriorScale) -> "WhitenedFit":
+        """This fit with the marginal-likelihood quantities of a prior scale.
+
+        y'Ay = y'V^{-1}y - z'(G + W^{-1})^{-1} z for z = X'V^{-1}y and
+        G = X'V^{-1}X, and log|W X'V^{-1}X + I| = log|G + W^{-1}| + log|W|.
+        """
+        if self.p == 0:
+            return replace(self, yay=self.yty, logdet_wxvx_plus_i=0.0)
+        if self.r is None:
+            raise ValueError("fit carries no QR factor to apply a prior to")
+        gram = self.r.T @ self.r
+        cf = scipy.linalg.cho_factor(gram + prior.w_inverse(gram), lower=True, check_finite=False)
+        z = self.r.T @ self.qty
+        yay = max(float(self.yty - z @ scipy.linalg.cho_solve(cf, z, check_finite=False)), 0.0)
+        logdet_m = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+        return replace(
+            self,
+            yay=yay,
+            logdet_wxvx_plus_i=logdet_m + prior.logdet_w(self.p, self.logdet_xvx),
+        )
+
+
+def _full_rank_pivots(r: np.ndarray, message: str) -> np.ndarray:
+    """|diag(R)| of a QR factor whose columns are linearly independent.
+
+    Raises ``SingularDesignError(message)`` when a pivot falls below
+    ``RANK_PIVOT_RTOL`` times the largest, or when R has more columns than
+    rows: ``diag`` then holds only min(n, p) pivots, and p > n columns are
+    dependent whatever those pivots are.
+    """
+    rd = np.abs(np.diag(r))
+    if r.shape[1] > r.shape[0] or rd.max() == 0.0 or rd.min() < RANK_PIVOT_RTOL * rd.max():
+        raise SingularDesignError(message)
+    return rd
 
 
 def whiten(dataset: Dataset) -> WhitenedData:
@@ -180,11 +222,10 @@ def gls_fit(
     model: CandidateModel,
     prior: PriorScale | None = None,
 ) -> WhitenedFit:
-    """GLS fit of one candidate on whitened data.
+    """GLS fit of one candidate on whitened data, from one QR of its columns.
 
-    With a prior scale the marginal-likelihood quantities are filled in:
-    y'Ay = y'V^{-1}y - z'(G + W^{-1})^{-1} z for z = X'V^{-1}y and
-    G = X'V^{-1}X, and log|W X'V^{-1}X + I| = log|G + W^{-1}| + log|W|.
+    With a prior scale the marginal-likelihood quantities are filled in too;
+    this is ``gls_fit(whitened, model).with_prior(prior)``.
     """
     yt = whitened.y
     n = whitened.n
@@ -195,7 +236,7 @@ def gls_fit(
             f"but the design has {whitened.p_omega}"
         )
     if model.p == 0:
-        return WhitenedFit(
+        fit = WhitenedFit(
             p=0,
             n=n,
             beta_hat=np.zeros(0),
@@ -203,39 +244,23 @@ def gls_fit(
             yty=yty,
             logdet_v=whitened.logdet_v,
             logdet_xvx=0.0,
-            yay=yty if prior is not None else None,
-            logdet_wxvx_plus_i=0.0 if prior is not None else None,
         )
-    xj = whitened.x[:, model.zero_based]
-    q, r = np.linalg.qr(xj, mode="reduced")
-    rd = np.abs(np.diag(r))
-    if rd.max() == 0.0 or rd.min() < RANK_PIVOT_RTOL * rd.max():
-        raise SingularDesignError(f"singular design for candidate {model.label()}")
-    c = q.T @ yt
-    ypy = max(float(yty - c @ c), 0.0)
-    beta = scipy.linalg.solve_triangular(r, c, lower=False, check_finite=False)
-    logdet_xvx = 2.0 * float(np.sum(np.log(rd)))
-    yay = None
-    logdet_wxvx = None
-    if prior is not None:
-        gram = r.T @ r
-        m = gram + prior.w_inverse(gram)
-        cf = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-        z = r.T @ c
-        yay = max(float(yty - z @ scipy.linalg.cho_solve(cf, z, check_finite=False)), 0.0)
-        logdet_m = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        logdet_wxvx = logdet_m + prior.logdet_w(model.p, logdet_xvx)
-    return WhitenedFit(
-        p=model.p,
-        n=n,
-        beta_hat=beta,
-        ypy=ypy,
-        yty=yty,
-        logdet_v=whitened.logdet_v,
-        logdet_xvx=logdet_xvx,
-        yay=yay,
-        logdet_wxvx_plus_i=logdet_wxvx,
-    )
+    else:
+        q, r = np.linalg.qr(whitened.x[:, model.zero_based], mode="reduced")
+        rd = _full_rank_pivots(r, f"singular design for candidate {model.label()}")
+        c = q.T @ yt
+        fit = WhitenedFit(
+            p=model.p,
+            n=n,
+            beta_hat=scipy.linalg.solve_triangular(r, c, lower=False, check_finite=False),
+            ypy=max(float(yty - c @ c), 0.0),
+            yty=yty,
+            logdet_v=whitened.logdet_v,
+            logdet_xvx=2.0 * float(np.sum(np.log(rd))),
+            r=r,
+            qty=c,
+        )
+    return fit if prior is None else fit.with_prior(prior)
 
 
 def check_variance(fit: WhitenedFit) -> None:

@@ -8,16 +8,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import criteria as _criteria
-from .covariance import PriorScale, estimate_lambda, estimate_phi_full_model
+from .covariance import PriorScale, ScalarEstimate, estimate_lambda, estimate_phi_full_model
 from .exceptions import (
     CandidateExplosionError,
     DegenerateVarianceError,
+    LambdaEstimationError,
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
     SaturatedModelError,
     SingularDesignError,
 )
-from .model_core import CandidateModel, Dataset, WhitenedData, gls_fit, whiten
+from .model_core import CandidateModel, Dataset, WhitenedData, WhitenedFit, gls_fit, whiten
 
 MAX_P_OMEGA = 20
 
@@ -88,12 +89,40 @@ def enumerate_candidates(p_omega: int, include_null: bool = True) -> list[Candid
     return out
 
 
-def _resolved_whitened(dataset: Dataset):
+def resolve_whitened(dataset: Dataset) -> tuple[WhitenedData, ScalarEstimate | None]:
     """Estimate phi if needed and whiten; returns (whitened, phi_estimate)."""
     phi_est = estimate_phi_full_model(dataset)
     if phi_est is not None:
         dataset = replace(dataset, cov=dataset.cov.with_phi(phi_est.value))
     return whiten(dataset), phi_est
+
+
+def fit_candidate(
+    wd: WhitenedData,
+    cand: CandidateModel,
+    prior_kind: str,
+    lam: float | None,
+    needs_prior: bool,
+) -> tuple[WhitenedFit, PriorScale | None, ScalarEstimate | None]:
+    """Fit one candidate, then estimate lambda on that fit, then apply the prior.
+
+    Returns (fit, prior, lambda_estimate).  ``lam=None`` estimates lambda;
+    the null model has no prior to scale and takes the neutral 1 instead.
+    Without ``needs_prior`` the fit carries no prior quantities.
+    """
+    fit = gls_fit(wd, cand)
+    if not needs_prior:
+        return fit, None, None
+    est = None
+    if lam is not None:
+        lam = float(lam)
+    elif cand.p == 0:
+        lam = 1.0
+    else:
+        est = estimate_lambda(fit, prior_kind)
+        lam = est.value
+    prior = PriorScale(prior_kind, lam)
+    return fit.with_prior(prior), prior, est
 
 
 def score_candidates(
@@ -105,50 +134,38 @@ def score_candidates(
 
     Rank-deficient candidates are excluded for all criteria; candidates with
     n - p - 2 <= 0 or p >= n are excluded for the criteria whose penalty or
-    likelihood is undefined there.  Degenerate (interpolating) fits raise.
+    likelihood is undefined there.  Degenerate (interpolating) fits raise,
+    naming the candidate.
     """
     criteria = tuple(criteria)
     unknown = [c for c in criteria if c not in _criteria.CRITERION_NAMES]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")
     opts = options or SelectionOptions()
-    wd, phi_est = _resolved_whitened(dataset)
+    wd, phi_est = resolve_whitened(dataset)
     needs_prior = any(c in _criteria.NEEDS_PRIOR for c in criteria)
     rows: list[CandidateScores] = []
     for cand in enumerate_candidates(dataset.p_omega, opts.include_null):
         row = CandidateScores(model=cand)
+        rows.append(row)
         try:
-            prior = None
-            if needs_prior:
-                if opts.lam is not None:
-                    lam, at_bound = float(opts.lam), False
-                elif cand.p == 0:
-                    lam, at_bound = 1.0, False
-                else:
-                    lam, at_bound = estimate_lambda(wd, cand, opts.prior_kind)
-                    row.lambda_hat = lam
-                    row.lambda_at_boundary = at_bound
-                prior = PriorScale(opts.prior_kind, lam)
-            fit = gls_fit(wd, cand, prior)
+            fit, prior, lam_est = fit_candidate(wd, cand, opts.prior_kind, opts.lam, needs_prior)
+            if lam_est is not None:
+                row.lambda_hat, row.lambda_at_boundary = lam_est
+            row.beta_hat = fit.beta_hat
+            for name in criteria:
+                try:
+                    row.scores[name] = _criteria.score(
+                        name, fit, whitened=wd, model=cand, prior=prior
+                    )
+                except PenaltyUndefinedError:
+                    row.excluded[name] = "penalty undefined"
+                except SaturatedModelError:
+                    row.excluded[name] = "saturated model"
         except SingularDesignError:
             row.excluded = {name: "singular design" for name in criteria}
-            rows.append(row)
-            continue
-        except DegenerateVarianceError as exc:
-            raise DegenerateVarianceError(f"candidate {cand.label()}: {exc}") from exc
-        row.beta_hat = fit.beta_hat
-        for name in criteria:
-            try:
-                row.scores[name] = _criteria.score(
-                    name, fit, whitened=wd, model=cand, prior=prior
-                )
-            except PenaltyUndefinedError:
-                row.excluded[name] = "penalty undefined"
-            except SaturatedModelError:
-                row.excluded[name] = "saturated model"
-            except DegenerateVarianceError as exc:
-                raise DegenerateVarianceError(f"candidate {cand.label()}: {exc}") from exc
-        rows.append(row)
+        except (DegenerateVarianceError, LambdaEstimationError) as exc:
+            raise type(exc)(f"candidate {cand.label()}: {exc}") from exc
     return ScoreTable(
         rows=rows,
         criteria=criteria,
@@ -209,11 +226,13 @@ def prediction_error(
     cov = dataset.cov
     if phi_hat is not None and cov.kind in ("ar1", "nerm"):
         cov = cov.with_phi(phi_hat)
-    ds = replace(dataset, cov=cov)
-    fit = gls_fit(whiten(ds), selected)
-    if selected.p:
-        mu_hat = dataset.x_full[:, selected.zero_based] @ fit.beta_hat
-    else:
-        mu_hat = np.zeros(dataset.n)
-    diff = mu_hat - x_true @ beta_true
-    return float(diff @ diff) / dataset.n
+    fit = gls_fit(whiten(replace(dataset, cov=cov)), selected)
+    return _quadratic_loss(dataset.x_full, selected, fit.beta_hat, x_true @ beta_true)
+
+
+def _quadratic_loss(
+    x_full: np.ndarray, model: CandidateModel, beta_hat: np.ndarray, mu_true: np.ndarray
+) -> float:
+    """||X_j beta_hat_j - mu*||^2 / n for candidate j's columns of ``x_full``."""
+    diff = x_full[:, model.zero_based] @ beta_hat - mu_true if model.p else -mu_true
+    return float(diff @ diff) / x_full.shape[0]

@@ -4,7 +4,10 @@ true-model selection counts, and mean prediction error per criterion.
 Determinism contract: the RNG stream of every replication is derived from
 (master_seed, cell_index, replication_index) through ``numpy``'s
 SeedSequence, so results are bit-identical for any worker count.  Worker
-processes are capped by the BMLSELECT_THREADS environment variable.
+processes are capped by the BMLSELECT_THREADS environment variable; one pool
+serves every (cell, replication) task of a grid.  A package error raised in
+a replication is re-raised as the same type with (master_seed, cell,
+replication) prepended, so a single ``_run_replication`` call reproduces it.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .covariance import CovarianceSpec, make_whitener
+from .covariance import PRIOR_KINDS, CovarianceSpec, make_whitener
 from .criteria import CRITERION_NAMES
-from .exceptions import NoAdmissibleCandidateError
+from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
-from .selection import SelectionOptions, score_candidates
+from .selection import SelectionOptions, _quadratic_loss, report_from_table, score_candidates
 
 MODEL_KINDS = ("constant_variance", "ar1", "nerm")
 
@@ -68,6 +71,10 @@ class ExperimentSpec:
             raise ValueError("snr values must be positive")
         if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
             raise ValueError("master_seed must be a non-negative integer")
+        if self.nerm_group_size < 1:
+            raise ValueError(f"nerm_group_size must be >= 1, got {self.nerm_group_size}")
+        if self.prior_kind not in PRIOR_KINDS:
+            raise ValueError(f"unknown prior kind {self.prior_kind!r}")
         unknown = [c for c in self.criteria if c not in CRITERION_NAMES]
         if unknown:
             raise ValueError(f"unknown criteria: {unknown}")
@@ -169,36 +176,26 @@ def generate_dataset(spec: ExperimentSpec, cell: Cell, replication_index: int):
 
 def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
     """One replication: returns {criterion: (selected_is_true, prediction_error)}."""
-    dataset, truth = generate_dataset(spec, cell, replication_index)
-    table = score_candidates(
-        dataset,
-        spec.criteria,
-        SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null),
-    )
-    mu_true = truth.x_true @ truth.beta_true
-    out = {}
-    for name in spec.criteria:
-        best = None
-        for row in table.rows:
-            if name not in row.scores:
-                continue
-            key = (row.scores[name],) + row.model.sort_key
-            if best is None or key < best[0]:
-                best = (key, row)
-        if best is None:
-            raise NoAdmissibleCandidateError(
-                f"cell (n={cell.n}, snr={cell.snr}) replication {replication_index}: "
-                f"no admissible candidate for {name}"
-            )
-        row = best[1]
-        if row.model.p:
-            mu_hat = dataset.x_full[:, row.model.zero_based] @ row.beta_hat
-            diff = mu_hat - mu_true
-        else:
-            diff = -mu_true
-        pe = float(diff @ diff) / cell.n
-        out[name] = (row.model == truth.j_star, pe)
-    return out
+    try:
+        dataset, truth = generate_dataset(spec, cell, replication_index)
+        table = score_candidates(
+            dataset,
+            spec.criteria,
+            SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null),
+        )
+        beta_by_model = {row.model: row.beta_hat for row in table.rows}
+        mu_true = truth.x_true @ truth.beta_true
+        out = {}
+        for name in spec.criteria:
+            best = report_from_table(table, name).selected
+            loss = _quadratic_loss(dataset.x_full, best, beta_by_model[best], mu_true)
+            out[name] = (best == truth.j_star, loss)
+        return out
+    except BmlselectError as exc:
+        raise type(exc)(
+            f"seed {spec.master_seed}, cell {cell.index} (n={cell.n}, snr={cell.snr}), "
+            f"replication {replication_index}: {exc}"
+        ) from exc
 
 
 def _replication_task(args):
@@ -225,15 +222,17 @@ def resolve_workers(requested: int | None = None) -> int:
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ExperimentResult]:
     """Run the full grid; aggregation is independent of worker scheduling."""
     workers = resolve_workers(workers)
+    cells = spec.cells()
+    tasks = [(spec, cell, rep) for cell in cells for rep in range(spec.replications)]
+    if workers > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with get_context("fork").Pool(processes=workers) as pool:
+            outcomes = pool.map(_replication_task, tasks, chunksize=chunk)
+    else:
+        outcomes = [_run_replication(*task) for task in tasks]
     results = []
-    for cell in spec.cells():
-        tasks = [(spec, cell, rep) for rep in range(spec.replications)]
-        if workers > 1 and spec.replications > 1:
-            chunk = max(1, spec.replications // (workers * 8))
-            with get_context("fork").Pool(processes=workers) as pool:
-                rows = pool.map(_replication_task, tasks, chunksize=chunk)
-        else:
-            rows = [_run_replication(*task) for task in tasks]
+    for i, cell in enumerate(cells):
+        rows = outcomes[i * spec.replications : (i + 1) * spec.replications]
         by_criterion = {}
         for name in spec.criteria:
             hits = sum(1 for r in rows if r[name][0])

@@ -201,6 +201,26 @@ def test_simulate_invalid_grid_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_simulate_zero_nerm_group_size_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("nerm_group_size = 0\n")
+    rc = main(["simulate", "--out", str(tmp_path / "r.csv"), "--config", str(cfg),
+               "--model", "nerm", "--replications", "2", "--n-grid", "20",
+               "--snr-grid", "3", "--criterion", "bic"])
+    assert rc == 2
+    assert "nerm_group_size" in capsys.readouterr().err
+
+
+def test_simulate_replication_failure_exits_3_and_names_it(tmp_path, capsys):
+    rc = main(["simulate", "--out", str(tmp_path / "r.csv"), "--seed", "8",
+               "--replications", "2", "--n-grid", "5", "--snr-grid", "3",
+               "--criterion", "bic"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "seed 8, cell 0 (n=5, snr=3.0), replication" in err
+    assert "rank deficient" in err
+
+
 def test_simulate_round_trip_reader(tmp_path):
     from bmlselect import ExperimentSpec, run_experiment
 

@@ -187,7 +187,7 @@ def test_estimate_lambda_beats_log_grid(prior_kind):
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
     wd = whiten(ds)
     model = CandidateModel((1, 2, 3))
-    est = estimate_lambda(wd, model, prior_kind)
+    est = estimate_lambda(gls_fit(wd, model), prior_kind)
     obj = _lambda_criterion_objective(wd, model, prior_kind)
     grid_min = min(obj(lam) for lam in np.geomspace(1e-8, 1e8, 201))
     assert obj(est.value) <= grid_min + 1e-8
@@ -203,7 +203,7 @@ def test_estimate_lambda_orthogonal_response_hits_upper_boundary():
     y[0] = 3.0
     y[5:] = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5])
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-    est = estimate_lambda(whiten(ds), CandidateModel((1, 2)), "ridge")
+    est = estimate_lambda(gls_fit(whiten(ds), CandidateModel((1, 2))), "ridge")
     assert est.at_boundary
     assert est.value == pytest.approx(1e8, rel=1e-3)
 
@@ -214,19 +214,19 @@ def test_estimate_lambda_scale_invariant_for_ridge():
     x = rng.standard_normal((n, p))
     y = x @ np.ones(p) + rng.standard_normal(n)
     model = CandidateModel((1, 2, 3))
-    base = estimate_lambda(whiten(Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())),
-                           model, "ridge")
+    base = estimate_lambda(gls_fit(whiten(Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())),
+                                   model), "ridge")
     for c in (0.1, 2.0, 10.0):
         scaled = estimate_lambda(
-            whiten(Dataset(y=c * y, x_full=x, cov=CovarianceSpec.identity())),
-            model, "ridge")
+            gls_fit(whiten(Dataset(y=c * y, x_full=x, cov=CovarianceSpec.identity())),
+                    model), "ridge")
         assert scaled.value == pytest.approx(base.value, rel=1e-6)
 
 
 def test_estimate_lambda_null_model_neutral():
     ds = Dataset(y=np.arange(5.0), x_full=np.arange(5.0).reshape(5, 1) + 1.0,
                  cov=CovarianceSpec.identity())
-    est = estimate_lambda(whiten(ds), CandidateModel(()))
+    est = estimate_lambda(gls_fit(whiten(ds), CandidateModel(())))
     assert est.value == 1.0
     assert not est.at_boundary
 

@@ -6,7 +6,6 @@ import pytest
 from bmlselect import (
     CandidateModel,
     CovarianceSpec,
-    CriterionScore,
     Dataset,
     DegenerateVarianceError,
     PenaltyUndefinedError,
@@ -317,9 +316,3 @@ def test_degenerate_variance_raises_in_criteria():
     for crit in (aic, bic, ic_pi2, ml):
         with pytest.raises(DegenerateVarianceError):
             crit(fit)
-
-
-def test_criterion_score_container():
-    s = CriterionScore(criterion="bic", value=1.25, candidate=CandidateModel((1,)))
-    assert s.criterion == "bic"
-    assert s.value == 1.25

@@ -145,6 +145,26 @@ def test_gls_fit_singular_design_names_candidate():
         gls_fit(wd, CandidateModel((1, 3)))
 
 
+def test_dataset_rejects_design_wider_than_tall():
+    # diag(R) of a 5 x 7 design holds only five pivots, all well away from
+    # zero, yet seven columns in five dimensions are dependent.
+    rng = np.random.default_rng(8)
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        Dataset(y=rng.standard_normal(5), x_full=rng.standard_normal((5, 7)),
+                cov=CovarianceSpec.identity())
+
+
+def test_gls_fit_wide_candidate_is_singular_design():
+    from bmlselect import WhitenedData
+
+    rng = np.random.default_rng(9)
+    wd = WhitenedData(x=rng.standard_normal((5, 7)), y=rng.standard_normal(5), logdet_v=0.0)
+    with pytest.raises(SingularDesignError, match="1 2 3 4 5 6"):
+        gls_fit(wd, CandidateModel((1, 2, 3, 4, 5, 6)))
+    # as tall as wide is still a proper (saturated) fit
+    assert gls_fit(wd, CandidateModel((1, 2, 3, 4, 5))).p == 5
+
+
 def test_gls_fit_rejects_out_of_range_column():
     wd = whiten(ones_dataset())
     with pytest.raises(ValueError, match="column 2"):

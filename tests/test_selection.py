@@ -8,6 +8,7 @@ from bmlselect import (
     CandidateModel,
     CovarianceSpec,
     Dataset,
+    LambdaEstimationError,
     NoAdmissibleCandidateError,
     SelectionOptions,
     enumerate_candidates,
@@ -283,6 +284,32 @@ def test_score_candidates_fixed_lambda():
     ds = signal_dataset(13, sigma=0.3)
     table = score_candidates(ds, ("ic_pi1",), SelectionOptions(lam=2.5))
     assert all(row.lambda_hat is None for row in table.rows)
+
+
+def test_score_candidates_factors_each_candidate_once(monkeypatch):
+    # One QR per non-null candidate: the lambda search and the prior step
+    # read the fit's R factor instead of factoring the columns again.
+    ds = signal_dataset(11, n=30, p_omega=4, sigma=0.5)
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    table = score_candidates(ds, ("ic_pi1", "bic"), SelectionOptions(prior_kind="ridge"))
+    assert any(row.lambda_hat is not None for row in table.rows)
+    assert len(calls) == 2**4 - 1
+
+
+def test_score_candidates_lambda_failure_names_candidate():
+    # y = 2 x1 with x1 a unit vector: candidate "1" leaves exactly zero
+    # residual variance, so its lambda search fails before any scoring.
+    x = np.eye(12)[:, :3]
+    ds = Dataset(y=2.0 * x[:, 0], x_full=x, cov=CovarianceSpec.identity())
+    with pytest.raises(LambdaEstimationError, match=r"^candidate 1: lambda estimation failed"):
+        score_candidates(ds, ("ic_pi1",))
 
 
 def test_score_candidates_unknown_criterion():

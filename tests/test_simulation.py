@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from bmlselect import (
     CandidateModel,
     ExperimentSpec,
     SelectionOptions,
+    SingularDesignError,
     generate_dataset,
     run_experiment,
     score_candidates,
 )
-from bmlselect.simulation import resolve_workers
+from bmlselect.simulation import _run_replication, resolve_workers
 
 
 def small_spec(**kw):
@@ -172,6 +174,31 @@ def test_spec_validation():
         small_spec(master_seed=-1)
     with pytest.raises(ValueError, match="unknown criteria"):
         small_spec(criteria=("bic", "hqc"))
+    with pytest.raises(ValueError, match="nerm_group_size"):
+        small_spec(model_kind="nerm", nerm_group_size=0)
+    with pytest.raises(ValueError, match="nerm_group_size"):
+        small_spec(nerm_group_size=-2)
+    with pytest.raises(ValueError, match="unknown prior kind"):
+        small_spec(prior_kind="bogus")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replication_failure_names_seed_cell_and_replication(workers):
+    # n = 5 rows against p_omega = 7 columns: every replication's design is
+    # rank deficient, so the first one to run raises.
+    spec = small_spec(n_grid=(5,), snr_grid=(3.0,), replications=2, master_seed=31)
+    with pytest.raises(SingularDesignError) as info:
+        run_experiment(spec, workers=workers)
+    msg = str(info.value)
+    assert msg.startswith("seed 31, cell 0 (n=5, snr=3.0), replication ")
+    assert re.search(r"replication [01]: full design matrix is rank deficient$", msg)
+
+
+def test_replication_failure_reproduces_from_one_call():
+    spec = small_spec(n_grid=(20, 5), snr_grid=(3.0,), replications=1, master_seed=4)
+    cell = spec.cells()[1]
+    with pytest.raises(SingularDesignError, match=r"^seed 4, cell 1 \(n=5, snr=3.0\), replication 0:"):
+        _run_replication(spec, cell, 0)
 
 
 def test_ar1_estimated_phi_consistency_trend():
