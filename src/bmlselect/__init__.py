@@ -14,7 +14,6 @@ from .covariance import (
     CovarianceSpec,
     PriorScale,
     ScalarEstimate,
-    build_v,
     estimate_lambda,
     estimate_phi_full_model,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "CovarianceSpec",
     "PriorScale",
     "ScalarEstimate",
-    "build_v",
     "estimate_lambda",
     "estimate_phi_full_model",
     "CRITERION_NAMES",

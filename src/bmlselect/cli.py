@@ -265,25 +265,17 @@ def _resolve_prior(ns, cfg):
     return kind, lam
 
 
-def _resolve_covariance(ns, cfg, n: int) -> CovarianceSpec:
+def _resolve_covariance(ns, cfg) -> CovarianceSpec:
     kind = _pick(ns.covariance, cfg, "covariance", "identity")
     phi = ns.phi if ns.phi is not None else cfg.get("phi")
     phi = None if phi is None else _as_float(phi, "phi")
-    if kind == "identity":
-        if phi is not None:
-            raise DataParseError("identity covariance takes no --phi")
-        return CovarianceSpec.identity()
-    if kind == "ar1":
-        return CovarianceSpec.ar1(phi)
+    sizes = None
     if kind == "nerm":
         raw = cfg.get("group_sizes")
         if raw is None:
             raise DataParseError("nerm covariance requires group_sizes in the config file")
         sizes = tuple(_as_int(s, "group_sizes") for s in _split_list(raw))
-        if sum(sizes) != n:
-            raise DataParseError(f"group_sizes sum to {sum(sizes)}, expected n = {n}")
-        return CovarianceSpec.nerm(sizes, phi)
-    raise DataParseError(f"unknown covariance kind {kind!r}")
+    return CovarianceSpec(kind=kind, phi=phi, group_sizes=sizes)
 
 
 def _require(value, flag: str):
@@ -305,8 +297,7 @@ def _cmd_select(ns, cfg) -> int:
     data_path = _require(_pick(ns.data, cfg, "data"), "--data")
     out_path = _require(_pick(ns.out, cfg, "out"), "--out")
     y, x, _ = _read_data(data_path)
-    cov = _resolve_covariance(ns, cfg, len(y))
-    dataset = Dataset(y=y, x_full=x, cov=cov)
+    dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(ns, cfg))
     criteria = _resolve_criteria(ns, cfg, CRITERION_NAMES)
     prior_kind, lam = _resolve_prior(ns, cfg)
     include_null = ns.include_null
@@ -367,8 +358,7 @@ def _cmd_select(ns, cfg) -> int:
 def _cmd_criteria(ns, cfg) -> int:
     data_path = _require(_pick(ns.data, cfg, "data"), "--data")
     y, x, _ = _read_data(data_path)
-    cov = _resolve_covariance(ns, cfg, len(y))
-    dataset = Dataset(y=y, x_full=x, cov=cov)
+    dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(ns, cfg))
     criteria = _resolve_criteria(ns, cfg, CRITERION_NAMES)
     prior_kind, lam = _resolve_prior(ns, cfg)
 

@@ -3,10 +3,12 @@
 The regression model treats the error covariance as sigma^2 * V, where V is
 known up to a scalar parameter phi.  Three structured families are provided
 (identity, AR(1), nested-error blocks) plus an escape hatch for any fixed
-symmetric positive-definite matrix.  Every family exposes a whitening
-operator, the action of L^{-1} for the Cholesky factor V = L L^t, which is
-all the fitting layer ever needs; the AR(1) operator runs in O(n) via the
-innovations recursion instead of a dense factorization.
+symmetric positive-definite matrix.  :func:`make_whitener` is the one entry
+point from a :class:`CovarianceSpec` to an operator: it holds the only
+dispatch on the spec's kind and returns the action of L^{-1} for the
+Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
+AR(1) operator runs in O(n) via the innovations recursion instead of a
+dense factorization.
 
 Hyperparameters are estimated by plug-in rules: phi by profile maximum
 likelihood on the full model, lambda by maximizing each candidate's marginal
@@ -79,13 +81,17 @@ class CovarianceSpec:
     def __post_init__(self):
         if self.kind not in COVARIANCE_KINDS:
             raise CovarianceError(f"unknown covariance kind {self.kind!r}")
-        if self.kind in ("identity", "custom") and self.phi is not None:
-            raise CovarianceError(f"{self.kind} covariance takes no phi")
-        if self.kind == "ar1" and self.phi is not None:
-            if not (-1.0 < float(self.phi) < 1.0):
-                raise CovarianceError(
-                    f"parameter out of range: ar1 needs |phi| < 1, got {self.phi}"
-                )
+        if self.phi is not None:
+            phi = float(self.phi)
+            if self.kind in ("identity", "custom"):
+                raise CovarianceError(f"{self.kind} covariance takes no phi")
+            if not math.isfinite(phi):
+                raise CovarianceError(f"parameter out of range: phi must be finite, got {phi}")
+            if self.kind == "ar1" and not -1.0 < phi < 1.0:
+                raise CovarianceError(f"parameter out of range: ar1 needs |phi| < 1, got {phi}")
+            if self.kind == "nerm" and phi < 0.0:
+                raise CovarianceError(f"parameter out of range: nerm needs phi >= 0, got {phi}")
+            object.__setattr__(self, "phi", phi)
         if self.kind == "nerm":
             if not self.group_sizes:
                 raise CovarianceError("nerm covariance requires group_sizes")
@@ -93,10 +99,6 @@ class CovarianceSpec:
             if any(s < 1 for s in sizes):
                 raise CovarianceError("nerm group sizes must be positive")
             object.__setattr__(self, "group_sizes", sizes)
-            if self.phi is not None and float(self.phi) < 0.0:
-                raise CovarianceError(
-                    f"parameter out of range: nerm needs phi >= 0, got {self.phi}"
-                )
         elif self.group_sizes is not None:
             raise CovarianceError("group_sizes only apply to the nerm kind")
         if self.kind == "custom":
@@ -105,13 +107,13 @@ class CovarianceSpec:
             m = np.asarray(self.matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise CovarianceError("custom covariance matrix must be square")
+            if not np.all(np.isfinite(m)):
+                raise CovarianceError("custom covariance matrix contains non-finite values")
             if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
                 raise CovarianceError("custom covariance matrix must be symmetric")
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
             raise CovarianceError("matrix only applies to the custom kind")
-        if self.phi is not None:
-            object.__setattr__(self, "phi", float(self.phi))
 
     @classmethod
     def identity(cls) -> "CovarianceSpec":
@@ -133,9 +135,17 @@ class CovarianceSpec:
     def has_unknown_phi(self) -> bool:
         return self.kind in ("ar1", "nerm") and self.phi is None
 
+    def check_size(self, n: int) -> None:
+        """Raise unless V is n x n: nerm group sizes sum to n, a custom matrix is n x n."""
+        if self.kind == "nerm" and sum(self.group_sizes) != n:
+            raise CovarianceError(
+                f"nerm group sizes sum to {sum(self.group_sizes)}, expected n = {n}"
+            )
+        if self.kind == "custom" and self.matrix.shape[0] != n:
+            k = self.matrix.shape[0]
+            raise CovarianceError(f"custom covariance is {k}x{k}, expected n = {n}")
+
     def with_phi(self, phi: float) -> "CovarianceSpec":
-        if self.kind not in ("ar1", "nerm"):
-            raise CovarianceError(f"{self.kind} covariance takes no phi")
         return CovarianceSpec(kind=self.kind, phi=phi, group_sizes=self.group_sizes)
 
     def describe(self) -> str:
@@ -231,57 +241,30 @@ class _CholeskyWhitener:
         return self.l @ np.asarray(w, dtype=float)
 
 
-def build_v(spec: CovarianceSpec, n: int) -> np.ndarray:
-    """Assemble the dense covariance matrix V(phi) of size n."""
-    if spec.kind == "identity":
-        return np.eye(n)
-    if spec.kind == "ar1":
-        _require_phi(spec)
-        idx = np.arange(n)
-        return np.asarray(spec.phi, dtype=float) ** np.abs(idx[:, None] - idx[None, :])
-    if spec.kind == "nerm":
-        _require_phi(spec)
-        if sum(spec.group_sizes) != n:
-            raise CovarianceError(
-                f"nerm group sizes sum to {sum(spec.group_sizes)}, expected n = {n}"
-            )
-        v = np.eye(n)
-        start = 0
-        for size in spec.group_sizes:
-            v[start : start + size, start : start + size] += spec.phi * np.ones((size, size))
-            start += size
-        return v
-    m = spec.matrix
-    if m.shape[0] != n:
-        raise CovarianceError(f"custom covariance is {m.shape[0]}x{m.shape[0]}, expected {n}")
-    # PD check happens here so an invalid matrix fails at build time.
-    _CholeskyWhitener(m)
-    return m.copy()
-
-
 def make_whitener(spec: CovarianceSpec, n: int):
-    """Whitening operator for V(phi); raises if V is not positive definite."""
+    """Whitening operator for V(phi) of size n.
+
+    Raises ``CovarianceError`` when phi is still unknown, when the spec does
+    not fit n (:meth:`CovarianceSpec.check_size`), or when V is not positive
+    definite.
+    """
+    if spec.has_unknown_phi:
+        raise CovarianceError(
+            f"{spec.kind} covariance has phi unknown; run estimate_phi_full_model first"
+        )
+    spec.check_size(n)
     if spec.kind == "identity":
         return _IdentityWhitener()
     if spec.kind == "ar1":
-        _require_phi(spec)
         return _Ar1Whitener(spec.phi, n)
-    if spec.kind == "nerm":
-        _require_phi(spec)
-        if sum(spec.group_sizes) != n:
-            raise CovarianceError(
-                f"nerm group sizes sum to {sum(spec.group_sizes)}, expected n = {n}"
-            )
-        return _CholeskyWhitener(build_v(spec, n))
-    m = spec.matrix
-    if m.shape[0] != n:
-        raise CovarianceError(f"custom covariance is {m.shape[0]}x{m.shape[0]}, expected {n}")
-    return _CholeskyWhitener(m)
-
-
-def _require_phi(spec: CovarianceSpec):
-    if spec.phi is None:
-        raise CovarianceError(f"{spec.kind} covariance has phi unknown; estimate it first")
+    if spec.kind == "custom":
+        return _CholeskyWhitener(spec.matrix)
+    v = np.eye(n)
+    start = 0
+    for size in spec.group_sizes:
+        v[start : start + size, start : start + size] += spec.phi * np.ones((size, size))
+        start += size
+    return _CholeskyWhitener(v)
 
 
 # ---------------------------------------------------------------------------

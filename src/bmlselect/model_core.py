@@ -25,7 +25,6 @@ import scipy.linalg
 
 from .covariance import CovarianceSpec, PriorScale, make_whitener
 from .exceptions import (
-    CovarianceError,
     DegenerateVarianceError,
     SaturatedModelError,
     SingularDesignError,
@@ -95,13 +94,8 @@ class Dataset:
             raise ValueError("y contains non-finite values")
         if not np.all(np.isfinite(x)):
             raise ValueError("x_full contains non-finite values")
+        self.cov.check_size(y.shape[0])
         _full_rank_pivots(np.linalg.qr(x, mode="r"), "full design matrix is rank deficient")
-        if self.cov.kind == "nerm" and sum(self.cov.group_sizes) != y.shape[0]:
-            raise CovarianceError(
-                f"nerm group sizes sum to {sum(self.cov.group_sizes)}, expected n = {y.shape[0]}"
-            )
-        if self.cov.kind == "custom" and self.cov.matrix.shape[0] != y.shape[0]:
-            raise CovarianceError("custom covariance size does not match n")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x_full", x)
 
@@ -207,10 +201,6 @@ def whiten(dataset: Dataset) -> WhitenedData:
     Returns the transformed data together with log|V|; y'V^{-1}y equals the
     squared norm of the whitened response.
     """
-    if dataset.cov.has_unknown_phi:
-        raise CovarianceError(
-            "covariance parameter is unknown; run estimate_phi_full_model first"
-        )
     wh = make_whitener(dataset.cov, dataset.n)
     return WhitenedData(
         x=wh.whiten(dataset.x_full), y=wh.whiten(dataset.y), logdet_v=float(wh.logdet)

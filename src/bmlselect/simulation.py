@@ -87,6 +87,9 @@ class ExperimentSpec:
                 raise ValueError(
                     f"nerm group size {self.nerm_group_size} does not divide n in {bad}"
                 )
+        # Build every true V once, so a bad phi_true fails before any replication.
+        for n in self.n_grid:
+            self.covariance(n, self.phi_true)
 
     @property
     def beta_true_full(self) -> np.ndarray:
@@ -100,22 +103,17 @@ class ExperimentSpec:
         grid = product(self.n_grid, self.snr_grid)
         return tuple(Cell(n=n, snr=snr, index=i) for i, (n, snr) in enumerate(grid))
 
-    def true_covariance(self, n: int) -> CovarianceSpec:
-        if self.model_kind == "constant_variance":
-            return CovarianceSpec.identity()
-        if self.model_kind == "ar1":
-            return CovarianceSpec.ar1(self.phi_true)
-        m = n // self.nerm_group_size
-        return CovarianceSpec.nerm((self.nerm_group_size,) * m, self.phi_true)
+    def covariance(self, n: int, phi: float | None) -> CovarianceSpec:
+        """Error covariance at sample size n.
 
-    def fit_covariance(self, n: int) -> CovarianceSpec:
-        """Covariance handed to the selection pipeline: phi is re-estimated."""
+        ``phi_true`` gives the V that draws the noise; ``None`` gives the V
+        handed to selection, which re-estimates phi.
+        """
         if self.model_kind == "constant_variance":
             return CovarianceSpec.identity()
         if self.model_kind == "ar1":
-            return CovarianceSpec.ar1(None)
-        m = n // self.nerm_group_size
-        return CovarianceSpec.nerm((self.nerm_group_size,) * m, None)
+            return CovarianceSpec.ar1(phi)
+        return CovarianceSpec.nerm((self.nerm_group_size,) * (n // self.nerm_group_size), phi)
 
 
 @dataclass(frozen=True)
@@ -159,10 +157,10 @@ def generate_dataset(spec: ExperimentSpec, cell: Cell, replication_index: int):
     n = cell.n
     x = rng.standard_normal((n, beta.shape[0]))
     sigma2 = float(beta @ beta) / (cell.snr * cell.snr)
-    cov_true = spec.true_covariance(n)
+    cov_true = spec.covariance(n, spec.phi_true)
     eps = math.sqrt(sigma2) * make_whitener(cov_true, n).color(rng.standard_normal(n))
     y = x @ beta + eps
-    dataset = Dataset(y=y, x_full=x, cov=spec.fit_covariance(n))
+    dataset = Dataset(y=y, x_full=x, cov=spec.covariance(n, None))
     nonzero = tuple(int(i) + 1 for i in np.flatnonzero(beta))
     truth = SimTruth(
         j_star=CandidateModel(nonzero),

@@ -8,8 +8,29 @@ slow, simple, and independent of the package's factorization route.
 import math
 
 import numpy as np
+import scipy.linalg
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def dense_v(spec, n):
+    """V(phi) of a CovarianceSpec as a dense n x n matrix.
+
+    Built from ``scipy.linalg.toeplitz`` and ``block_diag``, so it shares no
+    code with the whiteners it checks.
+    """
+    if spec.kind == "identity":
+        return np.eye(n)
+    if spec.kind == "ar1":
+        return scipy.linalg.toeplitz(spec.phi ** np.arange(n))
+    if spec.kind == "nerm":
+        if sum(spec.group_sizes) != n:
+            raise ValueError(f"group sizes {spec.group_sizes} do not sum to {n}")
+        blocks = [np.eye(k) + spec.phi * np.ones((k, k)) for k in spec.group_sizes]
+        return scipy.linalg.block_diag(*blocks)
+    if spec.matrix.shape != (n, n):
+        raise ValueError(f"custom matrix is {spec.matrix.shape}, expected ({n}, {n})")
+    return np.array(spec.matrix)
 
 
 def proj_p(v, x):

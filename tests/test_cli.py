@@ -128,6 +128,22 @@ def test_select_with_config_file_and_override(tmp_path):
     assert len(rows) == 7  # null model dropped
 
 
+@pytest.mark.parametrize(
+    "group_sizes, phi, message",
+    [("10,10,10", "nan", "phi must be finite"), ("10,10,9", "0.5", "sum to 29, expected n = 30")],
+    ids=["phi_nan", "sizes_mismatch"],
+)
+def test_select_bad_nerm_covariance_exits_2(tmp_path, capsys, group_sizes, phi, message):
+    data = write_signal_fixture(tmp_path / "sig.csv")
+    cfg = tmp_path / "nerm.cfg"
+    cfg.write_text(f"covariance = nerm\ngroup_sizes = {group_sizes}\n")
+    out = tmp_path / "o.csv"
+    rc = main(["select", "--data", data, "--out", str(out), "--config", str(cfg), "--phi", phi])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("wat = 1\n")
@@ -209,6 +225,21 @@ def test_simulate_zero_nerm_group_size_exits_2(tmp_path, capsys):
                "--snr-grid", "3", "--criterion", "bic"])
     assert rc == 2
     assert "nerm_group_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "phi, message",
+    [("-0.5", "nerm needs phi >= 0"), ("nan", "phi must be finite")],
+    ids=["negative", "nan"],
+)
+def test_simulate_bad_phi_exits_2_before_any_replication(tmp_path, capsys, phi, message):
+    rc = main(["simulate", "--out", str(tmp_path / "r.csv"), "--model", "nerm",
+               "--phi", phi, "--replications", "2", "--n-grid", "8", "--snr-grid", "1",
+               "--criterion", "bic"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "replication" not in err
 
 
 def test_simulate_replication_failure_exits_3_and_names_it(tmp_path, capsys):

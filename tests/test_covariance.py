@@ -10,7 +10,6 @@ from bmlselect import (
     CovarianceSpec,
     Dataset,
     PriorScale,
-    build_v,
     estimate_lambda,
     estimate_phi_full_model,
     gls_fit,
@@ -18,49 +17,62 @@ from bmlselect import (
     whiten,
 )
 from bmlselect.covariance import make_whitener
+from dense_oracle import dense_v, random_spd
 
 
 # ---------------------------------------------------------------------------
-# build_v
+# make_whitener
 # ---------------------------------------------------------------------------
 
 
-def test_build_v_ar1_entry():
-    v = build_v(CovarianceSpec.ar1(0.5), 4)
+def _colored_identity(spec, n):
+    """V = L L' rebuilt from the whitener's coloring operator L."""
+    l = make_whitener(spec, n).color(np.eye(n))
+    return l @ l.T
+
+
+def test_ar1_whitener_colors_to_phi_powers():
+    v = _colored_identity(CovarianceSpec.ar1(0.5), 4)
     assert v[0, 2] == pytest.approx(0.25)
     assert np.allclose(np.diag(v), 1.0)
 
 
-def test_build_v_nerm_single_group():
-    v = build_v(CovarianceSpec.nerm((2,), 1.0), 2)
-    np.testing.assert_allclose(v, [[2.0, 1.0], [1.0, 2.0]])
+def test_nerm_whitener_single_group():
+    wh = make_whitener(CovarianceSpec.nerm((2,), 1.0), 2)
+    l = wh.color(np.eye(2))
+    np.testing.assert_allclose(l @ l.T, [[2.0, 1.0], [1.0, 2.0]])
+    assert wh.logdet == pytest.approx(math.log(3.0), rel=1e-15)
 
 
-def test_build_v_identity():
-    np.testing.assert_array_equal(build_v(CovarianceSpec.identity(), 5), np.eye(5))
+def test_identity_whitener_is_noop():
+    wh = make_whitener(CovarianceSpec.identity(), 5)
+    b = np.arange(10.0).reshape(5, 2)
+    np.testing.assert_array_equal(wh.whiten(b), b)
+    np.testing.assert_array_equal(wh.color(b), b)
+    assert wh.logdet == 0.0
 
 
 @pytest.mark.parametrize("phi", [-0.99, -0.3, 0.0, 0.7, 0.99])
 def test_ar1_toeplitz_unit_diagonal_pd(phi):
-    v = build_v(CovarianceSpec.ar1(phi), 12)
+    v = _colored_identity(CovarianceSpec.ar1(phi), 12)
     assert np.allclose(np.diag(v), 1.0)
     # Toeplitz: constant diagonals
     for k in range(12):
         band = np.diag(v, k)
         assert np.allclose(band, band[0])
-    scipy.linalg.cholesky(v, lower=True)  # PDit must factor
+    scipy.linalg.cholesky(v, lower=True)  # PD: it must factor
 
 
 def test_nerm_eigenvalues_and_determinant():
     sizes = (3, 2, 4)
     phi = 0.8
-    v = build_v(CovarianceSpec.nerm(sizes, phi), 9)
-    eig = np.sort(np.linalg.eigvalsh(v))
+    wh = make_whitener(CovarianceSpec.nerm(sizes, phi), 9)
+    l = wh.color(np.eye(9))
+    eig = np.sort(np.linalg.eigvalsh(l @ l.T))
     expect = np.sort([1.0] * 6 + [1.0 + phi * s for s in sizes])
     np.testing.assert_allclose(eig, expect, rtol=1e-9)
-    logdet_direct = np.linalg.slogdet(v)[1]
     logdet_closed = sum(math.log1p(phi * s) for s in sizes)
-    assert logdet_direct == pytest.approx(logdet_closed, rel=1e-9)
+    assert wh.logdet == pytest.approx(logdet_closed, rel=1e-12)
 
 
 def test_invalid_parameters_rejected():
@@ -70,14 +82,42 @@ def test_invalid_parameters_rejected():
         CovarianceSpec.nerm((2, 2), -0.5)
     with pytest.raises(CovarianceError):
         CovarianceSpec(kind="wishful")
-    with pytest.raises(CovarianceError):
-        build_v(CovarianceSpec.nerm((2, 2), 0.5), 5)  # sizes sum to 4, not 5
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CovarianceError, match="phi must be finite"):
+            CovarianceSpec.nerm((2, 2), phi)
+        with pytest.raises(CovarianceError, match="phi must be finite"):
+            CovarianceSpec.ar1(phi)
+    with pytest.raises(CovarianceError, match="non-finite"):
+        CovarianceSpec.custom([[1.0, 0.0], [0.0, math.inf]])
+    with pytest.raises(CovarianceError, match="phi unknown"):
+        make_whitener(CovarianceSpec.nerm((2, 2)), 4)
 
 
-def test_ar1_whitener_matches_dense_factorization():
-    n = 30
-    spec = CovarianceSpec.ar1(-0.4)
-    v = build_v(spec, n)
+@pytest.mark.parametrize(
+    "spec",
+    [CovarianceSpec.nerm((2, 2), 0.5), CovarianceSpec.custom(np.eye(4))],
+    ids=["nerm", "custom"],
+)
+def test_size_mismatch_rejected_by_whitener_and_dataset(spec):
+    # V is 4 x 4; the data have n = 5.
+    with pytest.raises(CovarianceError, match="expected n = 5"):
+        make_whitener(spec, 5)
+    with pytest.raises(CovarianceError, match="expected n = 5"):
+        Dataset(y=np.arange(5.0), x_full=np.arange(5.0).reshape(5, 1) + 1.0, cov=spec)
+    assert make_whitener(spec, 4).logdet == pytest.approx(np.linalg.slogdet(dense_v(spec, 4))[1])
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (CovarianceSpec.ar1(-0.4), 30),
+        (CovarianceSpec.nerm((3, 2, 4), 0.7), 9),
+        (CovarianceSpec.custom(random_spd(np.random.default_rng(5), 7)), 7),
+    ],
+    ids=["ar1", "nerm", "custom"],
+)
+def test_whitener_matches_dense_factorization(spec, n):
+    v = dense_v(spec, n)
     l = scipy.linalg.cholesky(v, lower=True)
     rng = np.random.default_rng(0)
     b = rng.standard_normal((n, 3))

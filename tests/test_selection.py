@@ -16,7 +16,7 @@ from bmlselect import (
     score_candidates,
     select,
 )
-from dense_oracle import gls_beta, random_spd
+from dense_oracle import dense_v, gls_beta, random_spd
 
 
 def signal_dataset(seed, n=50, p_omega=4, true=(1, 2), sigma=1e-6):
@@ -234,9 +234,7 @@ def test_prediction_error_uses_phi_hat():
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.ar1(None))
     got = prediction_error(CandidateModel((1, 2)), ds, (x, beta), phi_hat=0.3)
-    from bmlselect import build_v
-
-    v = build_v(CovarianceSpec.ar1(0.3), n)
+    v = dense_v(CovarianceSpec.ar1(0.3), n)
     beta_hat = gls_beta(y, x, v)
     diff = x @ beta_hat - x @ beta
     assert got == pytest.approx(float(diff @ diff) / n, rel=1e-10)

@@ -6,6 +6,7 @@ import pytest
 
 from bmlselect import (
     CandidateModel,
+    CovarianceError,
     ExperimentSpec,
     SelectionOptions,
     SingularDesignError,
@@ -180,6 +181,11 @@ def test_spec_validation():
         small_spec(nerm_group_size=-2)
     with pytest.raises(ValueError, match="unknown prior kind"):
         small_spec(prior_kind="bogus")
+    # phi_true is checked when the spec is built, not in a replication
+    with pytest.raises(CovarianceError, match="nerm needs phi >= 0"):
+        small_spec(model_kind="nerm", phi_true=-0.5)
+    with pytest.raises(CovarianceError, match="phi must be finite"):
+        small_spec(model_kind="ar1", phi_true=math.nan)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
