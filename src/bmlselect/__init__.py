@@ -29,6 +29,8 @@ from .criteria import (
     ic_r,
     ic_r_star,
     ml,
+    neg2_log_marginal,
+    neg2_log_residual,
     ric,
     score,
 )
@@ -50,8 +52,6 @@ from .model_core import (
     WhitenedData,
     WhitenedFit,
     gls_fit,
-    neg2_log_marginal,
-    neg2_log_residual,
     whiten,
 )
 from .selection import (

@@ -366,12 +366,12 @@ def _cmd_criteria(ns, cfg) -> int:
     cov = dataset.cov if phi_est is None else dataset.cov.with_phi(phi_est.value)
     model = CandidateModel(tuple(range(1, dataset.p_omega + 1)))
     needs_prior = any(name in NEEDS_PRIOR for name in criteria)
-    fit, prior, _ = fit_candidate(wd, model, prior_kind, lam, needs_prior)
+    fit, _ = fit_candidate(wd, model, prior_kind, lam, needs_prior)
 
     values = []
     for name in criteria:
         try:
-            values.append((name, _fmt(score(name, fit, whitened=wd, model=model, prior=prior))))
+            values.append((name, _fmt(score(name, fit))))
         except (PenaltyUndefinedError, SaturatedModelError) as exc:
             values.append((name, f"undefined ({exc})"))
     meta = {
@@ -383,8 +383,8 @@ def _cmd_criteria(ns, cfg) -> int:
         "covariance": cov.describe(),
         "prior": prior_kind,
         "lambda": "none"
-        if prior is None
-        else _fmt(prior.lam) + (" (estimated)" if lam is None else ""),
+        if fit.prior is None
+        else _fmt(fit.prior.lam) + (" (estimated)" if lam is None else ""),
     }
     lines = _header_lines(meta) + ["criterion,value"] + [f"{k},{v}" for k, v in values]
     text = "\n".join(lines) + "\n"

@@ -5,6 +5,9 @@ likelihoods (``ic_pi1``, ``ic_r``), each with a large-n approximation
 (``ic_pi1_star``, ``ic_r_star``); ``ic_pi2`` is the prior-averaged variant,
 ``ric`` the classical rearrangement of ``ic_r_star``.  The comparators are
 ``aic``, ``bic``, ``dic`` and the bare marginal likelihood ``ml``.
+
+Every criterion reads one fitted candidate and adds its own terms, left to
+right, to one shared likelihood term: :func:`_ml_term` or its REML twin.
 """
 
 from __future__ import annotations
@@ -14,17 +17,14 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .covariance import PriorScale
-from .exceptions import PenaltyUndefinedError
-from .model_core import (
-    LOG_2PI,
-    CandidateModel,
-    WhitenedData,
-    WhitenedFit,
-    check_variance,
-    neg2_log_marginal,
-    neg2_log_residual,
-)
+from .exceptions import DegenerateVarianceError, PenaltyUndefinedError
+from .model_core import WhitenedFit
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+# A residual sum of squares at or below this fraction of y'V^{-1}y is an
+# exact interpolation up to rounding; taking its log would be meaningless.
+DEGENERATE_RTOL = 4e-14
 
 CRITERION_NAMES = (
     "ic_pi1",
@@ -43,11 +43,65 @@ CRITERION_NAMES = (
 NEEDS_PRIOR = frozenset({"ic_pi1", "ic_pi1_star", "dic", "ml"})
 
 
+def check_names(names) -> tuple[str, ...]:
+    """``names`` as a tuple; raises ``ValueError`` listing any unknown criterion."""
+    names = tuple(names)
+    unknown = [c for c in names if c not in CRITERION_NAMES]
+    if unknown:
+        raise ValueError(f"unknown criteria: {unknown}")
+    return names
+
+
+def check_variance(fit: WhitenedFit) -> None:
+    """Raise when the residual variance is zero up to rounding."""
+    if fit.ypy <= DEGENERATE_RTOL * fit.yty:
+        raise DegenerateVarianceError(
+            f"degenerate variance: residual quadratic form is zero (p = {fit.p}, n = {fit.n})"
+        )
+
+
+def _require_prior(fit: WhitenedFit) -> None:
+    if fit.yay is None:
+        raise ValueError("fit was computed without a prior scale")
+
+
 def _require_dof(fit: WhitenedFit) -> None:
     if fit.n - fit.p - 2 <= 0:
         raise PenaltyUndefinedError(
             f"penalty undefined: n - p - 2 = {fit.n - fit.p - 2} (n = {fit.n}, p = {fit.p})"
         )
+
+
+def _ml_term(fit: WhitenedFit) -> float:
+    """n (log 2 pi + log sigma2_hat) + log|V|, after the degeneracy check."""
+    check_variance(fit)
+    return fit.n * (LOG_2PI + math.log(fit.sigma2_hat)) + fit.logdet_v
+
+
+def _reml_term(fit: WhitenedFit) -> float:
+    """(n - p)(log 2 pi + log sigma2_tilde) + log|V|, after the degeneracy check."""
+    s2 = fit.sigma2_tilde  # a saturated fit raises here, before check_variance
+    check_variance(fit)
+    return (fit.n - fit.p) * (LOG_2PI + math.log(s2)) + fit.logdet_v
+
+
+def neg2_log_marginal(fit: WhitenedFit) -> float:
+    """-2 log of the normal-prior marginal density at the plug-in variance.
+
+    Equals n log(2 pi sigma2_hat) + log|V| + log|W X'V^{-1}X + I| +
+    y'Ay / sigma2_hat.
+    """
+    _require_prior(fit)
+    return _ml_term(fit) + fit.logdet_wxvx_plus_i + fit.yay / fit.sigma2_hat
+
+
+def neg2_log_residual(fit: WhitenedFit) -> float:
+    """-2 log of the flat-prior (residual) likelihood at the REML variance.
+
+    The final quadratic term y'Py / sigma2_tilde is n - p identically, so it
+    is emitted as that exact integer.
+    """
+    return _reml_term(fit) + fit.logdet_xvx + float(fit.n - fit.p)
 
 
 def ml(fit: WhitenedFit) -> float:
@@ -63,28 +117,13 @@ def ic_pi1(fit: WhitenedFit) -> float:
 
 def ic_pi1_star(fit: WhitenedFit) -> float:
     """Large-n form of ic_pi1: the prior log-determinant becomes p log n."""
-    if fit.yay is None:
-        raise ValueError("fit was computed without a prior scale")
-    check_variance(fit)
-    s2 = fit.sigma2_hat
-    return (
-        fit.n * (LOG_2PI + math.log(s2))
-        + fit.logdet_v
-        + fit.p * math.log(fit.n)
-        + 2.0
-        + fit.yay / s2
-    )
+    _require_prior(fit)
+    return _ml_term(fit) + fit.p * math.log(fit.n) + 2.0 + fit.yay / fit.sigma2_hat
 
 
 def ic_pi2(fit: WhitenedFit) -> float:
     """Prior-averaged criterion n log(2 pi s2) + log|V| + p log n + p."""
-    check_variance(fit)
-    return (
-        fit.n * (LOG_2PI + math.log(fit.sigma2_hat))
-        + fit.logdet_v
-        + fit.p * math.log(fit.n)
-        + fit.p
-    )
+    return _ml_term(fit) + fit.p * math.log(fit.n) + fit.p
 
 
 def ic_r(fit: WhitenedFit) -> float:
@@ -97,14 +136,8 @@ def ic_r(fit: WhitenedFit) -> float:
 def ic_r_star(fit: WhitenedFit) -> float:
     """Large-n form of ic_r with penalty p log n + (n-p)^2 / (n-p-2)."""
     _require_dof(fit)
-    check_variance(fit)
     dof = fit.n - fit.p
-    return (
-        dof * (LOG_2PI + math.log(fit.sigma2_tilde))
-        + fit.logdet_v
-        + fit.p * math.log(fit.n)
-        + dof * dof / (dof - 2.0)
-    )
+    return _reml_term(fit) + fit.p * math.log(fit.n) + dof * dof / (dof - 2.0)
 
 
 def ric(fit: WhitenedFit) -> float:
@@ -115,88 +148,49 @@ def ric(fit: WhitenedFit) -> float:
 
 def aic(fit: WhitenedFit) -> float:
     """n log(2 pi s2) + log|V| + n + 2(p + 1)."""
-    check_variance(fit)
-    return (
-        fit.n * (LOG_2PI + math.log(fit.sigma2_hat))
-        + fit.logdet_v
-        + fit.n
-        + 2.0 * (fit.p + 1)
-    )
+    return _ml_term(fit) + fit.n + 2.0 * (fit.p + 1)
 
 
 def bic(fit: WhitenedFit) -> float:
     """n log(2 pi s2) + log|V| + n + p log n."""
-    check_variance(fit)
-    return (
-        fit.n * (LOG_2PI + math.log(fit.sigma2_hat))
-        + fit.logdet_v
-        + fit.n
-        + fit.p * math.log(fit.n)
-    )
+    return _ml_term(fit) + fit.n + fit.p * math.log(fit.n)
 
 
-def dic(
-    fit: WhitenedFit,
-    whitened: WhitenedData,
-    model: CandidateModel,
-    prior: PriorScale,
-) -> float:
+def dic(fit: WhitenedFit) -> float:
     """Deviance information criterion at the plug-in variance.
 
     With posterior mean beta~ = (X'V^{-1}X + W^{-1})^{-1} X'V^{-1} y the
     closed form is D(beta~) + 2 tr[X'V^{-1}X (X'V^{-1}X + W^{-1})^{-1}],
     which equals 2 E[D(beta) | y] - D(beta~).  The deviance keeps its
     normalizing constants n log(2 pi s2) + log|V| because s2 differs across
-    candidates.
+    candidates.  The Gram matrix is formed from the fit's whitened columns,
+    not from its R factor, so the scores keep their last digits.
     """
-    if prior is None:
-        raise ValueError("dic requires a prior scale")
-    check_variance(fit)
-    s2 = fit.sigma2_hat
-    yt = whitened.y
-    if model.p == 0:
+    _require_prior(fit)
+    base = _ml_term(fit)
+    if fit.p == 0:
         quad = fit.yty
         p_d = 0.0
     else:
-        xj = whitened.x[:, model.zero_based]
+        xj = fit.x
         gram = xj.T @ xj
-        z = xj.T @ yt
-        cf = scipy.linalg.cho_factor(gram + prior.w_inverse(gram), lower=True, check_finite=False)
+        z = xj.T @ fit.y
+        cf = scipy.linalg.cho_factor(
+            gram + fit.prior.w_inverse(gram), lower=True, check_finite=False
+        )
         beta_post = scipy.linalg.cho_solve(cf, z, check_finite=False)
-        resid = yt - xj @ beta_post
+        resid = fit.y - xj @ beta_post
         quad = float(resid @ resid)
         p_d = float(np.trace(scipy.linalg.cho_solve(cf, gram, check_finite=False)))
-    return fit.n * (LOG_2PI + math.log(s2)) + fit.logdet_v + quad / s2 + 2.0 * p_d
+    return base + quad / fit.sigma2_hat + 2.0 * p_d
 
 
-_FIT_ONLY = {
-    "ic_pi1": ic_pi1,
-    "ic_pi1_star": ic_pi1_star,
-    "ic_pi2": ic_pi2,
-    "ic_r": ic_r,
-    "ic_r_star": ic_r_star,
-    "ric": ric,
-    "aic": aic,
-    "bic": bic,
-    "ml": ml,
-}
+def score(name: str, fit: WhitenedFit) -> float:
+    """Evaluate one named criterion on a fitted candidate.
 
-
-def score(
-    name: str,
-    fit: WhitenedFit,
-    *,
-    whitened: WhitenedData | None = None,
-    model: CandidateModel | None = None,
-    prior: PriorScale | None = None,
-) -> float:
-    """Evaluate one named criterion on a fitted candidate."""
-    if name == "dic":
-        if whitened is None or model is None:
-            raise ValueError("dic needs the whitened data and the candidate model")
-        return dic(fit, whitened, model, prior)
-    try:
-        fn = _FIT_ONLY[name]
-    except KeyError:
-        raise ValueError(f"unknown criterion {name!r}") from None
-    return fn(fit)
+    The lookup goes through the module namespace at call time, so a wrapper
+    set on a module attribute is the function called.
+    """
+    if name not in CRITERION_NAMES:
+        raise ValueError(f"unknown criterion {name!r}")
+    return globals()[name](fit)

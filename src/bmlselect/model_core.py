@@ -1,8 +1,8 @@
 """Whitened generalized-least-squares core.
 
-Every selection criterion is assembled from a handful of scalars computed
-here: the quadratic forms y'Py and y'Ay, the log-determinants of V, of
-X'V^{-1}X and of W X'V^{-1}X + I, and the two variance estimates.  The
+Every selection criterion reads one :class:`WhitenedFit` and nothing else:
+the quadratic forms y'Py and y'Ay, the log-determinants of V, of X'V^{-1}X
+and of W X'V^{-1}X + I, and the two variance estimates computed here.  The
 production path whitens the data once per error covariance (a Cholesky
 factor, or an O(n) recursion for AR(1)) and then factors each candidate's
 whitened design with exactly one QR.  The fit keeps that R factor and Q'y,
@@ -17,28 +17,17 @@ marks the design as rank deficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .covariance import CovarianceSpec, PriorScale, make_whitener
-from .exceptions import (
-    DegenerateVarianceError,
-    SaturatedModelError,
-    SingularDesignError,
-)
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .exceptions import SaturatedModelError, SingularDesignError
 
 # Shared relative pivot rule: a QR pivot below this fraction of the largest
 # pivot marks the column as linearly dependent.
 RANK_PIVOT_RTOL = 1e-10
-
-# A residual sum of squares at or below this fraction of y'V^{-1}y is an
-# exact interpolation up to rounding; taking its log would be meaningless.
-DEGENERATE_RTOL = 4e-14
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,10 @@ class WhitenedFit:
     are present only once a prior scale was applied (:meth:`with_prior`).
     ``yty`` is the whitened total sum of squares y'V^{-1}y, kept for
     degeneracy checks.  ``r`` and ``qty`` are the candidate's QR factor R
-    and Q'y, kept so that later steps never factor the columns again.
+    and Q'y, kept so that later steps never factor the columns again;
+    ``x`` and ``y`` are its whitened columns and the whitened response, the
+    arrays the QR read (``dic`` forms its Gram from them).  ``prior`` is the
+    scale that :meth:`with_prior` applied.
     """
 
     p: int
@@ -148,6 +140,9 @@ class WhitenedFit:
     logdet_wxvx_plus_i: float | None = None
     r: np.ndarray | None = None
     qty: np.ndarray | None = None
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    prior: PriorScale | None = None
 
     @property
     def sigma2_hat(self) -> float:
@@ -166,7 +161,7 @@ class WhitenedFit:
         G = X'V^{-1}X, and log|W X'V^{-1}X + I| = log|G + W^{-1}| + log|W|.
         """
         if self.p == 0:
-            return replace(self, yay=self.yty, logdet_wxvx_plus_i=0.0)
+            return replace(self, yay=self.yty, logdet_wxvx_plus_i=0.0, prior=prior)
         if self.r is None:
             raise ValueError("fit carries no QR factor to apply a prior to")
         gram = self.r.T @ self.r
@@ -178,6 +173,7 @@ class WhitenedFit:
             self,
             yay=yay,
             logdet_wxvx_plus_i=logdet_m + prior.logdet_w(self.p, self.logdet_xvx),
+            prior=prior,
         )
 
 
@@ -207,15 +203,10 @@ def whiten(dataset: Dataset) -> WhitenedData:
     )
 
 
-def gls_fit(
-    whitened: WhitenedData,
-    model: CandidateModel,
-    prior: PriorScale | None = None,
-) -> WhitenedFit:
+def gls_fit(whitened: WhitenedData, model: CandidateModel) -> WhitenedFit:
     """GLS fit of one candidate on whitened data, from one QR of its columns.
 
-    With a prior scale the marginal-likelihood quantities are filled in too;
-    this is ``gls_fit(whitened, model).with_prior(prior)``.
+    :meth:`WhitenedFit.with_prior` adds the marginal-likelihood quantities.
     """
     yt = whitened.y
     n = whitened.n
@@ -226,7 +217,7 @@ def gls_fit(
             f"but the design has {whitened.p_omega}"
         )
     if model.p == 0:
-        fit = WhitenedFit(
+        return WhitenedFit(
             p=0,
             n=n,
             beta_hat=np.zeros(0),
@@ -234,64 +225,23 @@ def gls_fit(
             yty=yty,
             logdet_v=whitened.logdet_v,
             logdet_xvx=0.0,
+            y=yt,
         )
-    else:
-        q, r = np.linalg.qr(whitened.x[:, model.zero_based], mode="reduced")
-        rd = _full_rank_pivots(r, f"singular design for candidate {model.label()}")
-        c = q.T @ yt
-        fit = WhitenedFit(
-            p=model.p,
-            n=n,
-            beta_hat=scipy.linalg.solve_triangular(r, c, lower=False, check_finite=False),
-            ypy=max(float(yty - c @ c), 0.0),
-            yty=yty,
-            logdet_v=whitened.logdet_v,
-            logdet_xvx=2.0 * float(np.sum(np.log(rd))),
-            r=r,
-            qty=c,
-        )
-    return fit if prior is None else fit.with_prior(prior)
-
-
-def check_variance(fit: WhitenedFit) -> None:
-    """Raise when the residual variance is zero up to rounding."""
-    if fit.ypy <= DEGENERATE_RTOL * fit.yty:
-        raise DegenerateVarianceError(
-            f"degenerate variance: residual quadratic form is zero (p = {fit.p}, n = {fit.n})"
-        )
-
-
-def neg2_log_marginal(fit: WhitenedFit) -> float:
-    """-2 log of the normal-prior marginal density at the plug-in variance.
-
-    Equals n log(2 pi sigma2_hat) + log|V| + log|W X'V^{-1}X + I| +
-    y'Ay / sigma2_hat.
-    """
-    if fit.yay is None:
-        raise ValueError("fit was computed without a prior scale")
-    check_variance(fit)
-    s2 = fit.sigma2_hat
-    return (
-        fit.n * (LOG_2PI + math.log(s2))
-        + fit.logdet_v
-        + fit.logdet_wxvx_plus_i
-        + fit.yay / s2
+    xj = whitened.x[:, model.zero_based]
+    q, r = np.linalg.qr(xj, mode="reduced")
+    rd = _full_rank_pivots(r, f"singular design for candidate {model.label()}")
+    c = q.T @ yt
+    return WhitenedFit(
+        p=model.p,
+        n=n,
+        beta_hat=scipy.linalg.solve_triangular(r, c, lower=False, check_finite=False),
+        ypy=max(float(yty - c @ c), 0.0),
+        yty=yty,
+        logdet_v=whitened.logdet_v,
+        logdet_xvx=2.0 * float(np.sum(np.log(rd))),
+        r=r,
+        qty=c,
+        x=xj,
+        y=yt,
     )
 
-
-def neg2_log_residual(fit: WhitenedFit) -> float:
-    """-2 log of the flat-prior (residual) likelihood at the REML variance.
-
-    The final quadratic term y'Py / sigma2_tilde is n - p identically, so it
-    is emitted as that exact integer.
-    """
-    if fit.p >= fit.n:
-        raise SaturatedModelError(f"saturated model: p = {fit.p} >= n = {fit.n}")
-    check_variance(fit)
-    dof = fit.n - fit.p
-    return (
-        dof * (LOG_2PI + math.log(fit.sigma2_tilde))
-        + fit.logdet_v
-        + fit.logdet_xvx
-        + float(dof)
-    )

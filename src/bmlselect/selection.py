@@ -52,7 +52,6 @@ class CandidateScores:
 class ScoreTable:
     rows: list[CandidateScores]
     criteria: tuple[str, ...]
-    whitened: WhitenedData
     phi_hat: float | None = None
     phi_at_boundary: bool = False
 
@@ -103,16 +102,17 @@ def fit_candidate(
     prior_kind: str,
     lam: float | None,
     needs_prior: bool,
-) -> tuple[WhitenedFit, PriorScale | None, ScalarEstimate | None]:
+) -> tuple[WhitenedFit, ScalarEstimate | None]:
     """Fit one candidate, then estimate lambda on that fit, then apply the prior.
 
-    Returns (fit, prior, lambda_estimate).  ``lam=None`` estimates lambda;
-    the null model has no prior to scale and takes the neutral 1 instead.
-    Without ``needs_prior`` the fit carries no prior quantities.
+    Returns (fit, lambda_estimate); the fit records its prior scale.
+    ``lam=None`` estimates lambda; the null model has no prior to scale and
+    takes the neutral 1 instead.  Without ``needs_prior`` the fit carries no
+    prior quantities.
     """
     fit = gls_fit(wd, cand)
     if not needs_prior:
-        return fit, None, None
+        return fit, None
     est = None
     if lam is not None:
         lam = float(lam)
@@ -121,8 +121,7 @@ def fit_candidate(
     else:
         est = estimate_lambda(fit, prior_kind)
         lam = est.value
-    prior = PriorScale(prior_kind, lam)
-    return fit.with_prior(prior), prior, est
+    return fit.with_prior(PriorScale(prior_kind, lam)), est
 
 
 def score_candidates(
@@ -137,10 +136,7 @@ def score_candidates(
     likelihood is undefined there.  Degenerate (interpolating) fits raise,
     naming the candidate.
     """
-    criteria = tuple(criteria)
-    unknown = [c for c in criteria if c not in _criteria.CRITERION_NAMES]
-    if unknown:
-        raise ValueError(f"unknown criteria: {unknown}")
+    criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
     wd, phi_est = resolve_whitened(dataset)
     needs_prior = any(c in _criteria.NEEDS_PRIOR for c in criteria)
@@ -149,15 +145,13 @@ def score_candidates(
         row = CandidateScores(model=cand)
         rows.append(row)
         try:
-            fit, prior, lam_est = fit_candidate(wd, cand, opts.prior_kind, opts.lam, needs_prior)
+            fit, lam_est = fit_candidate(wd, cand, opts.prior_kind, opts.lam, needs_prior)
             if lam_est is not None:
                 row.lambda_hat, row.lambda_at_boundary = lam_est
             row.beta_hat = fit.beta_hat
             for name in criteria:
                 try:
-                    row.scores[name] = _criteria.score(
-                        name, fit, whitened=wd, model=cand, prior=prior
-                    )
+                    row.scores[name] = _criteria.score(name, fit)
                 except PenaltyUndefinedError:
                     row.excluded[name] = "penalty undefined"
                 except SaturatedModelError:
@@ -169,7 +163,6 @@ def score_candidates(
     return ScoreTable(
         rows=rows,
         criteria=criteria,
-        whitened=wd,
         phi_hat=None if phi_est is None else phi_est.value,
         phi_at_boundary=False if phi_est is None else phi_est.at_boundary,
     )

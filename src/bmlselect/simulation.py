@@ -17,11 +17,12 @@ import os
 from dataclasses import dataclass, field
 from itertools import product
 from multiprocessing import get_context
+from numbers import Integral
 
 import numpy as np
 
 from .covariance import PRIOR_KINDS, CovarianceSpec, make_whitener
-from .criteria import CRITERION_NAMES
+from .criteria import check_names
 from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
 from .selection import SelectionOptions, _quadratic_loss, report_from_table, score_candidates
@@ -67,20 +68,27 @@ class ExperimentSpec:
             raise ValueError(f"unknown beta pattern {self.beta_pattern!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if any(s <= 0 for s in self.snr_grid):
-            raise ValueError("snr values must be positive")
+        # n <= p_omega leaves the full design rank deficient or interpolating,
+        # and an infinite SNR leaves no noise: every replication would fail.
+        bad_n = [n for n in self.n_grid if not isinstance(n, Integral) or n <= self.p_omega]
+        if bad_n:
+            raise ValueError(
+                f"n_grid values must be integers greater than p_omega = {self.p_omega}, "
+                f"got {bad_n}"
+            )
+        snr_grid = tuple(float(s) for s in self.snr_grid)
+        bad_snr = [s for s in snr_grid if not (math.isfinite(s) and s > 0)]
+        if bad_snr:
+            raise ValueError(f"snr_grid values must be finite and positive, got {bad_snr}")
         if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
             raise ValueError("master_seed must be a non-negative integer")
         if self.nerm_group_size < 1:
             raise ValueError(f"nerm_group_size must be >= 1, got {self.nerm_group_size}")
         if self.prior_kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.prior_kind!r}")
-        unknown = [c for c in self.criteria if c not in CRITERION_NAMES]
-        if unknown:
-            raise ValueError(f"unknown criteria: {unknown}")
+        object.__setattr__(self, "criteria", check_names(self.criteria))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
+        object.__setattr__(self, "snr_grid", snr_grid)
         if self.model_kind == "nerm":
             bad = [n for n in self.n_grid if n % self.nerm_group_size != 0]
             if bad:

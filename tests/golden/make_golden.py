@@ -12,9 +12,11 @@ the same program give byte-identical files; the ``# data =`` line, which
 echoes the input path, is left out of the comparison all the same.  The runs cover the
 identity, ar1 and nerm covariances, the ridge and zellner priors, and
 estimated and fixed lambda, on designs of at most five columns and at most
-five replications per cell.  ``tests/test_golden.py`` regenerates them into
-a temporary directory and compares byte for byte; the committed files are
-the contract that a refactor must not move.
+five replications per cell.  A 7 x 5 design, where n - p - 2 = 0 for the
+full model, takes the exclusion path: the ``excluded`` column of `select`
+and the ``undefined (...)`` values of `criteria`.  ``tests/test_golden.py``
+regenerates them into a temporary directory and compares byte for byte;
+the committed files are the contract that a refactor must not move.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ def _runs() -> list[list[str]]:
     """The argument vectors of the golden runs; writes their inputs to the working directory."""
     _write_data(Path("data_ar1.csv"), seed=11, n=40, p=5, phi=0.5)
     _write_data(Path("data_iid.csv"), seed=12, n=30, p=4, phi=0.0)
+    # n - p - 2 = 0 for the full model: the exclusion path.
+    _write_data(Path("data_tight.csv"), seed=13, n=7, p=5, phi=0.0)
     Path("nerm.cfg").write_text("group_sizes = " + ",".join(["4"] * 10) + "\n", encoding="utf-8")
     Path("simulate_nerm.cfg").write_text("nerm_group_size = 4\n", encoding="utf-8")
     return [
@@ -68,6 +72,10 @@ def _runs() -> list[list[str]]:
          "--covariance", "nerm", "--criterion", "all", "--lambda", "2.5"],
         ["criteria", "--data", "data_ar1.csv", "--out", "criteria_ar1_ridge.csv",
          "--covariance", "ar1", "--criterion", "all"],
+        ["select", "--data", "data_tight.csv", "--out", "select_tight_zellner.csv",
+         "--criterion", "all", "--prior", "zellner"],
+        ["criteria", "--data", "data_tight.csv", "--out", "criteria_tight.csv",
+         "--criterion", "all"],
         ["simulate", "--out", "simulate_constant_variance.csv", "--seed", "5",
          "--model", "constant_variance", "--n-grid", "20,30", "--snr-grid", "1,3",
          "--replications", "2", "--criterion", "all"],

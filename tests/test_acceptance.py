@@ -134,7 +134,7 @@ def test_criterion_1_algebraic_identities():
             checks.append(abs(np.trace(amat @ v @ pmat @ v) - (n - p)) < 1e-8)
 
             ds = Dataset(y=y, x_full=x, cov=spec)
-            fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3)), PriorScale("ridge", lam))
+            fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3))).with_prior(PriorScale("ridge", lam))
             checks.append(abs(fit.ypy / fit.sigma2_tilde - (n - p)) < 1e-9)
             checks.append(
                 abs(ic_pi1(fit) - ml(fit) - 2.0 * n / (n - p - 2)) < 1e-10
@@ -228,7 +228,7 @@ def test_criterion_3_unbiasedness():
     prior = PriorScale("ridge", 1.0)
     for i in range(25):
         ds = Dataset(y=y[i], x_full=x, cov=CovarianceSpec.identity())
-        fit = gls_fit(whiten(ds), model, prior)
+        fit = gls_fit(whiten(ds), model).with_prior(prior)
         assert ic_pi1(fit) == pytest.approx(crit_pi[i], rel=1e-10)
         assert ic_r(fit) == pytest.approx(crit_r[i], rel=1e-10)
 

@@ -242,14 +242,37 @@ def test_simulate_bad_phi_exits_2_before_any_replication(tmp_path, capsys, phi, 
     assert "replication" not in err
 
 
+@pytest.mark.parametrize(
+    "grid, name",
+    [
+        (("--n-grid", "5"), "n_grid"),
+        (("--n-grid", "7"), "n_grid"),
+        (("--snr-grid", "inf"), "snr_grid"),
+        (("--n-grid", "0"), "n_grid"),
+        (("--model", "nerm", "--n-grid", "-4"), "n_grid"),
+        (("--snr-grid", "nan"), "snr_grid"),
+    ],
+    ids=["n_below_p", "n_equals_p", "snr_inf", "n_zero", "nerm_negative_n", "snr_nan"],
+)
+def test_simulate_bad_grid_exits_2_before_any_replication(tmp_path, capsys, grid, name):
+    argv = ["simulate", "--out", str(tmp_path / "r.csv"), "--replications", "2",
+            "--n-grid", "20", "--snr-grid", "3", "--criterion", "bic"]
+    rc = main(argv + list(grid))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "replication" not in err
+
+
 def test_simulate_replication_failure_exits_3_and_names_it(tmp_path, capsys):
+    # SNR 1e8 leaves almost no noise, so the true candidate interpolates y.
     rc = main(["simulate", "--out", str(tmp_path / "r.csv"), "--seed", "8",
-               "--replications", "2", "--n-grid", "5", "--snr-grid", "3",
+               "--replications", "2", "--n-grid", "20", "--snr-grid", "1e8",
                "--criterion", "bic"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "seed 8, cell 0 (n=5, snr=3.0), replication" in err
-    assert "rank deficient" in err
+    assert "seed 8, cell 0 (n=20, snr=100000000.0), replication" in err
+    assert "candidate 1 2 3 4: degenerate variance" in err
 
 
 def test_simulate_round_trip_reader(tmp_path):

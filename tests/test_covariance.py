@@ -212,7 +212,7 @@ def _lambda_criterion_objective(wd, model, prior_kind):
     """Oracle: the actual -2 log marginal recomputed per lambda."""
 
     def obj(lam):
-        fit = gls_fit(wd, model, PriorScale(prior_kind, lam))
+        fit = gls_fit(wd, model).with_prior(PriorScale(prior_kind, lam))
         return neg2_log_marginal(fit)
 
     return obj

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmlselect import (
+    CRITERION_NAMES,
     CandidateModel,
     CovarianceSpec,
     Dataset,
@@ -21,11 +22,14 @@ from bmlselect import (
     ic_r,
     ic_r_star,
     ml,
+    neg2_log_marginal,
     neg2_log_residual,
     ric,
+    score,
     select,
     whiten,
 )
+from bmlselect import criteria as criteria_module
 from dense_oracle import dic_dense, gls_beta
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -39,7 +43,7 @@ def fitted(seed=0, n=20, p=4, lam=2.0, cov=None):
     wd = whiten(ds)
     model = CandidateModel(tuple(range(1, p + 1)))
     prior = PriorScale("ridge", lam)
-    return ds, wd, model, prior, gls_fit(wd, model, prior)
+    return ds, wd, model, prior, gls_fit(wd, model).with_prior(prior)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +107,7 @@ def test_penalty_undefined_when_dof_too_small():
     x = rng.standard_normal((5, 3))
     y = rng.standard_normal(5)
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-    fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3)), PriorScale("ridge", 1.0))
+    fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3))).with_prior(PriorScale("ridge", 1.0))
     for crit in (ic_pi1, ic_r, ic_r_star, ric):
         with pytest.raises(PenaltyUndefinedError):
             crit(fit)
@@ -138,7 +142,7 @@ def test_ic_pi1_star_orthonormal_design_sweep():
         x = math.sqrt(n) * q
         y = x @ np.ones(p) + rng.standard_normal(n)
         ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-        fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3)), PriorScale("ridge", 1.0))
+        fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3))).with_prior(PriorScale("ridge", 1.0))
         assert fit.logdet_wxvx_plus_i == pytest.approx(p * math.log(n + 1.0), rel=1e-10)
         gaps.append(fit.logdet_wxvx_plus_i - p * math.log(n))
     assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
@@ -149,7 +153,7 @@ def test_ic_pi1_star_null_model():
     y = rng.standard_normal(8)
     ds = Dataset(y=y, x_full=rng.standard_normal((8, 2)), cov=CovarianceSpec.identity())
     wd = whiten(ds)
-    fit = gls_fit(wd, CandidateModel(()), PriorScale("ridge", 1.0))
+    fit = gls_fit(wd, CandidateModel(())).with_prior(PriorScale("ridge", 1.0))
     s2 = float(y @ y) / 8
     expect = 8 * (LOG_2PI + math.log(s2)) + 2.0 + float(y @ y) / s2
     assert ic_pi1_star(fit) == pytest.approx(expect, rel=1e-12)
@@ -215,12 +219,12 @@ def test_dic_matches_dense_formula():
             0.5 ** np.abs(np.subtract.outer(np.arange(12), np.arange(12)))
         w = np.eye(3) / prior.lam
         expect = dic_dense(ds.y, ds.x_full, v, w, fit.sigma2_hat)
-        assert dic(fit, wd, model, prior) == pytest.approx(expect, rel=1e-9)
+        assert dic(fit) == pytest.approx(expect, rel=1e-9)
 
 
 def test_dic_matches_posterior_sampling_oracle():
     ds, wd, model, prior, fit = fitted(seed=22, n=12, p=2, lam=0.8)
-    closed = dic(fit, wd, model, prior)
+    closed = dic(fit)
     s2 = fit.sigma2_hat
     xj = wd.x
     g = xj.T @ xj
@@ -241,7 +245,7 @@ def test_dic_matches_posterior_sampling_oracle():
 
 def test_dic_flat_prior_limit_has_effective_dimension_p():
     ds, wd, model, prior, fit = fitted(seed=23, n=15, p=3, lam=1e-8)
-    value = dic(fit, wd, model, prior)
+    value = dic(fit)
     xj = wd.x
     g = xj.T @ xj
     m_inv = np.linalg.inv(g + prior.lam * np.eye(3))
@@ -281,7 +285,7 @@ def test_ml_minus_bic_bounded_on_orthonormal_sweep():
         x = math.sqrt(n) * q
         y = x @ np.ones(p) + rng.standard_normal(n)
         ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-        fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3)), PriorScale("ridge", 1.0))
+        fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3))).with_prior(PriorScale("ridge", 1.0))
         gaps.append(abs(ml(fit) - bic(fit)))
     assert max(gaps) < 25.0
 
@@ -289,6 +293,29 @@ def test_ml_minus_bic_bounded_on_orthonormal_sweep():
 # ---------------------------------------------------------------------------
 # argmin invariance under response rescaling
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cov", ["identity", "ar1"])
+@pytest.mark.parametrize("prior_kind", ["ridge", "zellner"])
+@pytest.mark.parametrize("name", CRITERION_NAMES)
+def test_scale_equivariance(name, prior_kind, cov):
+    # With lambda fixed, y -> c y scales y'Py and y'Ay by c^2 and leaves every
+    # log-determinant alone: each criterion shifts by n log c^2, except the
+    # two REML-variance ones, whose log term carries n - p instead of n
+    # (ric adds back p log c^2 through its p log(2 pi s2~) term).
+    rng = np.random.default_rng(29)
+    n, p, c = 25, 3, 3.0
+    x = rng.standard_normal((n, p))
+    y = x @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(n)
+    spec = CovarianceSpec.identity() if cov == "identity" else CovarianceSpec.ar1(0.4)
+    prior = PriorScale(prior_kind, 2.0)
+
+    def value(scale):
+        ds = Dataset(y=scale * y, x_full=x, cov=spec)
+        return score(name, gls_fit(whiten(ds), CandidateModel((1, 2, 3))).with_prior(prior))
+
+    k = n - p if name in ("ic_r", "ic_r_star") else n
+    assert value(c) - value(1.0) == pytest.approx(k * math.log(c * c), rel=1e-12)
 
 
 def test_selected_model_invariant_under_rescaling():
@@ -315,4 +342,41 @@ def test_degenerate_variance_raises_in_criteria():
                       logdet_v=0.0, logdet_xvx=0.0, yay=0.0, logdet_wxvx_plus_i=0.0)
     for crit in (aic, bic, ic_pi2, ml):
         with pytest.raises(DegenerateVarianceError):
+            crit(fit)
+
+
+# ---------------------------------------------------------------------------
+# score dispatch
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CRITERION_NAMES)
+def test_score_equals_the_named_criterion_bit_for_bit(name):
+    _, _, _, _, fit = fitted(seed=28)
+    assert score(name, fit) == getattr(criteria_module, name)(fit)
+
+
+def test_score_calls_the_module_attribute(monkeypatch):
+    # Tracing wraps criteria.dic by replacing the module attribute; score
+    # must call whatever that attribute is at call time.
+    _, _, _, _, fit = fitted(seed=28)
+    calls = []
+    monkeypatch.setattr(criteria_module, "dic", lambda f: calls.append(f) or 1.5)
+    assert score("dic", fit) == 1.5
+    assert calls == [fit]
+
+
+@pytest.mark.parametrize("name", ["hqc", "score", "check_variance", "math"])
+def test_score_rejects_unknown_name(name):
+    _, _, _, _, fit = fitted(seed=28)
+    with pytest.raises(ValueError, match="unknown criterion"):
+        score(name, fit)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_prior_criteria_need_a_fit_with_a_prior(p):
+    _, wd, _, _, _ = fitted(seed=30, n=20, p=3)
+    fit = gls_fit(wd, CandidateModel(tuple(range(1, p + 1))))
+    for crit in (dic, ml, neg2_log_marginal, ic_pi1_star, ic_pi1):
+        with pytest.raises(ValueError, match="^fit was computed without a prior scale$"):
             crit(fit)

@@ -140,7 +140,7 @@ def test_duplicate_column_exclusion_preserves_selection():
         except SingularDesignError:
             row.excluded["bic"] = "singular design"
         rows.append(row)
-    table = ScoreTable(rows=rows, criteria=("bic",), whitened=wd)
+    table = ScoreTable(rows=rows, criteria=("bic",))
     report = report_from_table(table, "bic")
     assert {m.indices for m, r in report.excluded if r == "singular design"} == {
         (1, 4), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4)

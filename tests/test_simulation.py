@@ -7,9 +7,9 @@ import pytest
 from bmlselect import (
     CandidateModel,
     CovarianceError,
+    DegenerateVarianceError,
     ExperimentSpec,
     SelectionOptions,
-    SingularDesignError,
     generate_dataset,
     run_experiment,
     score_candidates,
@@ -188,22 +188,53 @@ def test_spec_validation():
         small_spec(model_kind="ar1", phi_true=math.nan)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(n_grid=(5,)),
+        dict(n_grid=(7,)),
+        dict(n_grid=(0,)),
+        dict(n_grid=(20.5,)),
+        dict(model_kind="nerm", n_grid=(-4,)),
+        dict(snr_grid=(math.inf,)),
+        dict(snr_grid=(math.nan,)),
+    ],
+    ids=["n_below_p", "n_equals_p", "n_zero", "n_not_integer", "nerm_negative_n",
+         "snr_inf", "snr_nan"],
+)
+def test_spec_rejects_grid_every_replication_would_fail(grid):
+    # n <= p_omega = 7 leaves the full design rank deficient or interpolating,
+    # and an infinite SNR leaves no noise; the spec names the grid at once.
+    name = "n_grid" if "n_grid" in grid else "snr_grid"
+    with pytest.raises(ValueError, match=name):
+        small_spec(**grid)
+
+
+def test_spec_accepts_smallest_n_above_p_omega():
+    spec = small_spec(n_grid=(8,), replications=1, criteria=("bic",))
+    [result] = run_experiment(spec, workers=1)
+    assert result.n == 8
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_replication_failure_names_seed_cell_and_replication(workers):
-    # n = 5 rows against p_omega = 7 columns: every replication's design is
-    # rank deficient, so the first one to run raises.
-    spec = small_spec(n_grid=(5,), snr_grid=(3.0,), replications=2, master_seed=31)
-    with pytest.raises(SingularDesignError) as info:
+    # SNR 1e8 leaves almost no noise: the true candidate 1 2 3 4 fits y
+    # exactly up to rounding, so the first replication to run raises.
+    spec = small_spec(snr_grid=(1e8,), replications=2, criteria=("bic",), master_seed=31)
+    with pytest.raises(DegenerateVarianceError) as info:
         run_experiment(spec, workers=workers)
     msg = str(info.value)
-    assert msg.startswith("seed 31, cell 0 (n=5, snr=3.0), replication ")
-    assert re.search(r"replication [01]: full design matrix is rank deficient$", msg)
+    assert msg.startswith("seed 31, cell 0 (n=20, snr=100000000.0), replication ")
+    assert re.search(r"replication [01]: candidate 1 2 3 4: degenerate variance", msg)
 
 
 def test_replication_failure_reproduces_from_one_call():
-    spec = small_spec(n_grid=(20, 5), snr_grid=(3.0,), replications=1, master_seed=4)
+    spec = small_spec(snr_grid=(3.0, 1e8), replications=1, criteria=("bic",), master_seed=4)
     cell = spec.cells()[1]
-    with pytest.raises(SingularDesignError, match=r"^seed 4, cell 1 \(n=5, snr=3.0\), replication 0:"):
+    with pytest.raises(
+        DegenerateVarianceError,
+        match=r"^seed 4, cell 1 \(n=20, snr=100000000.0\), replication 0:",
+    ):
         _run_replication(spec, cell, 0)
 
 
