@@ -10,10 +10,11 @@ Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
 AR(1) operator runs in O(n) via the innovations recursion instead of a
 dense factorization.
 
-Hyperparameters are estimated by plug-in rules: phi by profile maximum
-likelihood on the full model, lambda by maximizing each candidate's marginal
-likelihood with the variance estimate held fixed.  Both optimizers are
-deterministic: a coarse grid scan followed by golden-section refinement.
+Hyperparameters are estimated by deterministic plug-in rules: phi by
+profile maximum likelihood on the full model (grid scan, then golden
+section), lambda by maximizing each candidate's marginal likelihood with
+the variance estimate held fixed (Zellner in closed form, ridge by a grid
+scan, then a Newton root of the derivative from the fit's spectrum).
 """
 
 from __future__ import annotations
@@ -34,13 +35,18 @@ if TYPE_CHECKING:
 COVARIANCE_KINDS = ("identity", "ar1", "nerm", "custom")
 PRIOR_KINDS = ("ridge", "zellner")
 
-# Deterministic optimizer: coarse grid at ~0.08 decades per point, then
-# golden-section refinement.  The lambda range reaches far enough down that
-# the empirical-Bayes scale can track near-noiseless data (lambda ~ 1/SNR^2).
+# Deterministic optimizers: a coarse grid at ~0.08 decades per point, then
+# golden section (phi) or a Newton root of the derivative (ridge lambda),
+# which stops on a step in log lambda or a residual relative to its terms.
+# The lambda range reaches far enough down that the empirical-Bayes scale
+# can track near-noiseless data (lambda ~ 1/SNR^2).
 GRID_POINTS = 201
 LAMBDA_GRID_POINTS = 264
 GOLDEN_RTOL = 1e-8
 LAMBDA_BOUNDS = (1e-13, 1e8)
+LAMBDA_STEP_ATOL = 1e-12
+LAMBDA_SLOPE_RTOL = 8.0 * np.finfo(float).eps
+LAMBDA_MAX_STEPS = 100
 PHI_AR1_BOUNDS = (-0.99, 0.99)
 PHI_NERM_BOUNDS = (0.0, 1e4)
 
@@ -49,6 +55,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # The lambda search grid never changes; build it once.
 _LAMBDA_GRID = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
 _LOG_LAMBDA_GRID = np.log(_LAMBDA_GRID)
+_INV_LAMBDA_GRID = 1.0 / _LAMBDA_GRID
 
 
 class ScalarEstimate(NamedTuple):
@@ -176,17 +183,6 @@ class PriorScale:
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"prior lambda must be positive, got {self.lam}")
 
-    def w_inverse(self, gram: np.ndarray) -> np.ndarray:
-        p = gram.shape[0]
-        if self.kind == "ridge":
-            return self.lam * np.eye(p)
-        return self.lam * gram
-
-    def logdet_w(self, p: int, logdet_gram: float) -> float:
-        if self.kind == "ridge":
-            return -p * math.log(self.lam)
-        return -(p * math.log(self.lam) + logdet_gram)
-
 
 # ---------------------------------------------------------------------------
 # Whitening operators
@@ -272,7 +268,7 @@ def make_whitener(spec: CovarianceSpec, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(f, a, b, rtol=GOLDEN_RTOL, atol=0.0):
+def _golden_min(f, a, b, rtol=GOLDEN_RTOL):
     """Golden-section minimum on [a, b], returning the best point evaluated."""
     best = [a, f(a)]
 
@@ -287,7 +283,7 @@ def _golden_min(f, a, b, rtol=GOLDEN_RTOL, atol=0.0):
     d = a + _INVPHI * (b - a)
     fc, fd = ev(c), ev(d)
     for _ in range(200):
-        if (b - a) <= max(atol, rtol * max(abs(a), abs(b))):
+        if (b - a) <= rtol * max(abs(a), abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -300,16 +296,16 @@ def _golden_min(f, a, b, rtol=GOLDEN_RTOL, atol=0.0):
     return best[0], best[1]
 
 
-def _refine_minimum(f, xs, vals, rtol=GOLDEN_RTOL, atol=0.0):
+def _refine_minimum(f, xs, vals, rtol=GOLDEN_RTOL):
     """Grid argmin refined by golden section over its neighbouring cells."""
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
-        raise ValueError("objective non-finite over the entire grid")
+        raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
     k = int(np.argmin(np.where(finite, vals, np.inf)))
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, len(xs) - 1)]
-    x, fx = _golden_min(f, a, b, rtol=rtol, atol=atol)
+    x, fx = _golden_min(f, a, b, rtol=rtol)
     if vals[k] <= fx:
         return float(xs[k]), float(vals[k])
     return float(x), float(fx)
@@ -353,24 +349,73 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
         # phi >= 0 spans eight decades; log-spaced grid plus the zero endpoint.
         grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, GRID_POINTS - 1)))
     vals = [objective(x_) for x_ in grid]
-    try:
-        phi_hat, _ = _refine_minimum(objective, grid, vals, rtol=GOLDEN_RTOL)
-    except ValueError as exc:
-        raise CovarianceError(f"phi estimation failed: {exc}") from exc
-    span = hi - lo
-    at_boundary = (phi_hat - lo) <= 1e-6 * span or (hi - phi_hat) <= 1e-6 * span
+    phi_hat, _ = _refine_minimum(objective, grid, vals)
+    if spec.kind == "ar1":
+        at_boundary = min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
+    else:  # log-spaced from grid[1]: below it phi_hat sits on 0
+        at_boundary = phi_hat < grid[1] or math.log(hi / phi_hat) <= 1e-6 * math.log(hi / grid[1])
     return ScalarEstimate(float(phi_hat), bool(at_boundary))
+
+
+def _ridge_lambda(d: np.ndarray, w2: np.ndarray, sigma2: float) -> ScalarEstimate:
+    """Minimizer of f(t) = sum log1p(d / lambda) + lambda sum w2 / (d + lambda) / s2.
+
+    The grid argmin in t = log lambda picks the basin (a grid end whose
+    slope points outward is the flagged bound), then a Newton step on f'(t)
+    within the neighbouring cells, safeguarded by bisection, finds the root.
+    It stops on the step size or a rounding-level f', never on rounded f.
+    """
+    ratio = d * _INV_LAMBDA_GRID[:, None]
+    vals = np.add.reduce(np.log1p(ratio) + (w2 / sigma2) / (ratio + 1.0), axis=1)
+    k = int(np.argmin(vals))
+    if not np.isfinite(vals[k]):
+        raise LambdaEstimationError("lambda estimation failed: objective non-finite on the grid")
+    terms = list(zip(d.tolist(), w2.tolist()))
+
+    def slope(t):
+        # f'(t), f''(t) and the sum of |terms of f'|: plain floats, summed in index order.
+        lam = float(np.exp(t))
+        g = h = scale = 0.0
+        for di, wi in terms:
+            dl = di + lam
+            pen = di / dl
+            fit = lam * wi * pen / (sigma2 * dl)
+            g += fit - pen
+            h += (fit * (di - lam) + pen * lam) / dl
+            scale += fit + pen
+        return g, h, scale
+
+    ts = _LOG_LAMBDA_GRID
+    t = float(ts[k])
+    g, h, _ = slope(t)
+    if (k == 0 and g >= 0.0) or (k == LAMBDA_GRID_POINTS - 1 and g <= 0.0):
+        return ScalarEstimate(float(_LAMBDA_GRID[k]), True)
+    # The slope at the lowest grid point says on which side the minimum
+    # lies: [lo, hi] brackets a root of f' with f'(lo) <= 0 <= f'(hi).
+    lo, hi = (t, float(ts[k + 1])) if g < 0.0 else (float(ts[k - 1]), t)
+    for _ in range(LAMBDA_MAX_STEPS):
+        t_new = t - g / h if h > 0.0 else hi
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        t, step = t_new, t_new - t
+        if abs(step) <= LAMBDA_STEP_ATOL:
+            break
+        g, h, scale = slope(t)
+        if abs(g) <= LAMBDA_SLOPE_RTOL * scale:
+            break
+        lo, hi = (t, hi) if g < 0.0 else (lo, t)
+    return ScalarEstimate(float(np.exp(t)), False)
 
 
 def estimate_lambda(fit: "WhitenedFit", prior_kind: str = "ridge") -> ScalarEstimate:
     """Empirical-Bayes estimate of the prior scale for one fitted candidate.
 
-    Maximizes the candidate's marginal likelihood over lambda with the
-    plug-in variance y'Py/n held fixed; the search runs on log(lambda) over
-    ``LAMBDA_BOUNDS``.  It reads the R factor and Q'y that
-    :func:`~bmlselect.model_core.gls_fit` kept on the fit, so the columns are
-    not factored again.  For the null model there is no prior to scale and a
-    neutral value of 1 is returned.
+    Maximizes the candidate's marginal likelihood over lambda in
+    ``LAMBDA_BOUNDS`` at the plug-in variance s2 = y'Py/n, flagging a value
+    on a bound.  Zellner: lambda = p s2 / (s - p s2) with s = ||Q'y||^2
+    (the local empirical-Bayes g = 1/lambda of George & Foster 2000),
+    clipped to the bounds.  Ridge: the root of f'(log lambda) from the
+    fit's spectrum (:func:`_ridge_lambda`).  The null model takes 1.
     """
     if prior_kind not in PRIOR_KINDS:
         raise ValueError(f"unknown prior kind {prior_kind!r}")
@@ -379,51 +424,12 @@ def estimate_lambda(fit: "WhitenedFit", prior_kind: str = "ridge") -> ScalarEsti
         return ScalarEstimate(1.0, False)
     if fit.r is None:
         raise ValueError("fit carries no QR factor to estimate lambda from")
-    r, c = fit.r, fit.qty
-    yty, ypy = fit.yty, fit.ypy
-    sigma2 = ypy / fit.n
+    sigma2 = fit.ypy / fit.n
     if not sigma2 > 0.0:
         raise LambdaEstimationError("lambda estimation failed: zero residual variance")
-
-    lams = _LAMBDA_GRID
-    ts = _LOG_LAMBDA_GRID
     if prior_kind == "ridge":
-        gram = r.T @ r
-        d, u = np.linalg.eigh(gram)
-        d = np.clip(d, 0.0, None)
-        zt2 = (u.T @ (r.T @ c)) ** 2
-        # Plain-float loop: the golden phase calls this ~40 times per
-        # candidate and p is tiny, so ndarray dispatch would dominate.
-        d_list = [float(v) for v in d]
-        zt2_list = [float(v) for v in zt2]
-
-        def objective(t: float) -> float:
-            lam = math.exp(t)
-            pen = 0.0
-            quad = yty
-            for di, zi in zip(d_list, zt2_list):
-                pen += math.log1p(di / lam)
-                quad -= zi / (di + lam)
-            return pen + quad / sigma2
-
-        pen = np.sum(np.log1p(d[None, :] / lams[:, None]), axis=1)
-        quads = yty - np.sum(zt2[None, :] / (d[None, :] + lams[:, None]), axis=1)
-        vals = pen + quads / sigma2
-    else:
-        # Zellner: W^{-1} = lambda * Gram, so the lambda-dependent part
-        # collapses to closed scalar forms.
-        s = yty - ypy
-
-        def objective(t: float) -> float:
-            lam = math.exp(t)
-            return p * math.log1p(1.0 / lam) + (yty - s / (1.0 + lam)) / sigma2
-
-        vals = p * np.log1p(1.0 / lams) + (yty - s / (1.0 + lams)) / sigma2
-
-    try:
-        t_hat, _ = _refine_minimum(objective, ts, vals, rtol=0.0, atol=GOLDEN_RTOL)
-    except ValueError as exc:
-        raise LambdaEstimationError(f"lambda estimation failed: {exc}") from exc
-    span = ts[-1] - ts[0]
-    at_boundary = (t_hat - ts[0]) <= 1e-6 * span or (ts[-1] - t_hat) <= 1e-6 * span
-    return ScalarEstimate(float(math.exp(t_hat)), bool(at_boundary))
+        return _ridge_lambda(*fit.spectrum, sigma2)
+    excess = float(fit.qty @ fit.qty) - p * sigma2
+    lam = p * sigma2 / excess if excess > 0.0 else math.inf
+    clipped = min(max(lam, LAMBDA_BOUNDS[0]), LAMBDA_BOUNDS[1])
+    return ScalarEstimate(clipped, clipped != lam)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DegenerateVarianceError, PenaltyUndefinedError
 from .model_core import WhitenedFit
@@ -163,25 +162,22 @@ def dic(fit: WhitenedFit) -> float:
     closed form is D(beta~) + 2 tr[X'V^{-1}X (X'V^{-1}X + W^{-1})^{-1}],
     which equals 2 E[D(beta) | y] - D(beta~).  The deviance keeps its
     normalizing constants n log(2 pi s2) + log|V| because s2 differs across
-    candidates.  The Gram matrix is formed from the fit's whitened columns,
-    not from its R factor, so the scores keep their last digits.
+    candidates.  From the fit's spectrum, the residual at beta~ is y'Py +
+    lambda^2 sum w2 / (d + lambda)^2 and p_D = sum d / (d + lambda) (ridge),
+    or y'Py + (lambda / (1 + lambda))^2 ||Q'y||^2 and p / (1 + lambda).
     """
     _require_prior(fit)
     base = _ml_term(fit)
-    if fit.p == 0:
-        quad = fit.yty
-        p_d = 0.0
+    lam = fit.prior.lam
+    if fit.prior.kind == "ridge":
+        d, w2 = fit.spectrum
+        dl = d + lam
+        quad = fit.ypy + lam * lam * float(np.sum(w2 / (dl * dl)))
+        p_d = float(np.sum(d / dl))
     else:
-        xj = fit.x
-        gram = xj.T @ xj
-        z = xj.T @ fit.y
-        cf = scipy.linalg.cho_factor(
-            gram + fit.prior.w_inverse(gram), lower=True, check_finite=False
-        )
-        beta_post = scipy.linalg.cho_solve(cf, z, check_finite=False)
-        resid = fit.y - xj @ beta_post
-        quad = float(resid @ resid)
-        p_d = float(np.trace(scipy.linalg.cho_solve(cf, gram, check_finite=False)))
+        shrink = lam / (1.0 + lam)
+        quad = fit.ypy + shrink * shrink * float(fit.qty @ fit.qty)
+        p_d = fit.p / (1.0 + lam)
     return base + quad / fit.sigma2_hat + 2.0 * p_d
 
 

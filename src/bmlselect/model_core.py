@@ -5,10 +5,11 @@ the quadratic forms y'Py and y'Ay, the log-determinants of V, of X'V^{-1}X
 and of W X'V^{-1}X + I, and the two variance estimates computed here.  The
 production path whitens the data once per error covariance (a Cholesky
 factor, or an O(n) recursion for AR(1)) and then factors each candidate's
-whitened design with exactly one QR.  The fit keeps that R factor and Q'y,
-so the lambda search and the prior step (:meth:`WhitenedFit.with_prior`)
-read them instead of factoring the columns again; the n x n projection
-matrices of the theory are never formed (test oracles do form them).
+whitened design with exactly one QR and keeps R and Q'y.  A ridge prior
+reads them through one SVD of R (:attr:`WhitenedFit.spectrum`), a Zellner
+prior through ||Q'y||^2 alone, so the lambda search, the prior step
+(:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the n x n
+projection matrices are never formed (test oracles do form them).
 
 One rank rule, :func:`_full_rank_pivots`, judges every QR factor: a pivot
 below ``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
@@ -123,10 +124,8 @@ class WhitenedFit:
     are present only once a prior scale was applied (:meth:`with_prior`).
     ``yty`` is the whitened total sum of squares y'V^{-1}y, kept for
     degeneracy checks.  ``r`` and ``qty`` are the candidate's QR factor R
-    and Q'y, kept so that later steps never factor the columns again;
-    ``x`` and ``y`` are its whitened columns and the whitened response, the
-    arrays the QR read (``dic`` forms its Gram from them).  ``prior`` is the
-    scale that :meth:`with_prior` applied.
+    and Q'y, kept so that later steps never factor the columns again.
+    ``prior`` is the scale that :meth:`with_prior` applied.
     """
 
     p: int
@@ -140,9 +139,9 @@ class WhitenedFit:
     logdet_wxvx_plus_i: float | None = None
     r: np.ndarray | None = None
     qty: np.ndarray | None = None
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
     prior: PriorScale | None = None
+    # Cache of ``spectrum``; a field, so that ``replace`` carries it along.
+    _spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def sigma2_hat(self) -> float:
@@ -154,27 +153,33 @@ class WhitenedFit:
             raise SaturatedModelError(f"saturated model: p = {self.p} >= n = {self.n}")
         return self.ypy / (self.n - self.p)
 
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d, w2) from the SVD R = P S V^t, computed once: d = s^2 are the
+        eigenvalues of G = X'V^{-1}X and w2 = (P^t Q'y)^2."""
+        if self._spectrum is None:
+            u, s, _ = np.linalg.svd(self.r)
+            object.__setattr__(self, "_spectrum", (s * s, (u.T @ self.qty) ** 2))
+        return self._spectrum
+
     def with_prior(self, prior: PriorScale) -> "WhitenedFit":
         """This fit with the marginal-likelihood quantities of a prior scale.
 
-        y'Ay = y'V^{-1}y - z'(G + W^{-1})^{-1} z for z = X'V^{-1}y and
-        G = X'V^{-1}X, and log|W X'V^{-1}X + I| = log|G + W^{-1}| + log|W|.
+        Ridge (W^{-1} = lambda I): y'Ay = y'Py + lambda sum w2 / (d + lambda)
+        and log|W G + I| = sum log1p(d / lambda).  Zellner (W^{-1} = lambda G),
+        with s = ||Q'y||^2: y'Py + s lambda / (1 + lambda) and p log1p(1 / lambda).
         """
-        if self.p == 0:
-            return replace(self, yay=self.yty, logdet_wxvx_plus_i=0.0, prior=prior)
         if self.r is None:
             raise ValueError("fit carries no QR factor to apply a prior to")
-        gram = self.r.T @ self.r
-        cf = scipy.linalg.cho_factor(gram + prior.w_inverse(gram), lower=True, check_finite=False)
-        z = self.r.T @ self.qty
-        yay = max(float(self.yty - z @ scipy.linalg.cho_solve(cf, z, check_finite=False)), 0.0)
-        logdet_m = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        return replace(
-            self,
-            yay=yay,
-            logdet_wxvx_plus_i=logdet_m + prior.logdet_w(self.p, self.logdet_xvx),
-            prior=prior,
-        )
+        lam = prior.lam
+        if prior.kind == "ridge":
+            d, w2 = self.spectrum
+            yay = self.ypy + lam * float(np.sum(w2 / (d + lam)))
+            logdet = float(np.sum(np.log1p(d / lam)))
+        else:
+            yay = self.ypy + float(self.qty @ self.qty) * lam / (1.0 + lam)
+            logdet = self.p * float(np.log1p(1.0 / lam))
+        return replace(self, yay=yay, logdet_wxvx_plus_i=logdet, prior=prior)
 
 
 def _full_rank_pivots(r: np.ndarray, message: str) -> np.ndarray:
@@ -217,16 +222,10 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel) -> WhitenedFit:
             f"but the design has {whitened.p_omega}"
         )
     if model.p == 0:
-        return WhitenedFit(
-            p=0,
-            n=n,
-            beta_hat=np.zeros(0),
-            ypy=yty,
-            yty=yty,
-            logdet_v=whitened.logdet_v,
-            logdet_xvx=0.0,
-            y=yt,
-        )
+        # The QR of no columns: R is 0 x 0 and Q'y is empty, so every prior term is 0.
+        return WhitenedFit(p=0, n=n, beta_hat=np.zeros(0), ypy=yty, yty=yty,
+                           logdet_v=whitened.logdet_v, logdet_xvx=0.0,
+                           r=np.zeros((0, 0)), qty=np.zeros(0))
     xj = whitened.x[:, model.zero_based]
     q, r = np.linalg.qr(xj, mode="reduced")
     rd = _full_rank_pivots(r, f"singular design for candidate {model.label()}")
@@ -241,7 +240,5 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel) -> WhitenedFit:
         logdet_xvx=2.0 * float(np.sum(np.log(rd))),
         r=r,
         qty=c,
-        x=xj,
-        y=yt,
     )
 

@@ -125,3 +125,37 @@ def gls_beta(y, x, v):
 def random_spd(rng, n, jitter=0.5):
     m = rng.standard_normal((n, n))
     return m @ m.T + jitter * n * np.eye(n)
+
+
+def prior_terms_mp(y, x, v, kind, lam, dps=60):
+    """The prior-step quantities in ``dps``-digit arithmetic, for near-singular designs.
+
+    Returns a dict of floats: ``ypy`` (y'Py), ``yay`` (y'Ay with the
+    Woodbury form A = (V + X W X')^-1), ``logdet`` (log|WG + I|), ``quad``
+    (the V^-1 residual quadratic form at the posterior mean
+    (G + W^-1)^-1 X'V^-1 y) and ``p_d`` (tr[G (G + W^-1)^-1]), where
+    G = X'V^-1X and W = I / lam (ridge) or (lam G)^-1 (zellner).  mpmath
+    carries enough digits that the float64 inputs are the only error.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        ym = mpmath.matrix(y.tolist())
+        xm = mpmath.matrix(x.tolist())
+        vm = mpmath.matrix(v.tolist())
+        p = x.shape[1]
+        vi = mpmath.inverse(vm)
+        g = xm.T * vi * xm
+        z = xm.T * vi * ym
+        w_inv = lam * (mpmath.eye(p) if kind == "ridge" else g)
+        w = mpmath.inverse(w_inv)
+        m_inv = mpmath.inverse(g + w_inv)
+        resid = ym - xm * (m_inv * z)
+        out = {
+            "ypy": (ym.T * vi * ym)[0] - (z.T * mpmath.inverse(g) * z)[0],
+            "yay": (ym.T * mpmath.inverse(vm + xm * w * xm.T) * ym)[0],
+            "logdet": mpmath.log(mpmath.det(w * g + mpmath.eye(p))),
+            "quad": (resid.T * vi * resid)[0],
+            "p_d": sum((g * m_inv)[i, i] for i in range(p)),
+        }
+        return {k: float(val) for k, val in out.items()}

@@ -3,9 +3,15 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tests/golden/make_golden.py [OUT_DIR]
+    PYTHONPATH=src python3 tests/golden/make_golden.py [OUT_DIR] [--compare OLD_DIR]
 
-OUT_DIR defaults to the directory of this script.  Every input (data CSVs
+OUT_DIR defaults to the directory of this script.  ``--compare OLD_DIR``
+then reports, for each file of OLD_DIR, how the regenerated copy differs:
+the columns (and ``#`` header values) that moved with their largest
+relative move, whether the ranked order of the rows is the same, and for a
+`select` table whether every criterion still selects the same candidate
+(``selected[...]``, the argmin of its column with ties broken toward
+smaller p, then lexicographic indices).  Every input (data CSVs
 and config files) is derived from fixed seeds and written next to the
 outputs, and the runs name their files relative to OUT_DIR, so two runs of
 the same program give byte-identical files; the ``# data =`` line, which
@@ -21,10 +27,12 @@ the committed files are the contract that a refactor must not move.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import io
+import math
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +118,104 @@ def comparable_bytes(path: Path) -> bytes:
     return b"".join(line for line in lines if not line.startswith(PATH_LINE_PREFIX.encode()))
 
 
+# Columns that name a row rather than hold a result.
+KEY_COLUMNS = ("candidate", "criterion", "model_kind", "n", "snr", "beta_pattern")
+NOT_SCORES = KEY_COLUMNS + ("rank", "p", "lambda_hat", "excluded")
+
+
+def _read_table(path: Path) -> tuple[dict[str, str], list[str], list[dict[str, str]]]:
+    """(``#`` header values, column names, rows) of one golden file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = {}
+    for line in lines:
+        if line.startswith("# ") and " = " in line and not line.startswith(PATH_LINE_PREFIX):
+            key, _, value = line[2:].partition(" = ")
+            meta[key] = value
+    reader = csv.reader(line for line in lines if not line.startswith("#"))
+    head = next(reader, [])
+    return meta, head, [dict(zip(head, rec)) for rec in reader]
+
+
+def _relative_move(old: str, new: str) -> float:
+    """|new - old| / |old| of two printed numbers; inf when text changed."""
+    if old == new:
+        return 0.0
+    try:
+        a, b = float(old.split()[0]), float(new.split()[0])
+    except (ValueError, IndexError):
+        return math.inf
+    return abs(b - a) / abs(a) if a else abs(b - a)
+
+
+def _selected(head: list[str], rows: list[dict[str, str]]) -> dict[str, str]:
+    """Each score column's argmin candidate, ties toward smaller p, then indices."""
+    out = {}
+    for name in head:
+        if name in NOT_SCORES:
+            continue
+        scored = [
+            (float(row[name]), int(row["p"]), tuple(int(i) for i in row["candidate"].split()
+                                                    if i.isdigit()), row["candidate"])
+            for row in rows
+            if row[name]
+        ]
+        if scored:
+            out[name] = min(scored)[3]
+    return out
+
+
+def compare(old_dir: Path, new_dir: Path) -> list[str]:
+    """Report lines on how each golden file of ``new_dir`` differs from ``old_dir``."""
+    report = []
+    for old_path in sorted(p for p in old_dir.iterdir() if p.suffix in (".csv", ".cfg")):
+        new_path = new_dir / old_path.name
+        if not new_path.exists():
+            report.append(f"{old_path.name}: missing from {new_dir}")
+            continue
+        if comparable_bytes(old_path) == comparable_bytes(new_path):
+            report.append(f"{old_path.name}: identical")
+            continue
+        old_meta, old_head, old_rows = _read_table(old_path)
+        new_meta, new_head, new_rows = _read_table(new_path)
+        if old_head != new_head or len(old_rows) != len(new_rows):
+            report.append(f"{old_path.name}: columns or row count differ")
+            continue
+        keys = [c for c in KEY_COLUMNS if c in old_head]
+
+        def key(row):
+            return tuple(row[c] for c in keys)
+
+        moves = {f"# {k}": _relative_move(v, new_meta.get(k, "")) for k, v in old_meta.items()}
+        new_by_key = {key(row): row for row in new_rows}
+        for row in old_rows:
+            other = new_by_key.get(key(row))
+            for col in old_head:
+                if col == "rank" or other is None:
+                    continue
+                # A `criteria` table holds one criterion per row: name the row.
+                label = f"value[{row['criterion']}]" if old_head == ["criterion", "value"] else col
+                moves[label] = max(moves.get(label, 0.0), _relative_move(row[col], other[col]))
+        moved = ", ".join(f"{c} {m:.1e}" for c, m in moves.items() if m > 0.0) or "nothing"
+        same_order = [key(r) for r in old_rows] == [key(r) for r in new_rows]
+        line = f"{old_path.name}: moved {moved}; ranked order {'same' if same_order else 'DIFFERS'}"
+        if "candidate" in old_head:
+            old_sel, new_sel = _selected(old_head, old_rows), _selected(new_head, new_rows)
+            changed = [f"{c} {old_sel[c]} -> {new_sel.get(c)}" for c in old_sel
+                       if old_sel[c] != new_sel.get(c)]
+            line += "; selected " + ("same" if not changed else "DIFFERS: " + ", ".join(changed))
+        report.append(line)
+    return report
+
+
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else HERE
-    for written in generate(target):
-        print(written)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir", nargs="?", type=Path, default=HERE)
+    parser.add_argument("--compare", type=Path, metavar="OLD_DIR",
+                        help="report how the regenerated files differ from OLD_DIR's")
+    args = parser.parse_args()
+    written = generate(args.out_dir)
+    if args.compare is None:
+        for path in written:
+            print(path)
+    else:
+        print("\n".join(compare(args.compare, args.out_dir)))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmlselect import (
     CandidateModel,
@@ -16,8 +18,11 @@ from bmlselect import (
     neg2_log_marginal,
     whiten,
 )
-from bmlselect.covariance import make_whitener
-from dense_oracle import dense_v, random_spd
+from bmlselect.covariance import LAMBDA_BOUNDS, LAMBDA_GRID_POINTS, make_whitener
+from bmlselect.selection import enumerate_candidates
+from dense_oracle import dense_v, proj_p, random_spd
+
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +208,159 @@ def test_estimate_phi_nerm_boundary_flag():
     assert est.value <= 1e-4
 
 
+def test_estimate_phi_nerm_small_interior_estimate_not_flagged():
+    # The nerm grid is log-spaced from 1e-6, so ~80 grid points lie below
+    # 0.01; only an estimate below the first positive point sits on 0.
+    rng = np.random.default_rng(8)
+    n, k, phi = 400, 4, 0.02
+    x = rng.standard_normal((n, 3))
+    noise = rng.standard_normal(n) + math.sqrt(phi) * np.repeat(rng.standard_normal(n // k), k)
+    ds = Dataset(y=x @ np.array([1.0, 0.5, 0.0]) + noise, x_full=x,
+                 cov=CovarianceSpec.nerm((k,) * (n // k), None))
+    est = estimate_phi_full_model(ds)
+    assert 1e-6 < est.value < 0.01
+    assert not est.at_boundary
+
+
 # ---------------------------------------------------------------------------
 # estimate_lambda
 # ---------------------------------------------------------------------------
+
+
+def _lambda_fits():
+    """(dataset, dense V, candidate, fit) for every candidate of a few seeded designs."""
+    out = []
+    for seed, cov, snr in ((20, CovarianceSpec.identity(), 0.5), (21, CovarianceSpec.ar1(0.5), 3.0),
+                           (22, CovarianceSpec.identity(), 20.0)):
+        rng = np.random.default_rng(seed)
+        n, p = 30, 4
+        x = rng.standard_normal((n, p))
+        y = x @ np.array([1.0, 1.0, 0.0, 0.0]) * snr + rng.standard_normal(n)
+        ds = Dataset(y=y, x_full=x, cov=cov)
+        wd = whiten(ds)
+        v = dense_v(cov, n)
+        for cand in enumerate_candidates(p, include_null=False):
+            out.append((ds, v, cand, gls_fit(wd, cand)))
+    return out
+
+
+def test_spectrum_matches_dense_gram():
+    # d are the eigenvalues of G = X'V^{-1}X; d * w2 are the squared
+    # coordinates of z = X'V^{-1}y along G's eigenvectors.
+    for ds, v, cand, fit in _lambda_fits():
+        xj = ds.x_full[:, cand.zero_based]
+        vi = np.linalg.inv(v)
+        evals, evecs = np.linalg.eigh(xj.T @ vi @ xj)
+        d, w2 = fit.spectrum
+        order = np.argsort(d)
+        np.testing.assert_allclose(d[order], evals, rtol=1e-10)
+        np.testing.assert_allclose((d * w2)[order], (evecs.T @ (xj.T @ vi @ ds.y)) ** 2,
+                                   rtol=1e-8, atol=1e-10 * float(ds.y @ vi @ ds.y))
+
+
+def test_ridge_lambda_is_a_root_of_the_derivative():
+    # f'(t) = sum [lambda d w2 / (s2 (d + lambda)^2) - d / (d + lambda)] at
+    # t = log lambda_hat vanishes to rounding: the search stops once |f'| is
+    # 8 eps of the terms' magnitudes, and re-evaluating adds a few eps more.
+    interior = 0
+    for _, _, _, fit in _lambda_fits():
+        est = estimate_lambda(fit, "ridge")
+        if est.at_boundary:
+            continue
+        interior += 1
+        d, w2 = fit.spectrum
+        lam = est.value
+        fit_terms = lam * d * w2 / (fit.sigma2_hat * (d + lam) ** 2)
+        pen_terms = d / (d + lam)
+        slope = fit_terms.sum() - pen_terms.sum()
+        assert abs(slope) <= 64 * EPS * (fit_terms.sum() + pen_terms.sum())
+    assert interior >= 30
+
+
+def test_ridge_lambda_beats_every_grid_value():
+    grid = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
+    for _, _, _, fit in _lambda_fits():
+        est = estimate_lambda(fit, "ridge")
+        at_hat = neg2_log_marginal(fit.with_prior(PriorScale("ridge", est.value)))
+        on_grid = min(neg2_log_marginal(fit.with_prior(PriorScale("ridge", lam))) for lam in grid)
+        assert at_hat <= on_grid + 4 * EPS * abs(on_grid)
+
+
+def test_zellner_lambda_is_the_closed_form():
+    # lambda = p s2 / (s - p s2) with s = y'V^{-1}y - y'Py and s2 = y'Py / n,
+    # both from the dense projection matrices.
+    checked = 0
+    for ds, v, cand, fit in _lambda_fits():
+        xj = ds.x_full[:, cand.zero_based]
+        ypy = float(ds.y @ proj_p(v, xj) @ ds.y)
+        s = float(ds.y @ np.linalg.inv(v) @ ds.y) - ypy
+        s2 = ypy / ds.n
+        est = estimate_lambda(fit, "zellner")
+        if s <= cand.p * s2:
+            assert est == (LAMBDA_BOUNDS[1], True)
+            continue
+        checked += 1
+        assert not est.at_boundary
+        assert est.value == pytest.approx(cand.p * s2 / (s - cand.p * s2), rel=1e-9)
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("ratio, expect", [(1.1, 10.0), (1.0, None), (0.9, None), (0.0, None)])
+def test_zellner_lambda_upper_bound_when_fit_is_no_better_than_noise(ratio, expect):
+    # e is orthogonal to the single column x1, so y'Py = ||e||^2 exactly and
+    # s = a^2 ||x1||^2 = ratio * p s2: lambda = 1 / (ratio - 1) above 1 and
+    # the flagged upper bound at or below it.
+    n = 12
+    x1 = np.zeros(n)
+    x1[:4] = 1.0
+    e = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5])
+    s2 = float(e @ e) / n
+    y = e + math.sqrt(ratio * s2 / float(x1 @ x1)) * x1
+    fit = gls_fit(whiten(Dataset(y=y, x_full=x1[:, None], cov=CovarianceSpec.identity())),
+                  CandidateModel((1,)))
+    est = estimate_lambda(fit, "zellner")
+    if expect is None:
+        assert est == (LAMBDA_BOUNDS[1], True)
+    else:
+        assert est.value == pytest.approx(expect, rel=1e-12)
+        assert not est.at_boundary
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 40),
+    p=st.integers(1, 4),
+    snr=st.floats(0.2, 50.0),
+    c=st.floats(1e-3, 1e3),
+)
+def test_ridge_lambda_invariant_under_response_scaling(seed, n, p, snr, c):
+    # d is fixed and w2, s2 scale by c^2, so lambda_hat is invariant in exact
+    # arithmetic.  Scaling y rounds each entry, which moves f' by a few eps
+    # of its terms, amplified by y'V^{-1}y / y'Py through s2; t = log lambda
+    # then moves by at most that over f''(t).  The examples kept have this
+    # bound at or below 1e-9.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = snr * (x @ rng.standard_normal(p)) + rng.standard_normal(n)
+    model = CandidateModel(tuple(range(1, p + 1)))
+
+    def fit_of(resp):
+        return gls_fit(whiten(Dataset(y=resp, x_full=x, cov=CovarianceSpec.identity())), model)
+
+    fit = fit_of(y)
+    base = estimate_lambda(fit, "ridge")
+    scaled = estimate_lambda(fit_of(c * y), "ridge")
+    assume(not base.at_boundary)
+    d, w2 = fit.spectrum
+    lam = base.value
+    fit_terms = lam * d * w2 / (fit.sigma2_hat * (d + lam) ** 2)
+    pen_terms = d / (d + lam)
+    curv = float(np.sum((fit_terms * (d - lam) + pen_terms * lam) / (d + lam)))
+    bound = 64 * EPS * (fit.yty / fit.ypy) * (fit_terms.sum() + pen_terms.sum()) / curv
+    assume(bound <= 1e-9)
+    assert not scaled.at_boundary
+    assert abs(math.log(scaled.value) - math.log(base.value)) <= bound
 
 
 def _lambda_criterion_objective(wd, model, prior_kind):
@@ -281,10 +436,23 @@ def test_prior_scale_validation():
         PriorScale("ridge", 0.0)
     with pytest.raises(ValueError):
         PriorScale("flat", 1.0)
-    w = PriorScale("ridge", 4.0)
-    np.testing.assert_allclose(w.w_inverse(np.eye(2) * 7.0), 4.0 * np.eye(2))
+    # The prior step must apply W^{-1} = 4 I (ridge) and W^{-1} = 4 G
+    # (zellner) for the Gram G = X'X below, and log|W G + I| with
+    # log|W| = -(p log 4 + log|G|) for zellner.
     g = np.array([[2.0, 0.3], [0.3, 1.0]])
-    z = PriorScale("zellner", 4.0)
-    np.testing.assert_allclose(z.w_inverse(g), 4.0 * g)
+    x = np.vstack([np.linalg.cholesky(g).T, np.zeros((2, 2))])
+    np.testing.assert_allclose(x.T @ x, g, rtol=1e-15)
+    y = np.array([1.0, -2.0, 0.5, 1.5])
+    fit = gls_fit(whiten(Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())),
+                  CandidateModel((1, 2)))
+    z = x.T @ y
+    for kind, w_inv in (("ridge", 4.0 * np.eye(2)), ("zellner", 4.0 * g)):
+        prior_fit = fit.with_prior(PriorScale(kind, 4.0))
+        assert prior_fit.yay == pytest.approx(
+            float(y @ y - z @ np.linalg.solve(g + w_inv, z)), rel=1e-13)
+        assert prior_fit.logdet_wxvx_plus_i == pytest.approx(
+            np.linalg.slogdet(np.linalg.solve(w_inv, g) + np.eye(2))[1], rel=1e-13)
     logdet_g = np.linalg.slogdet(g)[1]
-    assert z.logdet_w(2, logdet_g) == pytest.approx(-(2 * math.log(4.0) + logdet_g))
+    zellner_logdet_w = -(2 * math.log(4.0) + logdet_g)
+    assert fit.with_prior(PriorScale("zellner", 4.0)).logdet_wxvx_plus_i == pytest.approx(
+        np.linalg.slogdet(g + 4.0 * g)[1] + zellner_logdet_w, rel=1e-13)

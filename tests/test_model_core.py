@@ -17,13 +17,21 @@ from bmlselect import (
     neg2_log_residual,
     whiten,
 )
+from bmlselect.covariance import LAMBDA_BOUNDS, make_whitener
+from bmlselect.criteria import dic
+from bmlselect.model_core import RANK_PIVOT_RTOL
 from dense_oracle import (
+    dense_v,
+    dic_dense,
     mat_a,
     mat_a_woodbury,
     neg2_log_marginal_dense,
     neg2_log_residual_dense,
+    prior_terms_mp,
     proj_p,
     random_spd,
+    ridge_w,
+    zellner_w,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -380,3 +388,75 @@ def test_whitened_path_matches_dense_oracles(seed):
                 got_r = neg2_log_residual(fit)
                 expect_r = neg2_log_residual_dense(y, xj, v)
                 assert abs(got_r - expect_r) < 1e-8 * abs(expect_r)
+
+
+# ---------------------------------------------------------------------------
+# The spectral prior step: with_prior and dic from the SVD of R
+# ---------------------------------------------------------------------------
+
+SPECTRAL_COVS = {
+    "identity": lambda rng, n: CovarianceSpec.identity(),
+    "ar1": lambda rng, n: CovarianceSpec.ar1(0.6),
+    "custom": lambda rng, n: CovarianceSpec.custom(random_spd(rng, n)),
+}
+
+
+@pytest.mark.parametrize("lam", [LAMBDA_BOUNDS[0], 0.7, LAMBDA_BOUNDS[1]])
+@pytest.mark.parametrize("kind", ["ridge", "zellner"])
+@pytest.mark.parametrize("cov_name", sorted(SPECTRAL_COVS))
+def test_spectral_prior_step_matches_dense_oracle(cov_name, kind, lam):
+    rng = np.random.default_rng(17)
+    n = 14
+    cov = SPECTRAL_COVS[cov_name](rng, n)
+    x = rng.standard_normal((n, 4))
+    y = x @ np.array([1.0, -0.5, 0.0, 2.0]) + rng.standard_normal(n)
+    v = dense_v(cov, n)
+    model = CandidateModel((1, 2, 4))
+    xj = x[:, model.zero_based]
+    w = ridge_w(lam, model.p) if kind == "ridge" else zellner_w(lam, xj, v)
+    fit = gls_fit(whiten(Dataset(y=y, x_full=x, cov=cov)), model).with_prior(PriorScale(kind, lam))
+    # y'Ay: the Woodbury form (V + X W X')^-1 where it is well conditioned
+    # (W small), the V^-1 - V^-1 X (G + W^-1)^-1 X'V^-1 form where W is huge.
+    a = mat_a_woodbury(v, xj, w) if lam >= 1.0 else mat_a(v, xj, w)
+    assert fit.yay == pytest.approx(float(y @ a @ y), rel=1e-9)
+    assert neg2_log_marginal(fit) == pytest.approx(neg2_log_marginal_dense(y, xj, v, w), rel=1e-9)
+    # dic against the dense posterior mean (G + W^-1)^-1 X'V^-1 y
+    assert dic(fit) == pytest.approx(dic_dense(y, xj, v, w, fit.sigma2_hat), rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", LAMBDA_BOUNDS)
+@pytest.mark.parametrize("kind", ["ridge", "zellner"])
+@pytest.mark.parametrize("cov_name", sorted(SPECTRAL_COVS))
+def test_spectral_prior_step_near_the_rank_pivot_threshold(cov_name, kind, lam):
+    # Column 3 is x1 + x2 plus a whitened-space residual sized so that its
+    # R pivot sits 3x above RANK_PIVOT_RTOL times the largest.  G then has
+    # a condition number near 1e19, out of reach of float64 dense inverses,
+    # so the oracle runs in 60-digit arithmetic.  The QR itself moves y'Py
+    # by some delta near eps times cond(R) (checked loosely below), and the
+    # same delta, with the opposite sign, into Q'y along the smallest
+    # singular direction.  Every shrinkage factor lies in [0, 1], so y'Ay
+    # and the dic residual may each carry at most delta more; beyond that
+    # the prior step must match to 1e-9.
+    rng = np.random.default_rng(23)
+    n = 12
+    cov = SPECTRAL_COVS[cov_name](rng, n)
+    xw = rng.standard_normal((n, 3))
+    q = np.linalg.qr(xw[:, :2])[0]
+    u = xw[:, 2] - q @ (q.T @ xw[:, 2])
+    u /= np.linalg.norm(u)
+    big = np.abs(np.diag(np.linalg.qr(xw[:, :2], mode="r"))).max()
+    xw[:, 2] = xw[:, 0] + xw[:, 1] + 3.0 * RANK_PIVOT_RTOL * big * u
+    x = make_whitener(cov, n).color(xw)
+    y = x @ np.array([1.0, 0.5, 0.0]) + make_whitener(cov, n).color(rng.standard_normal(n))
+    fit = gls_fit(whiten(Dataset(y=y, x_full=x, cov=cov)), CandidateModel((1, 2, 3)))
+    pivots = np.abs(np.diag(fit.r))
+    assert RANK_PIVOT_RTOL < pivots.min() / pivots.max() < 10 * RANK_PIVOT_RTOL
+    fit = fit.with_prior(PriorScale(kind, lam))
+    mp = prior_terms_mp(y, x, dense_v(cov, n), kind, lam)
+    delta = abs(fit.ypy - mp["ypy"])
+    assert delta <= 1e-5 * mp["ypy"]
+    assert abs(fit.yay - mp["yay"]) <= delta + 1e-9 * mp["yay"]
+    assert fit.logdet_wxvx_plus_i == pytest.approx(mp["logdet"], rel=1e-9)
+    expect_dic = (n * (LOG_2PI + math.log(fit.sigma2_hat)) + fit.logdet_v
+                  + mp["quad"] / fit.sigma2_hat + 2.0 * mp["p_d"])
+    assert abs(dic(fit) - expect_dic) <= delta / fit.sigma2_hat + 1e-9 * abs(expect_dic)
