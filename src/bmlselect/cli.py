@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .covariance import PRIOR_KINDS, CovarianceSpec
-from .criteria import CRITERION_NAMES, NEEDS_PRIOR, score
+from .criteria import CRITERION_NAMES, needs_prior, score
 from .exceptions import (
     BmlselectError,
     CandidateExplosionError,
@@ -105,13 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="include the empty model among candidates (default yes)",
         )
 
-    p_select = sub.add_parser("select", help="exhaustive subset selection on a data file")
-    add_common(p_select, with_data=True)
-    p_select.add_argument("--covariance", choices=("identity", "ar1", "nerm"))
-
-    p_crit = sub.add_parser("criteria", help="score the full model of a data file")
-    add_common(p_crit, with_data=True)
-    p_crit.add_argument("--covariance", choices=("identity", "ar1", "nerm"))
+    for name, text in (("select", "exhaustive subset selection on a data file"),
+                       ("criteria", "score the full model of a data file")):
+        p_data = sub.add_parser(name, help=text)
+        add_common(p_data, with_data=True)
+        p_data.add_argument("--covariance", choices=("identity", "ar1", "nerm"))
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment grid")
     add_common(p_sim, with_data=False)
@@ -253,16 +251,16 @@ def _resolve_criteria(ns, cfg, default: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _resolve_prior(ns, cfg):
-    kind = _pick(ns.prior, cfg, "prior", "ridge")
-    if kind not in PRIOR_KINDS:
-        raise DataParseError(f"unknown prior kind {kind!r}")
-    lam = ns.lam if ns.lam is not None else cfg.get("lambda")
+def _resolve_options(ns, cfg) -> SelectionOptions:
+    """The prior choice and include_null; the prior is checked whatever the criteria."""
+    lam = _pick(ns.lam, cfg, "lambda")
     lam = None if lam is None else _as_float(lam, "lambda")
     estimate = ns.estimate_lambda or _as_bool(cfg.get("estimate_lambda", False), "estimate_lambda")
     if lam is not None and estimate:
         raise DataParseError("--lambda and --estimate-lambda are mutually exclusive")
-    return kind, lam
+    include_null = _as_bool(_pick(ns.include_null, cfg, "include_null", True), "include_null")
+    kind = _pick(ns.prior, cfg, "prior", "ridge")
+    return SelectionOptions(prior_kind=kind, lam=lam, include_null=include_null)
 
 
 def _resolve_covariance(ns, cfg) -> CovarianceSpec:
@@ -293,17 +291,18 @@ def _header_lines(meta: dict) -> list[str]:
     return [f"# {key} = {value}" for key, value in meta.items()]
 
 
-def _cmd_select(ns, cfg) -> int:
+def _resolve_data_run(ns, cfg):
+    """(data path, dataset, criteria, options) of a `select` or `criteria` run."""
     data_path = _require(_pick(ns.data, cfg, "data"), "--data")
-    out_path = _require(_pick(ns.out, cfg, "out"), "--out")
     y, x, _ = _read_data(data_path)
     dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(ns, cfg))
     criteria = _resolve_criteria(ns, cfg, CRITERION_NAMES)
-    prior_kind, lam = _resolve_prior(ns, cfg)
-    include_null = ns.include_null
-    if include_null is None:
-        include_null = _as_bool(cfg.get("include_null", True), "include_null")
-    options = SelectionOptions(prior_kind=prior_kind, lam=lam, include_null=include_null)
+    return data_path, dataset, criteria, _resolve_options(ns, cfg)
+
+
+def _cmd_select(ns, cfg) -> int:
+    out_path = _require(_pick(ns.out, cfg, "out"), "--out")
+    data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
     table = score_candidates(dataset, criteria, options)
 
     reports = {name: report_from_table(table, name) for name in criteria}
@@ -312,7 +311,7 @@ def _cmd_select(ns, cfg) -> int:
     order += sorted((model for model, _ in primary.excluded), key=lambda m: m.sort_key)
     rows_by_model = {row.model: row for row in table.rows}
 
-    needs_prior = any(name in NEEDS_PRIOR for name in criteria)
+    with_lambda = needs_prior(criteria)
     meta = {
         "command": "select",
         "version": __version__,
@@ -323,10 +322,10 @@ def _cmd_select(ns, cfg) -> int:
         "phi": "none"
         if dataset.cov.kind == "identity"
         else (_fmt(table.phi_hat) + " (estimated)" if table.phi_hat is not None else _fmt(dataset.cov.phi)),
-        "prior": prior_kind,
-        "lambda": "estimated per candidate" if lam is None else _fmt(lam),
+        "prior": options.prior_kind,
+        "lambda": "estimated per candidate" if options.lam is None else _fmt(options.lam),
         "criteria": ",".join(criteria),
-        "include_null": str(include_null).lower(),
+        "include_null": str(options.include_null).lower(),
         "ranked_by": criteria[0],
     }
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -334,7 +333,7 @@ def _cmd_select(ns, cfg) -> int:
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         head = ["rank", "candidate", "p"]
-        if needs_prior:
+        if with_lambda:
             head.append("lambda_hat")
         head += list(criteria)
         head.append("excluded")
@@ -343,7 +342,7 @@ def _cmd_select(ns, cfg) -> int:
             row = rows_by_model[model]
             ranked_here = criteria[0] in row.scores
             rec = [rank if ranked_here else "", model.label(), model.p]
-            if needs_prior:
+            if with_lambda:
                 rec.append("" if row.lambda_hat is None else _fmt(row.lambda_hat))
             for name in criteria:
                 rec.append(_fmt(row.scores[name]) if name in row.scores else "")
@@ -356,17 +355,11 @@ def _cmd_select(ns, cfg) -> int:
 
 
 def _cmd_criteria(ns, cfg) -> int:
-    data_path = _require(_pick(ns.data, cfg, "data"), "--data")
-    y, x, _ = _read_data(data_path)
-    dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(ns, cfg))
-    criteria = _resolve_criteria(ns, cfg, CRITERION_NAMES)
-    prior_kind, lam = _resolve_prior(ns, cfg)
-
+    data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
     wd, phi_est = resolve_whitened(dataset)
     cov = dataset.cov if phi_est is None else dataset.cov.with_phi(phi_est.value)
     model = CandidateModel(tuple(range(1, dataset.p_omega + 1)))
-    needs_prior = any(name in NEEDS_PRIOR for name in criteria)
-    fit, _ = fit_candidate(wd, model, prior_kind, lam, needs_prior)
+    fit, _ = fit_candidate(wd, model, options, needs_prior(criteria))
 
     values = []
     for name in criteria:
@@ -381,10 +374,10 @@ def _cmd_criteria(ns, cfg) -> int:
         "n": dataset.n,
         "p": dataset.p_omega,
         "covariance": cov.describe(),
-        "prior": prior_kind,
+        "prior": options.prior_kind,
         "lambda": "none"
         if fit.prior is None
-        else _fmt(fit.prior.lam) + (" (estimated)" if lam is None else ""),
+        else _fmt(fit.prior.lam) + (" (estimated)" if options.lam is None else ""),
     }
     lines = _header_lines(meta) + ["criterion,value"] + [f"{k},{v}" for k, v in values]
     text = "\n".join(lines) + "\n"
@@ -400,19 +393,14 @@ def _cmd_simulate(ns, cfg) -> int:
     kind = _pick(ns.covariance, cfg, "model", None) or _pick(None, cfg, "covariance", "constant_variance")
     if kind == "identity":
         kind = "constant_variance"
-    seed = ns.seed if ns.seed is not None else cfg.get("seed")
-    seed = DEFAULT_SIMULATE_SEED if seed is None else _as_int(seed, "seed")
-    phi = ns.phi if ns.phi is not None else cfg.get("phi")
-    phi = 0.5 if phi is None else _as_float(phi, "phi")
+    seed = _as_int(_pick(ns.seed, cfg, "seed", DEFAULT_SIMULATE_SEED), "seed")
+    phi = _as_float(_pick(ns.phi, cfg, "phi", 0.5), "phi")
     replications = _pick(ns.replications, cfg, "replications", 1000)
     n_grid = _split_list(_pick(ns.n_grid, cfg, "n_grid", "20,40,80"))
     snr_grid = _split_list(_pick(ns.snr_grid, cfg, "snr_grid", "1,3,5"))
     beta_pattern = _pick(ns.beta_pattern, cfg, "beta_pattern", "four_ones")
-    include_null = ns.include_null
-    if include_null is None:
-        include_null = _as_bool(cfg.get("include_null", True), "include_null")
-    prior_kind, lam = _resolve_prior(ns, cfg)
-    if lam is not None:
+    options = _resolve_options(ns, cfg)
+    if options.lam is not None:
         raise DataParseError("simulate always re-estimates lambda; drop --lambda")
     criteria = _resolve_criteria(ns, cfg, DEFAULT_CRITERIA)
     try:
@@ -425,8 +413,8 @@ def _cmd_simulate(ns, cfg) -> int:
             criteria=criteria,
             master_seed=seed,
             phi_true=phi,
-            include_null=include_null,
-            prior_kind=prior_kind,
+            include_null=options.include_null,
+            prior_kind=options.prior_kind,
             nerm_group_size=_as_int(cfg.get("nerm_group_size", 4), "nerm_group_size"),
         )
     except ValueError as exc:

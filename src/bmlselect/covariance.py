@@ -10,6 +10,10 @@ Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
 AR(1) operator runs in O(n) via the innovations recursion instead of a
 dense factorization.
 
+The coefficient prior N(0, sigma^2 W) comes in two families, ridge and
+Zellner, and only this module knows them: the prior check, the terms a
+scale adds to a fit (:class:`PriorScale`), the null-model rule and lambda.
+
 Hyperparameters are estimated by deterministic plug-in rules: phi by
 profile maximum likelihood on the full model (grid scan, then golden
 section), lambda by maximizing each candidate's marginal likelihood with
@@ -165,23 +169,67 @@ class CovarianceSpec:
         return self.kind
 
 
+def check_prior(kind: str, lam: float | None = None) -> None:
+    """Raise ``ValueError`` unless ``kind`` is a prior family and ``lam`` is
+    None (estimate it per candidate) or finite and positive."""
+    if kind not in PRIOR_KINDS:
+        raise ValueError(f"unknown prior kind {kind!r}")
+    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"prior lambda must be positive, got {lam}")
+
+
+def _read_factor(fit: "WhitenedFit", kind: str):
+    """What a family reads of a fit's QR factor: ridge the spectrum (d, w2) of R,
+    d the eigenvalues of G and w2 = (P^t Q'y)^2; zellner s = ||Q'y||^2 alone."""
+    if fit.r is None:
+        raise ValueError("fit carries no QR factor for the prior terms to read")
+    return fit.spectrum if kind == "ridge" else float(fit.qty @ fit.qty)
+
+
 @dataclass(frozen=True)
 class PriorScale:
-    """Scale matrix W of the coefficient prior N(0, sigma^2 W).
+    """Scale matrix W of the coefficient prior N(0, sigma^2 W), and the terms
+    it adds to a fit with Gram G = X^t V^{-1} X (read by :func:`_read_factor`).
 
     ridge:    W = I_p / lambda.
-    zellner:  W = (lambda * Gram)^{-1} with Gram the whitened cross-product
-              X^t V^{-1} X of the candidate (the usual X^t X when V = I).
+    zellner:  W = (lambda G)^{-1}, the g-prior with g = 1 / lambda.
     """
 
     kind: str
     lam: float
 
     def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"prior lambda must be positive, got {self.lam}")
+        check_prior(self.kind, float(self.lam))
+
+    def marginal_terms(self, fit: "WhitenedFit") -> tuple[float, float]:
+        """(y'Ay, log|W G + I|): ridge y'Py + lambda sum w2 / (d + lambda) and
+        sum log1p(d / lambda), zellner y'Py + s lambda / (1 + lambda) and p log1p(1 / lambda)."""
+        lam, read = self.lam, _read_factor(fit, self.kind)
+        if self.kind == "ridge":
+            d, w2 = read
+            return fit.ypy + lam * float(np.sum(w2 / (d + lam))), float(np.sum(np.log1p(d / lam)))
+        return fit.ypy + read * lam / (1.0 + lam), fit.p * float(np.log1p(1.0 / lam))
+
+    def posterior_terms(self, fit: "WhitenedFit") -> tuple[float, float]:
+        """(residual at beta~ = (G + W^{-1})^{-1} X'V^{-1}y, p_D): ridge y'Py +
+        lambda^2 sum w2 / (d + lambda)^2 and sum d / (d + lambda), zellner
+        y'Py + (lambda / (1 + lambda))^2 s and p / (1 + lambda)."""
+        lam, read = self.lam, _read_factor(fit, self.kind)
+        if self.kind == "ridge":
+            d, w2 = read
+            dl = d + lam
+            return fit.ypy + lam * lam * float(np.sum(w2 / (dl * dl))), float(np.sum(d / dl))
+        shrink = lam / (1.0 + lam)
+        return fit.ypy + shrink * shrink * read, fit.p / (1.0 + lam)
+
+
+def known_scale(fit: "WhitenedFit", kind: str, lam: float | None) -> PriorScale | None:
+    """The prior scale of ``fit`` when it needs no estimate, else None: a
+    fixed ``lam`` as given, and for the null model, whose prior terms vanish
+    for every lambda, the neutral 1."""
+    if lam is None and fit.p:
+        return None
+    return PriorScale(kind, 1.0 if lam is None else float(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +344,6 @@ def _golden_min(f, a, b, rtol=GOLDEN_RTOL):
     return best[0], best[1]
 
 
-def _refine_minimum(f, xs, vals, rtol=GOLDEN_RTOL):
-    """Grid argmin refined by golden section over its neighbouring cells."""
-    vals = np.asarray(vals, dtype=float)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
-    k = int(np.argmin(np.where(finite, vals, np.inf)))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    x, fx = _golden_min(f, a, b, rtol=rtol)
-    if vals[k] <= fx:
-        return float(xs[k]), float(vals[k])
-    return float(x), float(fx)
-
-
 # ---------------------------------------------------------------------------
 # Plug-in parameter estimation
 # ---------------------------------------------------------------------------
@@ -321,14 +354,13 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
 
     The GLS coefficients and the variance are profiled out, leaving
     ``n log(y' P(phi) y) + log|V(phi)|`` to minimize over the admissible
-    range.  Returns ``None`` when the covariance has no free parameter.
+    range: a grid scan, then golden section over the neighbouring cells of
+    the grid argmin.  Returns ``None`` when the covariance has no free parameter.
     """
     spec = dataset.cov
     if not spec.has_unknown_phi:
         return None
-    y = np.asarray(dataset.y, dtype=float)
-    x = np.asarray(dataset.x_full, dtype=float)
-    n = y.shape[0]
+    y, x, n = dataset.y, dataset.x_full, dataset.n
 
     def objective(phi: float) -> float:
         wh = make_whitener(spec.with_phi(phi), n)
@@ -348,8 +380,14 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
         lo, hi = PHI_NERM_BOUNDS
         # phi >= 0 spans eight decades; log-spaced grid plus the zero endpoint.
         grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, GRID_POINTS - 1)))
-    vals = [objective(x_) for x_ in grid]
-    phi_hat, _ = _refine_minimum(objective, grid, vals)
+    vals = np.array([objective(x_) for x_ in grid])
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
+    k = int(np.argmin(np.where(finite, vals, np.inf)))
+    phi_hat, f_hat = _golden_min(objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+    if vals[k] <= f_hat:
+        phi_hat = grid[k]
     if spec.kind == "ar1":
         at_boundary = min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
     else:  # log-spaced from grid[1]: below it phi_hat sits on 0
@@ -415,21 +453,20 @@ def estimate_lambda(fit: "WhitenedFit", prior_kind: str = "ridge") -> ScalarEsti
     on a bound.  Zellner: lambda = p s2 / (s - p s2) with s = ||Q'y||^2
     (the local empirical-Bayes g = 1/lambda of George & Foster 2000),
     clipped to the bounds.  Ridge: the root of f'(log lambda) from the
-    fit's spectrum (:func:`_ridge_lambda`).  The null model takes 1.
+    fit's spectrum (:func:`_ridge_lambda`).  A fit that needs no estimate,
+    the null model, returns its :func:`known_scale`.
     """
-    if prior_kind not in PRIOR_KINDS:
-        raise ValueError(f"unknown prior kind {prior_kind!r}")
-    p = fit.p
-    if p == 0:
-        return ScalarEstimate(1.0, False)
-    if fit.r is None:
-        raise ValueError("fit carries no QR factor to estimate lambda from")
+    check_prior(prior_kind)
+    known = known_scale(fit, prior_kind, None)
+    if known is not None:
+        return ScalarEstimate(known.lam, False)
     sigma2 = fit.ypy / fit.n
     if not sigma2 > 0.0:
         raise LambdaEstimationError("lambda estimation failed: zero residual variance")
+    read = _read_factor(fit, prior_kind)
     if prior_kind == "ridge":
-        return _ridge_lambda(*fit.spectrum, sigma2)
-    excess = float(fit.qty @ fit.qty) - p * sigma2
-    lam = p * sigma2 / excess if excess > 0.0 else math.inf
+        return _ridge_lambda(*read, sigma2)
+    excess = read - fit.p * sigma2
+    lam = fit.p * sigma2 / excess if excess > 0.0 else math.inf
     clipped = min(max(lam, LAMBDA_BOUNDS[0]), LAMBDA_BOUNDS[1])
     return ScalarEstimate(clipped, clipped != lam)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .exceptions import DegenerateVarianceError, PenaltyUndefinedError
 from .model_core import WhitenedFit
 
@@ -40,6 +38,11 @@ CRITERION_NAMES = (
 
 # Criteria whose value involves the coefficient prior N(0, sigma^2 W).
 NEEDS_PRIOR = frozenset({"ic_pi1", "ic_pi1_star", "dic", "ml"})
+
+
+def needs_prior(names) -> bool:
+    """Whether any of the named criteria involves the coefficient prior."""
+    return any(name in NEEDS_PRIOR for name in names)
 
 
 def check_names(names) -> tuple[str, ...]:
@@ -162,22 +165,12 @@ def dic(fit: WhitenedFit) -> float:
     closed form is D(beta~) + 2 tr[X'V^{-1}X (X'V^{-1}X + W^{-1})^{-1}],
     which equals 2 E[D(beta) | y] - D(beta~).  The deviance keeps its
     normalizing constants n log(2 pi s2) + log|V| because s2 differs across
-    candidates.  From the fit's spectrum, the residual at beta~ is y'Py +
-    lambda^2 sum w2 / (d + lambda)^2 and p_D = sum d / (d + lambda) (ridge),
-    or y'Py + (lambda / (1 + lambda))^2 ||Q'y||^2 and p / (1 + lambda).
+    candidates.  The residual at beta~ and p_D come from the fit's prior
+    scale (:meth:`~bmlselect.covariance.PriorScale.posterior_terms`).
     """
     _require_prior(fit)
     base = _ml_term(fit)
-    lam = fit.prior.lam
-    if fit.prior.kind == "ridge":
-        d, w2 = fit.spectrum
-        dl = d + lam
-        quad = fit.ypy + lam * lam * float(np.sum(w2 / (dl * dl)))
-        p_d = float(np.sum(d / dl))
-    else:
-        shrink = lam / (1.0 + lam)
-        quad = fit.ypy + shrink * shrink * float(fit.qty @ fit.qty)
-        p_d = fit.p / (1.0 + lam)
+    quad, p_d = fit.prior.posterior_terms(fit)
     return base + quad / fit.sigma2_hat + 2.0 * p_d
 
 

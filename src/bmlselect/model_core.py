@@ -5,11 +5,12 @@ the quadratic forms y'Py and y'Ay, the log-determinants of V, of X'V^{-1}X
 and of W X'V^{-1}X + I, and the two variance estimates computed here.  The
 production path whitens the data once per error covariance (a Cholesky
 factor, or an O(n) recursion for AR(1)) and then factors each candidate's
-whitened design with exactly one QR and keeps R and Q'y.  A ridge prior
-reads them through one SVD of R (:attr:`WhitenedFit.spectrum`), a Zellner
-prior through ||Q'y||^2 alone, so the lambda search, the prior step
-(:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the n x n
-projection matrices are never formed (test oracles do form them).
+whitened design with exactly one QR and keeps R and Q'y, plus the SVD of R
+on demand (:attr:`WhitenedFit.spectrum`).  The prior terms read only these
+(:class:`~bmlselect.covariance.PriorScale` holds their formulas), so the
+lambda search, the prior step (:meth:`WhitenedFit.with_prior`) and ``dic``
+factor nothing more; the n x n projection matrices are never formed (test
+oracles do form them).
 
 One rank rule, :func:`_full_rank_pivots`, judges every QR factor: a pivot
 below ``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
@@ -163,22 +164,9 @@ class WhitenedFit:
         return self._spectrum
 
     def with_prior(self, prior: PriorScale) -> "WhitenedFit":
-        """This fit with the marginal-likelihood quantities of a prior scale.
-
-        Ridge (W^{-1} = lambda I): y'Ay = y'Py + lambda sum w2 / (d + lambda)
-        and log|W G + I| = sum log1p(d / lambda).  Zellner (W^{-1} = lambda G),
-        with s = ||Q'y||^2: y'Py + s lambda / (1 + lambda) and p log1p(1 / lambda).
-        """
-        if self.r is None:
-            raise ValueError("fit carries no QR factor to apply a prior to")
-        lam = prior.lam
-        if prior.kind == "ridge":
-            d, w2 = self.spectrum
-            yay = self.ypy + lam * float(np.sum(w2 / (d + lam)))
-            logdet = float(np.sum(np.log1p(d / lam)))
-        else:
-            yay = self.ypy + float(self.qty @ self.qty) * lam / (1.0 + lam)
-            logdet = self.p * float(np.log1p(1.0 / lam))
+        """This fit with y'Ay and log|W G + I| of a prior scale
+        (:meth:`PriorScale.marginal_terms`)."""
+        yay, logdet = prior.marginal_terms(self)
         return replace(self, yay=yay, logdet_wxvx_plus_i=logdet, prior=prior)
 
 

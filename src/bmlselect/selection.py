@@ -8,7 +8,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import criteria as _criteria
-from .covariance import PriorScale, ScalarEstimate, estimate_lambda, estimate_phi_full_model
+from .covariance import PriorScale, ScalarEstimate, check_prior, known_scale
+from .covariance import estimate_lambda, estimate_phi_full_model
 from .exceptions import (
     CandidateExplosionError,
     DegenerateVarianceError,
@@ -28,12 +29,16 @@ class SelectionOptions:
     """Knobs shared by select(), score_candidates() and the CLI.
 
     ``lam=None`` re-estimates the prior scale per candidate (the default);
-    a float fixes it for every candidate.
+    a float fixes it for every candidate.  The prior choice is checked
+    (:func:`~bmlselect.covariance.check_prior`) whatever criteria use it.
     """
 
     prior_kind: str = "ridge"
     lam: float | None = None
     include_null: bool = True
+
+    def __post_init__(self):
+        check_prior(self.prior_kind, self.lam)
 
 
 @dataclass
@@ -99,29 +104,23 @@ def resolve_whitened(dataset: Dataset) -> tuple[WhitenedData, ScalarEstimate | N
 def fit_candidate(
     wd: WhitenedData,
     cand: CandidateModel,
-    prior_kind: str,
-    lam: float | None,
+    options: SelectionOptions,
     needs_prior: bool,
 ) -> tuple[WhitenedFit, ScalarEstimate | None]:
     """Fit one candidate, then estimate lambda on that fit, then apply the prior.
 
-    Returns (fit, lambda_estimate); the fit records its prior scale.
-    ``lam=None`` estimates lambda; the null model has no prior to scale and
-    takes the neutral 1 instead.  Without ``needs_prior`` the fit carries no
-    prior quantities.
+    Returns (fit, lambda_estimate); the fit records its prior scale, and the
+    estimate is None where :func:`~bmlselect.covariance.known_scale` gives
+    the scale.  Without ``needs_prior`` the fit carries no prior quantities.
     """
     fit = gls_fit(wd, cand)
     if not needs_prior:
         return fit, None
-    est = None
-    if lam is not None:
-        lam = float(lam)
-    elif cand.p == 0:
-        lam = 1.0
-    else:
-        est = estimate_lambda(fit, prior_kind)
-        lam = est.value
-    return fit.with_prior(PriorScale(prior_kind, lam)), est
+    prior, est = known_scale(fit, options.prior_kind, options.lam), None
+    if prior is None:
+        est = estimate_lambda(fit, options.prior_kind)
+        prior = PriorScale(options.prior_kind, est.value)
+    return fit.with_prior(prior), est
 
 
 def score_candidates(
@@ -139,13 +138,13 @@ def score_candidates(
     criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
     wd, phi_est = resolve_whitened(dataset)
-    needs_prior = any(c in _criteria.NEEDS_PRIOR for c in criteria)
+    needs_prior = _criteria.needs_prior(criteria)
     rows: list[CandidateScores] = []
     for cand in enumerate_candidates(dataset.p_omega, opts.include_null):
         row = CandidateScores(model=cand)
         rows.append(row)
         try:
-            fit, lam_est = fit_candidate(wd, cand, opts.prior_kind, opts.lam, needs_prior)
+            fit, lam_est = fit_candidate(wd, cand, opts, needs_prior)
             if lam_est is not None:
                 row.lambda_hat, row.lambda_at_boundary = lam_est
             row.beta_hat = fit.beta_hat

@@ -21,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .covariance import PRIOR_KINDS, CovarianceSpec, make_whitener
+from .covariance import CovarianceSpec, check_prior, make_whitener
 from .criteria import check_names
 from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
@@ -84,8 +84,7 @@ class ExperimentSpec:
             raise ValueError("master_seed must be a non-negative integer")
         if self.nerm_group_size < 1:
             raise ValueError(f"nerm_group_size must be >= 1, got {self.nerm_group_size}")
-        if self.prior_kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind {self.prior_kind!r}")
+        check_prior(self.prior_kind)
         object.__setattr__(self, "criteria", check_names(self.criteria))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "snr_grid", snr_grid)
@@ -210,18 +209,13 @@ def _replication_task(args):
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: requested or cpu_count, capped by BMLSELECT_THREADS."""
+    workers = requested if requested is not None else (os.cpu_count() or 1)
     cap_env = os.environ.get("BMLSELECT_THREADS", "").strip()
-    cap = None
     if cap_env:
         try:
-            cap = max(1, int(cap_env))
+            workers = min(workers, max(1, int(cap_env)))
         except ValueError:
-            raise ValueError(
-                f"BMLSELECT_THREADS must be an integer, got {cap_env!r}"
-            ) from None
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        workers = min(workers, cap)
+            raise ValueError(f"BMLSELECT_THREADS must be an integer, got {cap_env!r}") from None
     return max(1, int(workers))
 
 

@@ -15,10 +15,11 @@ smaller p, then lexicographic indices).  Every input (data CSVs
 and config files) is derived from fixed seeds and written next to the
 outputs, and the runs name their files relative to OUT_DIR, so two runs of
 the same program give byte-identical files; the ``# data =`` line, which
-echoes the input path, is left out of the comparison all the same.  The runs cover the
-identity, ar1 and nerm covariances, the ridge and zellner priors, and
-estimated and fixed lambda, on designs of at most five columns and at most
-five replications per cell.  A 7 x 5 design, where n - p - 2 = 0 for the
+echoes the input path, is left out of the comparison all the same.  The
+runs cover the identity, ar1 and nerm covariances, the ridge and zellner
+priors with estimated and fixed lambda in `select`, and both priors in
+`criteria`, on designs of at most five columns and at most five
+replications per cell.  A 7 x 5 design, where n - p - 2 = 0 for the
 full model, takes the exclusion path: the ``excluded`` column of `select`
 and the ``undefined (...)`` values of `criteria`.  ``tests/test_golden.py``
 regenerates them into a temporary directory and compares byte for byte;
@@ -84,6 +85,10 @@ def _runs() -> list[list[str]]:
          "--criterion", "all", "--prior", "zellner"],
         ["criteria", "--data", "data_tight.csv", "--out", "criteria_tight.csv",
          "--criterion", "all"],
+        ["select", "--data", "data_ar1.csv", "--out", "select_ar1_zellner_fixed_lambda.csv",
+         "--covariance", "ar1", "--criterion", "all", "--prior", "zellner", "--lambda", "0.75"],
+        ["criteria", "--data", "data_iid.csv", "--out", "criteria_identity_zellner.csv",
+         "--criterion", "all", "--prior", "zellner"],
         ["simulate", "--out", "simulate_constant_variance.csv", "--seed", "5",
          "--model", "constant_variance", "--n-grid", "20,30", "--snr-grid", "1,3",
          "--replications", "2", "--criterion", "all"],

@@ -1,0 +1,45 @@
+"""The benchmark's layer tracing must see every layer of a `select` run.
+
+``perfbench/spans.py`` times the package by replacing module attributes
+(``selection.estimate_lambda``, ``selection.gls_fit``, ``criteria.score``,
+``criteria.dic`` and others) with wrappers that record a span per call.  A
+refactor that calls around one of those names leaves the layer's traced
+metrics at 0 and fails nothing else; this test runs one small traced
+`select` and checks the span count of each layer.  It only imports the
+benchmark module.
+"""
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_select_records_every_wrapped_layer(tmp_path):
+    from bmlselect import cli
+
+    spans = _load(ROOT / "perfbench" / "spans.py", "perfbench_spans")
+    golden = _load(ROOT / "tests" / "golden" / "make_golden.py", "make_golden")
+    data = tmp_path / "ar1.csv"
+    golden._write_data(data, seed=21, n=30, p=3, phi=0.5)
+    argv = ["select", "--data", str(data), "--out", str(tmp_path / "out.csv"),
+            "--covariance", "ar1", "--criterion", "all"]
+    with spans.Tracer() as tracer:
+        spans.instrument(tracer)
+        assert cli.main(argv) == 0
+    counts = Counter(span[0] for span in tracer.spans)
+    # 2^3 candidates, the null model among them; it takes no lambda estimate.
+    assert counts["model_core.gls_fit"] == 8
+    assert counts["covariance.lambda"] == 7
+    assert counts["criteria.dic"] == 8
+    assert counts["criteria.score"] == 80
+    assert counts["covariance.phi_profile"] == 1
+    assert counts["model_core.whiten"] == 1

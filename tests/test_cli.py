@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bmlselect import selection
 from bmlselect.cli import main, read_results_csv
 
 
@@ -113,6 +114,43 @@ def test_select_conflicting_lambda_flags_exit_2(tmp_path, capsys):
     rc = main(["select", "--data", data, "--out", str(tmp_path / "o.csv"),
                "--lambda", "2.0", "--estimate-lambda"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["select", "--lambda", "-1", "--criterion", "aic"],
+         "prior lambda must be positive, got -1.0"),
+        (["select", "--lambda", "nan", "--criterion", "bic"],
+         "prior lambda must be positive, got nan"),
+        (["criteria", "--lambda", "-2", "--criterion", "aic"],
+         "prior lambda must be positive, got -2.0"),
+        (["select", "--covariance", "ar1", "--lambda", "0", "--criterion", "ml"],
+         "prior lambda must be positive, got 0.0"),
+    ],
+    ids=["select-aic-negative", "select-bic-nan", "criteria-aic-negative", "select-ar1-ml-zero"],
+)
+def test_bad_lambda_exits_2_whatever_the_criteria(tmp_path, capsys, monkeypatch, argv, message):
+    # The prior choice is checked before any work: the phi profile never runs.
+    profiled = []
+    monkeypatch.setattr(selection, "estimate_phi_full_model", profiled.append)
+    data = write_signal_fixture(tmp_path / "sig.csv")
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--data", data, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert profiled == []
+
+
+@pytest.mark.parametrize("command", ["select", "criteria", "simulate"])
+def test_unknown_prior_kind_in_config_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("prior = flat\ncriterion = aic\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    if command != "simulate":
+        argv += ["--data", write_signal_fixture(tmp_path / "sig.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown prior kind 'flat'\n"
 
 
 def test_select_with_config_file_and_override(tmp_path):

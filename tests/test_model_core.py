@@ -123,11 +123,18 @@ def test_gls_fit_null_model():
     assert fit.logdet_xvx == 0.0
 
 
-def test_gls_fit_null_model_with_prior_conventions():
-    wd = whiten(ones_dataset())
-    fit = gls_fit(wd, CandidateModel(())).with_prior(PriorScale("ridge", 2.0))
-    assert fit.yay == pytest.approx(fit.ypy)
+@pytest.mark.parametrize("lam", [LAMBDA_BOUNDS[0], 2.0, LAMBDA_BOUNDS[1]])
+@pytest.mark.parametrize("kind", ["ridge", "zellner"])
+def test_gls_fit_null_model_with_prior_conventions(kind, lam):
+    # The null model has no coefficient to scale: whatever the family and
+    # lambda, y'Ay = y'Py, log|W G + I| = 0, the dic residual is y'Py and p_D = 0.
+    ds = ones_dataset()
+    fit = gls_fit(whiten(ds), CandidateModel(())).with_prior(PriorScale(kind, lam))
+    assert fit.yay == fit.ypy
     assert fit.logdet_wxvx_plus_i == 0.0
+    assert fit.prior.posterior_terms(fit) == (fit.ypy, 0.0)
+    expect = dic_dense(ds.y, np.zeros((ds.n, 0)), np.eye(ds.n), np.zeros((0, 0)), fit.sigma2_hat)
+    assert dic(fit) == pytest.approx(expect, rel=1e-13)
 
 
 def test_gls_fit_prior_woodbury_oracle():

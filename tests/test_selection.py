@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,14 +269,33 @@ def test_score_candidates_estimates_phi_once_and_reports_it():
     assert len(table.rows) == 8
 
 
-def test_score_candidates_lambda_recorded_per_candidate():
+@pytest.mark.parametrize("prior_kind", ["ridge", "zellner"])
+def test_score_candidates_lambda_recorded_per_candidate(prior_kind):
     ds = signal_dataset(12, sigma=0.3)
-    table = score_candidates(ds, ("ic_pi1",))
+    table = score_candidates(ds, ("ic_pi1",), SelectionOptions(prior_kind=prior_kind))
     for row in table.rows:
         if row.model.p > 0:
             assert row.lambda_hat is not None and row.lambda_hat > 0
         else:
             assert row.lambda_hat is None
+            assert not row.lambda_at_boundary
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"prior_kind": "flat"}, "unknown prior kind 'flat'"),
+        ({"lam": -1.0}, "prior lambda must be positive, got -1.0"),
+        ({"lam": 0.0}, "prior lambda must be positive, got 0.0"),
+        ({"lam": math.nan}, "prior lambda must be positive, got nan"),
+        ({"lam": math.inf}, "prior lambda must be positive, got inf"),
+    ],
+    ids=["flat", "negative", "zero", "nan", "inf"],
+)
+def test_selection_options_check_the_prior_whatever_the_criteria(kwargs, message):
+    # aic reads no prior, yet a bad prior choice is refused up front.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        select(signal_dataset(12), "aic", SelectionOptions(**kwargs))
 
 
 def test_score_candidates_fixed_lambda():
