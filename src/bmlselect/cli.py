@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import __version__
 from .covariance import PRIOR_KINDS, CovarianceSpec
-from .criteria import CRITERION_NAMES, needs_prior, score
+from .criteria import CRITERION_NAMES, check_names, needs_prior, score
 from .exceptions import (
     BmlselectError,
     CandidateExplosionError,
@@ -34,7 +35,6 @@ from .selection import (
 )
 from .simulation import (
     BETA_PATTERNS,
-    DEFAULT_CRITERIA,
     CriterionSummary,
     ExperimentResult,
     ExperimentSpec,
@@ -44,28 +44,6 @@ from .simulation import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-DEFAULT_SIMULATE_SEED = 0
-
-_CONFIG_KEYS = {
-    "data",
-    "out",
-    "seed",
-    "criterion",
-    "covariance",
-    "model",
-    "phi",
-    "prior",
-    "lambda",
-    "estimate_lambda",
-    "replications",
-    "n_grid",
-    "snr_grid",
-    "beta_pattern",
-    "include_null",
-    "group_sizes",
-    "nerm_group_size",
-}
 
 
 def _fmt(x) -> str:
@@ -233,22 +211,44 @@ def _split_list(value) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _resolve_criteria(ns, cfg, default: tuple[str, ...]) -> tuple[str, ...]:
+def _resolve_criteria(ns, cfg, default=None) -> tuple[str, ...] | None:
     raw = ns.criterion if ns.criterion else cfg.get("criterion")
     if raw is None:
         return default
     names = _split_list(raw)
     if any(n.lower() == "all" for n in names):
         return CRITERION_NAMES
-    out = []
-    for name in names:
-        if name not in CRITERION_NAMES:
-            raise DataParseError(
-                f"unknown criterion {name!r}; choose from {', '.join(CRITERION_NAMES)} or 'all'"
-            )
-        if name not in out:
-            out.append(name)
-    return tuple(out)
+    return check_names(dict.fromkeys(names))
+
+
+# (dataclass field, flag and config key, parser) of the values a user may set;
+# a value set neither way is left to the dataclass default.
+_OPTION_FIELDS = (
+    ("prior_kind", "prior", lambda v, _: v),
+    ("include_null", "include_null", _as_bool),
+)
+_SIMULATE_FIELDS = (
+    ("master_seed", "seed", _as_int),
+    ("phi_true", "phi", _as_float),
+    ("replications", "replications", _as_int),
+    ("n_grid", "n_grid", lambda v, what: tuple(_as_int(n, what) for n in _split_list(v))),
+    ("snr_grid", "snr_grid", lambda v, what: tuple(_as_float(s, what) for s in _split_list(v))),
+    ("beta_pattern", "beta_pattern", lambda v, _: v),
+    ("nerm_group_size", "nerm_group_size", _as_int),
+)
+_CONFIG_KEYS = {key for _, key, _ in _OPTION_FIELDS + _SIMULATE_FIELDS} | {
+    "data", "out", "criterion", "covariance", "model", "lambda", "estimate_lambda", "group_sizes"
+}
+
+
+def _given(ns, cfg, fields) -> dict:
+    """The parsed values of ``fields`` that were set by flag or config."""
+    given = {}
+    for name, key, parse in fields:
+        value = _pick(getattr(ns, key, None), cfg, key)
+        if value is not None:
+            given[name] = parse(value, key)
+    return given
 
 
 def _resolve_options(ns, cfg) -> SelectionOptions:
@@ -258,9 +258,7 @@ def _resolve_options(ns, cfg) -> SelectionOptions:
     estimate = ns.estimate_lambda or _as_bool(cfg.get("estimate_lambda", False), "estimate_lambda")
     if lam is not None and estimate:
         raise DataParseError("--lambda and --estimate-lambda are mutually exclusive")
-    include_null = _as_bool(_pick(ns.include_null, cfg, "include_null", True), "include_null")
-    kind = _pick(ns.prior, cfg, "prior", "ridge")
-    return SelectionOptions(prior_kind=kind, lam=lam, include_null=include_null)
+    return SelectionOptions(lam=lam, **_given(ns, cfg, _OPTION_FIELDS))
 
 
 def _resolve_covariance(ns, cfg) -> CovarianceSpec:
@@ -282,6 +280,18 @@ def _require(value, flag: str):
     return value
 
 
+def _writable(path: str) -> str:
+    """``path``, once it opens for writing; a file created to find out is removed."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise DataParseError(f"cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -301,14 +311,14 @@ def _resolve_data_run(ns, cfg):
 
 
 def _cmd_select(ns, cfg) -> int:
-    out_path = _require(_pick(ns.out, cfg, "out"), "--out")
+    out_path = _writable(_require(_pick(ns.out, cfg, "out"), "--out"))
     data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
     table = score_candidates(dataset, criteria, options)
 
     reports = {name: report_from_table(table, name) for name in criteria}
     primary = reports[criteria[0]]
-    order = [model for model, _ in primary.ranked]
-    order += sorted((model for model, _ in primary.excluded), key=lambda m: m.sort_key)
+    order = [(rank, model) for rank, (model, _) in enumerate(primary.ranked, start=1)]
+    order += [("", model) for model, _ in primary.excluded]
     rows_by_model = {row.model: row for row in table.rows}
 
     with_lambda = needs_prior(criteria)
@@ -338,10 +348,9 @@ def _cmd_select(ns, cfg) -> int:
         head += list(criteria)
         head.append("excluded")
         writer.writerow(head)
-        for rank, model in enumerate(order, start=1):
+        for rank, model in order:
             row = rows_by_model[model]
-            ranked_here = criteria[0] in row.scores
-            rec = [rank if ranked_here else "", model.label(), model.p]
+            rec = [rank, model.label(), model.p]
             if with_lambda:
                 rec.append("" if row.lambda_hat is None else _fmt(row.lambda_hat))
             for name in criteria:
@@ -355,6 +364,9 @@ def _cmd_select(ns, cfg) -> int:
 
 
 def _cmd_criteria(ns, cfg) -> int:
+    out_path = _pick(ns.out, cfg, "out")
+    if out_path:
+        _writable(out_path)
     data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
     wd, phi_est = resolve_whitened(dataset)
     cov = dataset.cov if phi_est is None else dataset.cov.with_phi(phi_est.value)
@@ -382,43 +394,24 @@ def _cmd_criteria(ns, cfg) -> int:
     lines = _header_lines(meta) + ["criterion,value"] + [f"{k},{v}" for k, v in values]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if ns.out or cfg.get("out"):
-        with open(_pick(ns.out, cfg, "out"), "w", encoding="utf-8") as fh:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return EXIT_OK
 
 
 def _cmd_simulate(ns, cfg) -> int:
-    out_path = _require(_pick(ns.out, cfg, "out"), "--out")
-    kind = _pick(ns.covariance, cfg, "model", None) or _pick(None, cfg, "covariance", "constant_variance")
-    if kind == "identity":
-        kind = "constant_variance"
-    seed = _as_int(_pick(ns.seed, cfg, "seed", DEFAULT_SIMULATE_SEED), "seed")
-    phi = _as_float(_pick(ns.phi, cfg, "phi", 0.5), "phi")
-    replications = _pick(ns.replications, cfg, "replications", 1000)
-    n_grid = _split_list(_pick(ns.n_grid, cfg, "n_grid", "20,40,80"))
-    snr_grid = _split_list(_pick(ns.snr_grid, cfg, "snr_grid", "1,3,5"))
-    beta_pattern = _pick(ns.beta_pattern, cfg, "beta_pattern", "four_ones")
-    options = _resolve_options(ns, cfg)
-    if options.lam is not None:
+    out_path = _writable(_require(_pick(ns.out, cfg, "out"), "--out"))
+    if _resolve_options(ns, cfg).lam is not None:
         raise DataParseError("simulate always re-estimates lambda; drop --lambda")
-    criteria = _resolve_criteria(ns, cfg, DEFAULT_CRITERIA)
-    try:
-        spec = ExperimentSpec(
-            model_kind=kind,
-            n_grid=tuple(_as_int(n, "n_grid") for n in n_grid),
-            snr_grid=tuple(_as_float(s, "snr_grid") for s in snr_grid),
-            beta_pattern=beta_pattern,
-            replications=_as_int(replications, "replications"),
-            criteria=criteria,
-            master_seed=seed,
-            phi_true=phi,
-            include_null=options.include_null,
-            prior_kind=options.prior_kind,
-            nerm_group_size=_as_int(cfg.get("nerm_group_size", 4), "nerm_group_size"),
-        )
-    except ValueError as exc:
-        raise DataParseError(str(exc)) from exc
+    given = _given(ns, cfg, _OPTION_FIELDS + _SIMULATE_FIELDS)
+    criteria = _resolve_criteria(ns, cfg)
+    if criteria is not None:
+        given["criteria"] = criteria
+    kind = _pick(ns.covariance, cfg, "model") or cfg.get("covariance")
+    if kind is not None:
+        given["model_kind"] = "constant_variance" if kind == "identity" else kind
+    spec = ExperimentSpec(**given)
     results = run_experiment(spec)
     meta = {
         "command": "simulate",

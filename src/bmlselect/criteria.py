@@ -46,11 +46,13 @@ def needs_prior(names) -> bool:
 
 
 def check_names(names) -> tuple[str, ...]:
-    """``names`` as a tuple; raises ``ValueError`` listing any unknown criterion."""
+    """``names`` as a tuple; raises ``ValueError`` if empty or naming an unknown criterion."""
     names = tuple(names)
+    if not names:
+        raise ValueError("no criterion requested")
     unknown = [c for c in names if c not in CRITERION_NAMES]
     if unknown:
-        raise ValueError(f"unknown criteria: {unknown}")
+        raise ValueError(f"unknown criteria: {unknown}; choose from {', '.join(CRITERION_NAMES)}")
     return names
 
 

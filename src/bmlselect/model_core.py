@@ -56,10 +56,6 @@ class CandidateModel:
     def zero_based(self) -> tuple[int, ...]:
         return tuple(i - 1 for i in self.indices)
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.p, self.indices)
-
     def label(self) -> str:
         return " ".join(str(i) for i in self.indices) if self.indices else "(null)"
 

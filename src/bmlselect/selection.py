@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class CandidateScores:
 
 @dataclass
 class ScoreTable:
+    """Every candidate's scores, ``rows`` in :func:`enumerate_candidates` order."""
+
     rows: list[CandidateScores]
     criteria: tuple[str, ...]
     phi_hat: float | None = None
@@ -65,9 +68,10 @@ class ScoreTable:
 class SelectionReport:
     """Selection outcome for one criterion.
 
-    ``ranked`` is ascending in (score, p, indices); ``selected`` is its first
-    entry; candidates that could not be scored appear in ``excluded`` with a
-    reason.
+    ``ranked`` is ascending in score, ties in candidate order (fewer columns,
+    then lexicographic indices); ``selected`` is its first entry; candidates
+    that could not be scored appear in ``excluded``, in candidate order, with
+    a reason.
     """
 
     criterion: str
@@ -79,7 +83,10 @@ class SelectionReport:
 
 
 def enumerate_candidates(p_omega: int, include_null: bool = True) -> list[CandidateModel]:
-    """All column subsets of {1, ..., p_omega}, ordered by size then lexicographically."""
+    """All column subsets of {1, ..., p_omega}, ordered by size then lexicographically.
+
+    This order is the tie-break between equal scores.
+    """
     if p_omega > MAX_P_OMEGA:
         raise CandidateExplosionError(
             f"candidate explosion: 2^{p_omega} subsets; restrict the design "
@@ -168,7 +175,7 @@ def score_candidates(
 
 
 def report_from_table(table: ScoreTable, criterion: str) -> SelectionReport:
-    """Build the single-criterion report from a score table."""
+    """Build the single-criterion report; a stable sort keeps ties in table order."""
     scored = [
         (row.model, row.scores[criterion]) for row in table.rows if criterion in row.scores
     ]
@@ -177,8 +184,7 @@ def report_from_table(table: ScoreTable, criterion: str) -> SelectionReport:
     ]
     if not scored:
         raise NoAdmissibleCandidateError(f"no admissible candidate for {criterion}")
-    # Ties break toward smaller p, then lexicographic indices.
-    ranked = sorted(scored, key=lambda ms: (ms[1],) + ms[0].sort_key)
+    ranked = sorted(scored, key=itemgetter(1))
     return SelectionReport(
         criterion=criterion,
         ranked=ranked,

@@ -376,7 +376,7 @@ def test_criterion_6_ar1_ic_r_level(ar1_experiment):
         picks = {c: report_from_table(table, c).selected for c in sizes}
         for c, model in picks.items():
             sizes[c].append(model.p)
-        dense_pick = min(candidates, key=lambda m: (dense_ic_r(m),) + m.sort_key)
+        dense_pick = min(candidates, key=lambda m: (dense_ic_r(m), m.p, m.indices))
         if dense_pick != picks["ic_r"]:
             mismatches.append(rep)
             continue

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmlselect import selection
+from bmlselect import CRITERION_NAMES, ExperimentSpec, SelectionOptions, cli, selection
 from bmlselect.cli import main, read_results_csv
 
 
@@ -349,3 +349,95 @@ def test_numerical_failure_exits_3_and_names_candidate(tmp_path, capsys):
 def test_usage_error_exits_2():
     assert main(["select", "--bogus"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Checks made before any work, and the order of the select CSV
+# ---------------------------------------------------------------------------
+
+
+def record_work(monkeypatch):
+    """Replace the calls that start scoring, fitting or replicating with a recorder."""
+    calls = []
+    for attr in ("score_candidates", "resolve_whitened", "run_experiment"):
+        monkeypatch.setattr(cli, attr, lambda *args, attr=attr: calls.append(attr))
+    return calls
+
+
+def command_argv(command, tmp_path, out):
+    argv = [command, "--out", str(out)]
+    if command == "simulate":
+        return argv + ["--replications", "2", "--n-grid", "20", "--snr-grid", "3"]
+    return argv + ["--data", write_signal_fixture(tmp_path / "sig.csv")]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("", "no criterion requested"), (",", "no criterion requested"),
+     ("bic,hqc", f"unknown criteria: ['hqc']; choose from {', '.join(CRITERION_NAMES)}")],
+    ids=["empty", "comma", "unknown"],
+)
+@pytest.mark.parametrize("command", ["select", "criteria", "simulate"])
+def test_bad_criterion_list_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command, value, message):
+    calls = record_work(monkeypatch)
+    out = tmp_path / "o.csv"
+    assert main(command_argv(command, tmp_path, out) + ["--criterion", value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "criteria", "simulate"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    calls = record_work(monkeypatch)
+    out = tmp_path / "missing" / "o.csv"
+    assert main(command_argv(command, tmp_path, out) + ["--criterion", "bic"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert calls == []
+    assert not out.parent.exists()
+
+
+def test_out_check_keeps_an_existing_file(tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_text("old\n")
+    argv = command_argv("select", tmp_path, out) + ["--lambda", "-1"]
+    assert main(argv) == 2
+    assert out.read_text() == "old\n"
+
+
+def test_bare_simulate_leaves_every_default_to_the_spec(tmp_path, monkeypatch):
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+    assert main(["simulate", "--out", str(tmp_path / "r.csv")]) == 0
+    assert specs == [ExperimentSpec()]
+
+
+def test_bare_select_leaves_every_option_default_to_selection_options(tmp_path, monkeypatch):
+    seen = []
+
+    def score(dataset, criteria, options):
+        seen.append((criteria, options))
+        return selection.score_candidates(dataset, criteria, options)
+
+    monkeypatch.setattr(cli, "score_candidates", score)
+    out = tmp_path / "o.csv"
+    assert main(command_argv("select", tmp_path, out)) == 0
+    assert seen == [(CRITERION_NAMES, SelectionOptions())]
+
+
+@pytest.mark.parametrize("name", CRITERION_NAMES)
+def test_select_csv_ranks_an_exact_tie_in_candidate_order(tmp_path, name):
+    # Columns e1 and e2 with y1 = y2: candidates 1 and 2 score bit-identically.
+    data = tmp_path / "tie.csv"
+    y = (3.0, 3.0, 1.0, -2.0, 0.5, 4.0, -1.0, 2.0)
+    lines = ["y,x1,x2"] + [f"{v},{int(i == 0)},{int(i == 1)}" for i, v in enumerate(y)]
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["select", "--data", str(data), "--out", str(out), "--criterion", name]) == 0
+    _, header, rows = read_csv_table(out)
+    labels = [row[1] for row in rows]
+    one, two = labels.index("1"), labels.index("2")
+    assert two == one + 1
+    assert rows[one][header.index(name)] == rows[two][header.index(name)]
+    assert [row[0] for row in rows] == [str(k) for k in range(1, len(rows) + 1)]

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmlselect import (
+    CRITERION_NAMES,
     CandidateExplosionError,
     CandidateModel,
     CovarianceSpec,
@@ -17,6 +20,7 @@ from bmlselect import (
     score_candidates,
     select,
 )
+from bmlselect.selection import CandidateScores, ScoreTable, report_from_table
 from dense_oracle import dense_v, gls_beta, random_spd
 
 
@@ -334,3 +338,59 @@ def test_score_candidates_unknown_criterion():
     ds = signal_dataset(14)
     with pytest.raises(ValueError, match="unknown criteria"):
         score_candidates(ds, ("bicc",))
+
+
+def test_score_candidates_rejects_an_empty_criterion_list():
+    with pytest.raises(ValueError, match="no criterion requested"):
+        score_candidates(signal_dataset(14), ())
+
+
+# ---------------------------------------------------------------------------
+# Tie-break: candidate order, fewer columns first, then lexicographic indices
+# ---------------------------------------------------------------------------
+
+
+def tie_dataset():
+    # Columns e1 and e2 with y1 = y2: candidates 1 and 2 fit equally well, so
+    # every criterion gives them bit-identical scores.
+    x = np.zeros((8, 2))
+    x[0, 0] = x[1, 1] = 1.0
+    y = np.array([3.0, 3.0, 1.0, -2.0, 0.5, 4.0, -1.0, 2.0])
+    return Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
+
+
+@pytest.mark.parametrize("name", CRITERION_NAMES)
+def test_exact_same_size_tie_ranks_in_candidate_order(name):
+    report = select(tie_dataset(), name)
+    models = [m for m, _ in report.ranked]
+    scores = dict(report.ranked)
+    one, two = CandidateModel((1,)), CandidateModel((2,))
+    assert scores[one] == scores[two]
+    assert models[models.index(one) + 1] == two
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_report_ranks_by_score_then_size_then_indices(data):
+    p_omega = data.draw(st.integers(1, 4), label="p_omega")
+    include_null = data.draw(st.booleans(), label="include_null")
+    candidates = enumerate_candidates(p_omega, include_null)
+    # Three score values make ties across sizes common; None excludes the row.
+    values = data.draw(
+        st.lists(st.sampled_from([-1.5, 0.0, 2.25, None]),
+                 min_size=len(candidates), max_size=len(candidates)),
+        label="values",
+    )
+    assume(any(v is not None for v in values))
+    rows = [
+        CandidateScores(model=m, scores={"bic": v}) if v is not None
+        else CandidateScores(model=m, excluded={"bic": "penalty undefined"})
+        for m, v in zip(candidates, values)
+    ]
+    report = report_from_table(ScoreTable(rows=rows, criteria=("bic",)), "bic")
+    scored = [(m, v) for m, v in zip(candidates, values) if v is not None]
+    expect = sorted(scored, key=lambda ms: (ms[1], len(ms[0].indices), ms[0].indices))
+    assert report.ranked == expect
+    assert report.selected == expect[0][0]
+    assert report.excluded == [(m, "penalty undefined")
+                               for m, v in zip(candidates, values) if v is None]

@@ -94,8 +94,8 @@ def test_single_replication_matches_direct_computation():
     ds, truth = generate_dataset(spec, cell, 0)
     table = score_candidates(ds, spec.criteria, SelectionOptions())
     for name in spec.criteria:
-        best = min(((row.scores[name],) + row.model.sort_key, row) for row in table.rows
-                   if name in row.scores)[1]
+        best = min(((row.scores[name], row.model.p, row.model.indices), row)
+                   for row in table.rows if name in row.scores)[1]
         mu_hat = ds.x_full[:, best.model.zero_based] @ best.beta_hat if best.model.p else 0.0
         pe = float(np.sum((mu_hat - truth.x_true @ truth.beta_true) ** 2)) / cell.n
         summary = result.by_criterion[name]
@@ -162,6 +162,11 @@ def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.setenv("BMLSELECT_THREADS", "zero")
     with pytest.raises(ValueError):
         resolve_workers(2)
+
+
+def test_spec_rejects_an_empty_criterion_list():
+    with pytest.raises(ValueError, match="no criterion requested"):
+        small_spec(criteria=())
 
 
 def test_spec_validation():
