@@ -23,7 +23,6 @@ from .exceptions import (
     CovarianceError,
     DataParseError,
     PenaltyUndefinedError,
-    SaturatedModelError,
 )
 from .model_core import CandidateModel, Dataset
 from .selection import (
@@ -377,7 +376,7 @@ def _cmd_criteria(ns, cfg) -> int:
     for name in criteria:
         try:
             values.append((name, _fmt(score(name, fit))))
-        except (PenaltyUndefinedError, SaturatedModelError) as exc:
+        except PenaltyUndefinedError as exc:
             values.append((name, f"undefined ({exc})"))
     meta = {
         "command": "criteria",

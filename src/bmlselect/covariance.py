@@ -8,7 +8,8 @@ point from a :class:`CovarianceSpec` to an operator: it holds the only
 dispatch on the spec's kind and returns the action of L^{-1} for the
 Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
 AR(1) operator runs in O(n) via the innovations recursion instead of a
-dense factorization.
+dense factorization, and the nested-error V is built from the group labels
+in one pass.
 
 The coefficient prior N(0, sigma^2 W) comes in two families, ridge and
 Zellner, and only this module knows them: the prior check, the terms a
@@ -107,8 +108,10 @@ class CovarianceSpec:
             if not self.group_sizes:
                 raise CovarianceError("nerm covariance requires group_sizes")
             sizes = tuple(int(s) for s in self.group_sizes)
-            if any(s < 1 for s in sizes):
-                raise CovarianceError("nerm group sizes must be positive")
+            if sizes != tuple(self.group_sizes) or min(sizes) < 1:
+                raise CovarianceError(
+                    f"nerm group sizes must be positive whole numbers, got {self.group_sizes}"
+                )
             object.__setattr__(self, "group_sizes", sizes)
         elif self.group_sizes is not None:
             raise CovarianceError("group_sizes only apply to the nerm kind")
@@ -303,11 +306,9 @@ def make_whitener(spec: CovarianceSpec, n: int):
         return _Ar1Whitener(spec.phi, n)
     if spec.kind == "custom":
         return _CholeskyWhitener(spec.matrix)
-    v = np.eye(n)
-    start = 0
-    for size in spec.group_sizes:
-        v[start : start + size, start : start + size] += spec.phi * np.ones((size, size))
-        start += size
+    group = np.repeat(np.arange(len(spec.group_sizes)), spec.group_sizes)
+    v = spec.phi * (group[:, None] == group[None, :])
+    v[np.diag_indices(n)] += 1.0
     return _CholeskyWhitener(v)
 
 

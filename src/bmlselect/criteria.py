@@ -146,7 +146,6 @@ def ic_r_star(fit: WhitenedFit) -> float:
 
 def ric(fit: WhitenedFit) -> float:
     """Residual information criterion: ic_r_star - (n + 2) + p log(2 pi s2~)."""
-    _require_dof(fit)
     return ic_r_star(fit) - (fit.n + 2.0) + fit.p * (LOG_2PI + math.log(fit.sigma2_tilde))
 
 

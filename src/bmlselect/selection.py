@@ -17,7 +17,6 @@ from .exceptions import (
     LambdaEstimationError,
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
-    SaturatedModelError,
     SingularDesignError,
 )
 from .model_core import CandidateModel, Dataset, WhitenedData, WhitenedFit, gls_fit, whiten
@@ -138,9 +137,8 @@ def score_candidates(
     """Score every candidate with every requested criterion.
 
     Rank-deficient candidates are excluded for all criteria; candidates with
-    n - p - 2 <= 0 or p >= n are excluded for the criteria whose penalty or
-    likelihood is undefined there.  Degenerate (interpolating) fits raise,
-    naming the candidate.
+    n - p - 2 <= 0 are excluded for the criteria whose penalty is undefined
+    there.  Degenerate (interpolating) fits raise, naming the candidate.
     """
     criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
@@ -160,8 +158,6 @@ def score_candidates(
                     row.scores[name] = _criteria.score(name, fit)
                 except PenaltyUndefinedError:
                     row.excluded[name] = "penalty undefined"
-                except SaturatedModelError:
-                    row.excluded[name] = "saturated model"
         except SingularDesignError:
             row.excluded = {name: "singular design" for name in criteria}
         except (DegenerateVarianceError, LambdaEstimationError) as exc:

@@ -66,8 +66,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.beta_pattern not in BETA_PATTERNS:
             raise ValueError(f"unknown beta pattern {self.beta_pattern!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if not isinstance(self.replications, Integral) or self.replications < 1:
+            raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
         # n <= p_omega leaves the full design rank deficient or interpolating,
         # and an infinite SNR leaves no noise: every replication would fail.
         bad_n = [n for n in self.n_grid if not isinstance(n, Integral) or n <= self.p_omega]
@@ -82,8 +82,8 @@ class ExperimentSpec:
             raise ValueError(f"snr_grid values must be finite and positive, got {bad_snr}")
         if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
             raise ValueError("master_seed must be a non-negative integer")
-        if self.nerm_group_size < 1:
-            raise ValueError(f"nerm_group_size must be >= 1, got {self.nerm_group_size}")
+        if not isinstance(self.nerm_group_size, Integral) or self.nerm_group_size < 1:
+            raise ValueError(f"nerm_group_size must be an integer >= 1, got {self.nerm_group_size}")
         check_prior(self.prior_kind)
         object.__setattr__(self, "criteria", check_names(self.criteria))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))

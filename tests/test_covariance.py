@@ -134,6 +134,26 @@ def test_whitener_matches_dense_factorization(spec, n):
     assert wh.logdet == pytest.approx(np.linalg.slogdet(v)[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("phi", [0.0, 1e-6, 0.7, 10.0, 1e4])
+@pytest.mark.parametrize("sizes", [(3, 2, 4), (1, 7, 2, 2, 5), (1,)], ids=str)
+def test_nerm_whitener_is_bit_equal_to_the_dense_cholesky(sizes, phi):
+    # Bitwise, not to a tolerance: a V that moves by one ulp can move phi_hat
+    # through the golden-section search, and with it every output byte.
+    spec = CovarianceSpec.nerm(sizes, phi)
+    n = sum(sizes)
+    l = scipy.linalg.cholesky(dense_v(spec, n), lower=True)
+    b = np.random.default_rng(3).standard_normal((n, 3))
+    wh = make_whitener(spec, n)
+    assert np.array_equal(wh.whiten(b), scipy.linalg.solve_triangular(l, b, lower=True))
+    assert wh.logdet == 2.0 * float(np.sum(np.log(np.diag(l))))
+
+
+@pytest.mark.parametrize("sizes", [(4.5, 3.5), (4, 2.5), (2, "2")], ids=str)
+def test_nerm_rejects_group_sizes_that_are_not_whole_numbers(sizes):
+    with pytest.raises(CovarianceError, match="whole numbers"):
+        CovarianceSpec.nerm(sizes, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # estimate_phi_full_model
 # ---------------------------------------------------------------------------

@@ -115,6 +115,28 @@ def test_penalty_undefined_when_dof_too_small():
     ic_pi1_star(fit)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_no_criterion_reaches_the_saturated_model_error(n):
+    # sigma2_tilde raises for p >= n, but every criterion that reads it checks
+    # n - p - 2 first, so a score is a float or PenaltyUndefinedError.
+    for p in range(n - 3, n + 3):
+        fit = WhitenedFit(
+            p=p, n=n, beta_hat=np.zeros(p), ypy=1.0, yty=4.0, logdet_v=0.0,
+            logdet_xvx=0.0, r=np.eye(p), qty=np.ones(p),
+        ).with_prior(PriorScale("zellner", 1.0))
+        for name in CRITERION_NAMES:
+            try:
+                assert isinstance(score(name, fit), float)
+            except PenaltyUndefinedError:
+                pass
+        if n - p - 2 <= 0:
+            with pytest.raises(PenaltyUndefinedError) as from_ric:
+                ric(fit)
+            with pytest.raises(PenaltyUndefinedError) as from_ic_r_star:
+                ic_r_star(fit)
+            assert str(from_ric.value) == str(from_ic_r_star.value)
+
+
 # ---------------------------------------------------------------------------
 # ic_pi1_star and ic_pi2
 # ---------------------------------------------------------------------------

@@ -169,6 +169,16 @@ def test_spec_rejects_an_empty_criterion_list():
         small_spec(criteria=())
 
 
+def test_spec_rejects_a_fractional_replication_count():
+    with pytest.raises(ValueError, match="replications"):
+        small_spec(replications=2.5)
+
+
+def test_spec_rejects_a_fractional_nerm_group_size():
+    with pytest.raises(ValueError, match="nerm_group_size"):
+        small_spec(model_kind="nerm", nerm_group_size=4.0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown model kind"):
         small_spec(model_kind="arma")
