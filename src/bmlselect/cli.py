@@ -37,6 +37,7 @@ from .simulation import (
     CriterionSummary,
     ExperimentResult,
     ExperimentSpec,
+    resolve_workers,
     run_experiment,
 )
 
@@ -411,6 +412,12 @@ def _cmd_simulate(ns, cfg) -> int:
     if kind is not None:
         given["model_kind"] = "constant_variance" if kind == "identity" else kind
     spec = ExperimentSpec(**given)
+    cells = len(spec.cells())
+    print(
+        f"simulate: {cells} cells x {spec.replications} replications = "
+        f"{cells * spec.replications} replications on {resolve_workers()} workers",
+        file=sys.stderr,
+    )
     results = run_experiment(spec)
     meta = {
         "command": "simulate",

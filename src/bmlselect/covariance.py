@@ -19,7 +19,13 @@ Hyperparameters are estimated by deterministic plug-in rules: phi by
 profile maximum likelihood on the full model (grid scan, then golden
 section), lambda by maximizing each candidate's marginal likelihood with
 the variance estimate held fixed (Zellner in closed form, ridge by a grid
-scan, then a Newton root of the derivative from the fit's spectrum).
+scan, then a Newton root of the derivative from the fit's spectrum).  The
+prior terms and the lambda search take a batch fit as they take a single
+candidate: every formula is an array expression over the batch, and the
+ridge search scans the grid and runs its safeguarded Newton steps for the
+whole batch at once, masking each candidate out as it converges.  The grid
+scan holds one (candidates x grid points x p) array per step, so it runs
+over the batch in chunks of at most ``BATCH_ELEMENTS`` doubles.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ LAMBDA_BOUNDS = (1e-13, 1e8)
 LAMBDA_STEP_ATOL = 1e-12
 LAMBDA_SLOPE_RTOL = 8.0 * np.finfo(float).eps
 LAMBDA_MAX_STEPS = 100
+# Largest temporary array, in doubles, that one batched step may hold: the
+# lambda grid scan and the stacked candidate fits are chunked to it, which
+# bounds memory whatever the number of candidates.
+BATCH_ELEMENTS = 1 << 15
 PHI_AR1_BOUNDS = (-0.99, 0.99)
 PHI_NERM_BOUNDS = (0.0, 1e4)
 
@@ -107,8 +117,11 @@ class CovarianceSpec:
         if self.kind == "nerm":
             if not self.group_sizes:
                 raise CovarianceError("nerm covariance requires group_sizes")
-            sizes = tuple(int(s) for s in self.group_sizes)
-            if sizes != tuple(self.group_sizes) or min(sizes) < 1:
+            try:
+                sizes = tuple(int(s) for s in self.group_sizes)
+            except (TypeError, ValueError, OverflowError):
+                sizes = None
+            if sizes is None or sizes != tuple(self.group_sizes) or min(sizes) < 1:
                 raise CovarianceError(
                     f"nerm group sizes must be positive whole numbers, got {self.group_sizes}"
                 )
@@ -172,12 +185,13 @@ class CovarianceSpec:
         return self.kind
 
 
-def check_prior(kind: str, lam: float | None = None) -> None:
+def check_prior(kind: str, lam: float | np.ndarray | None = None) -> None:
     """Raise ``ValueError`` unless ``kind`` is a prior family and ``lam`` is
-    None (estimate it per candidate) or finite and positive."""
+    None (estimate it per candidate) or finite and positive (every entry,
+    for a batch)."""
     if kind not in PRIOR_KINDS:
         raise ValueError(f"unknown prior kind {kind!r}")
-    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
+    if lam is not None and not np.all(np.isfinite(lam) & np.greater(lam, 0.0)):
         raise ValueError(f"prior lambda must be positive, got {lam}")
 
 
@@ -186,7 +200,7 @@ def _read_factor(fit: "WhitenedFit", kind: str):
     d the eigenvalues of G and w2 = (P^t Q'y)^2; zellner s = ||Q'y||^2 alone."""
     if fit.r is None:
         raise ValueError("fit carries no QR factor for the prior terms to read")
-    return fit.spectrum if kind == "ridge" else float(fit.qty @ fit.qty)
+    return fit.spectrum if kind == "ridge" else np.sum(fit.qty * fit.qty, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -196,32 +210,35 @@ class PriorScale:
 
     ridge:    W = I_p / lambda.
     zellner:  W = (lambda G)^{-1}, the g-prior with g = 1 / lambda.
+
+    ``lam`` is one value, or one per candidate of a batch fit.
     """
 
     kind: str
-    lam: float
+    lam: float | np.ndarray
 
     def __post_init__(self):
-        check_prior(self.kind, float(self.lam))
+        check_prior(self.kind, self.lam)
 
-    def marginal_terms(self, fit: "WhitenedFit") -> tuple[float, float]:
+    def marginal_terms(self, fit: "WhitenedFit"):
         """(y'Ay, log|W G + I|): ridge y'Py + lambda sum w2 / (d + lambda) and
         sum log1p(d / lambda), zellner y'Py + s lambda / (1 + lambda) and p log1p(1 / lambda)."""
         lam, read = self.lam, _read_factor(fit, self.kind)
         if self.kind == "ridge":
             d, w2 = read
-            return fit.ypy + lam * float(np.sum(w2 / (d + lam))), float(np.sum(np.log1p(d / lam)))
-        return fit.ypy + read * lam / (1.0 + lam), fit.p * float(np.log1p(1.0 / lam))
+            col = np.expand_dims(lam, -1)
+            return fit.ypy + lam * np.sum(w2 / (d + col), axis=-1), np.sum(np.log1p(d / col), axis=-1)
+        return fit.ypy + read * lam / (1.0 + lam), fit.p * np.log1p(1.0 / lam)
 
-    def posterior_terms(self, fit: "WhitenedFit") -> tuple[float, float]:
+    def posterior_terms(self, fit: "WhitenedFit"):
         """(residual at beta~ = (G + W^{-1})^{-1} X'V^{-1}y, p_D): ridge y'Py +
         lambda^2 sum w2 / (d + lambda)^2 and sum d / (d + lambda), zellner
         y'Py + (lambda / (1 + lambda))^2 s and p / (1 + lambda)."""
         lam, read = self.lam, _read_factor(fit, self.kind)
         if self.kind == "ridge":
             d, w2 = read
-            dl = d + lam
-            return fit.ypy + lam * lam * float(np.sum(w2 / (dl * dl))), float(np.sum(d / dl))
+            dl = d + np.expand_dims(lam, -1)
+            return fit.ypy + lam * lam * np.sum(w2 / (dl * dl), axis=-1), np.sum(d / dl, axis=-1)
         shrink = lam / (1.0 + lam)
         return fit.ypy + shrink * shrink * read, fit.p / (1.0 + lam)
 
@@ -396,58 +413,75 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     return ScalarEstimate(float(phi_hat), bool(at_boundary))
 
 
-def _ridge_lambda(d: np.ndarray, w2: np.ndarray, sigma2: float) -> ScalarEstimate:
-    """Minimizer of f(t) = sum log1p(d / lambda) + lambda sum w2 / (d + lambda) / s2.
+def _ridge_lambda(d: np.ndarray, w2: np.ndarray, sigma2: float | np.ndarray) -> ScalarEstimate:
+    """Minimizer of f(t) = sum log1p(d / lambda) + lambda sum w2 / (d + lambda) / s2,
+    for one candidate or for each of a batch (leading axes of ``d``, ``w2``
+    and ``sigma2``).
 
     The grid argmin in t = log lambda picks the basin (a grid end whose
     slope points outward is the flagged bound), then a Newton step on f'(t)
     within the neighbouring cells, safeguarded by bisection, finds the root.
     It stops on the step size or a rounding-level f', never on rounded f.
+    Each candidate of a batch takes exactly the steps it would take alone.
     """
-    ratio = d * _INV_LAMBDA_GRID[:, None]
-    vals = np.add.reduce(np.log1p(ratio) + (w2 / sigma2) / (ratio + 1.0), axis=1)
-    k = int(np.argmin(vals))
-    if not np.isfinite(vals[k]):
-        raise LambdaEstimationError("lambda estimation failed: objective non-finite on the grid")
-    terms = list(zip(d.tolist(), w2.tolist()))
+    shape, p = np.shape(sigma2), d.shape[-1]
+    d, w2 = d.reshape(-1, p), w2.reshape(-1, p)
+    s2 = np.reshape(sigma2, (-1, 1))
+    best = np.empty(d.shape[0], dtype=np.intp)
+    chunk = max(1, BATCH_ELEMENTS // (LAMBDA_GRID_POINTS * p))
+    for start in range(0, d.shape[0], chunk):
+        part = slice(start, start + chunk)
+        ratio = d[part, None, :] * _INV_LAMBDA_GRID[:, None]
+        terms = np.log1p(ratio)
+        ratio += 1.0
+        terms += np.divide((w2[part] / s2[part])[:, None, :], ratio, out=ratio)
+        vals = np.add.reduce(terms, axis=2)
+        best[part] = np.argmin(vals, axis=1)
+        if not np.all(np.isfinite(vals[np.arange(vals.shape[0]), best[part]])):
+            raise LambdaEstimationError("lambda estimation failed: objective non-finite on the grid")
 
-    def slope(t):
-        # f'(t), f''(t) and the sum of |terms of f'|: plain floats, summed in index order.
-        lam = float(np.exp(t))
-        g = h = scale = 0.0
-        for di, wi in terms:
-            dl = di + lam
-            pen = di / dl
-            fit = lam * wi * pen / (sigma2 * dl)
-            g += fit - pen
-            h += (fit * (di - lam) + pen * lam) / dl
-            scale += fit + pen
-        return g, h, scale
+    def slope(t, rows):
+        # f'(t), f''(t) and the sum of |terms of f'| for the candidates in rows.
+        lam = np.exp(t)[:, None]
+        dr = d[rows]
+        dl = dr + lam
+        pen = dr / dl
+        fit = lam * w2[rows] * pen / (s2[rows] * dl)
+        h = np.add.reduce((fit * (dr - lam) + pen * lam) / dl, axis=1)
+        return np.add.reduce(fit - pen, axis=1), h, np.add.reduce(fit + pen, axis=1)
 
-    ts = _LOG_LAMBDA_GRID
-    t = float(ts[k])
-    g, h, _ = slope(t)
-    if (k == 0 and g >= 0.0) or (k == LAMBDA_GRID_POINTS - 1 and g <= 0.0):
-        return ScalarEstimate(float(_LAMBDA_GRID[k]), True)
+    ts, last = _LOG_LAMBDA_GRID, LAMBDA_GRID_POINTS - 1
+    t = ts[best]
+    g, h, _ = slope(t, slice(None))
+    bound = ((best == 0) & (g >= 0.0)) | ((best == last) & (g <= 0.0))
     # The slope at the lowest grid point says on which side the minimum
     # lies: [lo, hi] brackets a root of f' with f'(lo) <= 0 <= f'(hi).
-    lo, hi = (t, float(ts[k + 1])) if g < 0.0 else (float(ts[k - 1]), t)
+    down = g < 0.0
+    lo = np.where(down, t, ts[np.maximum(best - 1, 0)])
+    hi = np.where(down, ts[np.minimum(best + 1, last)], t)
+    live = np.flatnonzero(~bound)
     for _ in range(LAMBDA_MAX_STEPS):
-        t_new = t - g / h if h > 0.0 else hi
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t, step = t_new, t_new - t
-        if abs(step) <= LAMBDA_STEP_ATOL:
+        if live.size == 0:
             break
-        g, h, scale = slope(t)
-        if abs(g) <= LAMBDA_SLOPE_RTOL * scale:
-            break
-        lo, hi = (t, hi) if g < 0.0 else (lo, t)
-    return ScalarEstimate(float(np.exp(t)), False)
+        tl, gl, hl, lol, hil = t[live], g[live], h[live], lo[live], hi[live]
+        newton = hl > 0.0
+        t_new = np.where(newton, tl - gl / np.where(newton, hl, 1.0), hil)
+        t_new = np.where((lol < t_new) & (t_new < hil), t_new, 0.5 * (lol + hil))
+        t[live] = t_new
+        live = live[~(np.abs(t_new - tl) <= LAMBDA_STEP_ATOL)]
+        gl, hl, scale = slope(t[live], live)
+        g[live], h[live] = gl, hl
+        moving = ~(np.abs(gl) <= LAMBDA_SLOPE_RTOL * scale)
+        live, down = live[moving], gl[moving] < 0.0
+        lo[live] = np.where(down, t[live], lo[live])
+        hi[live] = np.where(down, hi[live], t[live])
+    lam = np.where(bound, _LAMBDA_GRID[best], np.exp(t))
+    return ScalarEstimate(lam.reshape(shape)[()], bound.reshape(shape)[()])
 
 
 def estimate_lambda(fit: "WhitenedFit", prior_kind: str = "ridge") -> ScalarEstimate:
-    """Empirical-Bayes estimate of the prior scale for one fitted candidate.
+    """Empirical-Bayes estimate of the prior scale for one fitted candidate,
+    or for each candidate of a batch fit (then both fields are arrays).
 
     Maximizes the candidate's marginal likelihood over lambda in
     ``LAMBDA_BOUNDS`` at the plug-in variance s2 = y'Py/n, flagging a value
@@ -462,12 +496,13 @@ def estimate_lambda(fit: "WhitenedFit", prior_kind: str = "ridge") -> ScalarEsti
     if known is not None:
         return ScalarEstimate(known.lam, False)
     sigma2 = fit.ypy / fit.n
-    if not sigma2 > 0.0:
+    if not np.all(sigma2 > 0.0):
         raise LambdaEstimationError("lambda estimation failed: zero residual variance")
     read = _read_factor(fit, prior_kind)
     if prior_kind == "ridge":
         return _ridge_lambda(*read, sigma2)
     excess = read - fit.p * sigma2
-    lam = fit.p * sigma2 / excess if excess > 0.0 else math.inf
-    clipped = min(max(lam, LAMBDA_BOUNDS[0]), LAMBDA_BOUNDS[1])
-    return ScalarEstimate(clipped, clipped != lam)
+    over = excess > 0.0
+    lam = np.where(over, fit.p * sigma2 / np.where(over, excess, 1.0), np.inf)
+    clipped = np.clip(lam, *LAMBDA_BOUNDS)
+    return ScalarEstimate(clipped[()], (clipped != lam)[()])

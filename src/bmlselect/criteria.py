@@ -8,16 +8,20 @@ likelihoods (``ic_pi1``, ``ic_r``), each with a large-n approximation
 
 Every criterion reads one fitted candidate and adds its own terms, left to
 right, to one shared likelihood term: :func:`_ml_term` or its REML twin.
+The formulas are array expressions, so a batch fit of same-size candidates
+(:func:`~bmlselect.model_core.gls_fit`) gets an array of scores from the
+same code that gives one candidate its score.  Every candidate of a batch
+shares p and n, so a penalty is undefined for the whole batch or for none.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .exceptions import DegenerateVarianceError, PenaltyUndefinedError
 from .model_core import WhitenedFit
 
-LOG_2PI = math.log(2.0 * math.pi)
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 # A residual sum of squares at or below this fraction of y'V^{-1}y is an
 # exact interpolation up to rounding; taking its log would be meaningless.
@@ -57,8 +61,9 @@ def check_names(names) -> tuple[str, ...]:
 
 
 def check_variance(fit: WhitenedFit) -> None:
-    """Raise when the residual variance is zero up to rounding."""
-    if fit.ypy <= DEGENERATE_RTOL * fit.yty:
+    """Raise when the residual variance of the candidate, or of any candidate
+    of a batch, is zero up to rounding."""
+    if np.any(fit.ypy <= DEGENERATE_RTOL * fit.yty):
         raise DegenerateVarianceError(
             f"degenerate variance: residual quadratic form is zero (p = {fit.p}, n = {fit.n})"
         )
@@ -79,14 +84,14 @@ def _require_dof(fit: WhitenedFit) -> None:
 def _ml_term(fit: WhitenedFit) -> float:
     """n (log 2 pi + log sigma2_hat) + log|V|, after the degeneracy check."""
     check_variance(fit)
-    return fit.n * (LOG_2PI + math.log(fit.sigma2_hat)) + fit.logdet_v
+    return fit.n * (LOG_2PI + np.log(fit.sigma2_hat)) + fit.logdet_v
 
 
 def _reml_term(fit: WhitenedFit) -> float:
     """(n - p)(log 2 pi + log sigma2_tilde) + log|V|, after the degeneracy check."""
     s2 = fit.sigma2_tilde  # a saturated fit raises here, before check_variance
     check_variance(fit)
-    return (fit.n - fit.p) * (LOG_2PI + math.log(s2)) + fit.logdet_v
+    return (fit.n - fit.p) * (LOG_2PI + np.log(s2)) + fit.logdet_v
 
 
 def neg2_log_marginal(fit: WhitenedFit) -> float:
@@ -122,12 +127,12 @@ def ic_pi1(fit: WhitenedFit) -> float:
 def ic_pi1_star(fit: WhitenedFit) -> float:
     """Large-n form of ic_pi1: the prior log-determinant becomes p log n."""
     _require_prior(fit)
-    return _ml_term(fit) + fit.p * math.log(fit.n) + 2.0 + fit.yay / fit.sigma2_hat
+    return _ml_term(fit) + fit.p * np.log(fit.n) + 2.0 + fit.yay / fit.sigma2_hat
 
 
 def ic_pi2(fit: WhitenedFit) -> float:
     """Prior-averaged criterion n log(2 pi s2) + log|V| + p log n + p."""
-    return _ml_term(fit) + fit.p * math.log(fit.n) + fit.p
+    return _ml_term(fit) + fit.p * np.log(fit.n) + fit.p
 
 
 def ic_r(fit: WhitenedFit) -> float:
@@ -141,12 +146,12 @@ def ic_r_star(fit: WhitenedFit) -> float:
     """Large-n form of ic_r with penalty p log n + (n-p)^2 / (n-p-2)."""
     _require_dof(fit)
     dof = fit.n - fit.p
-    return _reml_term(fit) + fit.p * math.log(fit.n) + dof * dof / (dof - 2.0)
+    return _reml_term(fit) + fit.p * np.log(fit.n) + dof * dof / (dof - 2.0)
 
 
 def ric(fit: WhitenedFit) -> float:
     """Residual information criterion: ic_r_star - (n + 2) + p log(2 pi s2~)."""
-    return ic_r_star(fit) - (fit.n + 2.0) + fit.p * (LOG_2PI + math.log(fit.sigma2_tilde))
+    return ic_r_star(fit) - (fit.n + 2.0) + fit.p * (LOG_2PI + np.log(fit.sigma2_tilde))
 
 
 def aic(fit: WhitenedFit) -> float:
@@ -156,7 +161,7 @@ def aic(fit: WhitenedFit) -> float:
 
 def bic(fit: WhitenedFit) -> float:
     """n log(2 pi s2) + log|V| + n + p log n."""
-    return _ml_term(fit) + fit.n + fit.p * math.log(fit.n)
+    return _ml_term(fit) + fit.n + fit.p * np.log(fit.n)
 
 
 def dic(fit: WhitenedFit) -> float:

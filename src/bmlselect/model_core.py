@@ -4,25 +4,31 @@ Every selection criterion reads one :class:`WhitenedFit` and nothing else:
 the quadratic forms y'Py and y'Ay, the log-determinants of V, of X'V^{-1}X
 and of W X'V^{-1}X + I, and the two variance estimates computed here.  The
 production path whitens the data once per error covariance (a Cholesky
-factor, or an O(n) recursion for AR(1)) and then factors each candidate's
-whitened design with exactly one QR and keeps R and Q'y, plus the SVD of R
-on demand (:attr:`WhitenedFit.spectrum`).  The prior terms read only these
+factor, or an O(n) recursion for AR(1)) and reduces the whitened [X y] to
+one (p_omega + 1) x (p_omega + 1) R factor, ``WhitenedData.r0``; no later
+step reads the n rows again.  A candidate with columns S is one small QR of
+R0[:, S + [y]], which yields its R factor, Q'y and y'Py (Furnival & Wilson
+1974); :func:`gls_fit` stacks a batch of same-size candidates into one such
+call, and the SVD of R (:attr:`WhitenedFit.spectrum`) is one batched call
+too.  Every field of a fit is then an array over the batch, and a single
+candidate is the batch of one with the batch axis dropped, so one set of
+formulas serves both.  The prior terms read only these
 (:class:`~bmlselect.covariance.PriorScale` holds their formulas), so the
 lambda search, the prior step (:meth:`WhitenedFit.with_prior`) and ``dic``
 factor nothing more; the n x n projection matrices are never formed (test
 oracles do form them).
 
-One rank rule, :func:`_full_rank_pivots`, judges every QR factor: a pivot
-below ``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
+One rank rule, :func:`_full_rank`, judges every QR factor: a pivot below
+``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
 marks the design as rank deficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import CovarianceSpec, PriorScale, make_whitener
 from .exceptions import SaturatedModelError, SingularDesignError
@@ -82,7 +88,8 @@ class Dataset:
         if not np.all(np.isfinite(x)):
             raise ValueError("x_full contains non-finite values")
         self.cov.check_size(y.shape[0])
-        _full_rank_pivots(np.linalg.qr(x, mode="r"), "full design matrix is rank deficient")
+        if not _full_rank(np.linalg.qr(x, mode="r")):
+            raise SingularDesignError("full design matrix is rank deficient")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x_full", x)
 
@@ -97,11 +104,19 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class WhitenedData:
-    """Design and response premultiplied by L^{-1} for V = L L^t."""
+    """Design and response premultiplied by L^{-1} for V = L L^t, and ``r0``,
+    the square R factor of the whitened [X y] that every candidate fit reads."""
 
     x: np.ndarray
     y: np.ndarray
     logdet_v: float
+    r0: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Zero rows leave R0'R0 = [X y]'[X y] as it is and make R0 square for any n.
+        width = self.x.shape[1] + 1
+        xy = np.vstack([np.column_stack([self.x, self.y]), np.zeros((width, width))])
+        object.__setattr__(self, "r0", np.linalg.qr(xy, mode="r"))
 
     @property
     def n(self) -> int:
@@ -114,29 +129,35 @@ class WhitenedData:
 
 @dataclass(frozen=True, eq=False)
 class WhitenedFit:
-    """Per-candidate GLS computation cache.
+    """GLS computation cache of one candidate, or of a batch of candidates
+    with the same number of columns ``p``.
 
     ``ypy`` is the GLS residual quadratic form y'Py; both variance estimates
-    derive from this one stored scalar.  ``yay`` and ``logdet_wxvx_plus_i``
+    derive from this one stored value.  ``yay`` and ``logdet_wxvx_plus_i``
     are present only once a prior scale was applied (:meth:`with_prior`).
     ``yty`` is the whitened total sum of squares y'V^{-1}y, kept for
     degeneracy checks.  ``r`` and ``qty`` are the candidate's QR factor R
     and Q'y, kept so that later steps never factor the columns again.
-    ``prior`` is the scale that :meth:`with_prior` applied.
+    ``prior`` is the scale that :meth:`with_prior` applied.  In a batch,
+    every per-candidate field has a leading batch axis (``yty``,
+    ``logdet_v``, ``p`` and ``n`` are shared), and ``kept`` holds the
+    positions, in the batch :func:`gls_fit` was given, of the candidates
+    the fit holds.
     """
 
     p: int
     n: int
     beta_hat: np.ndarray
-    ypy: float
+    ypy: float | np.ndarray
     yty: float
     logdet_v: float
-    logdet_xvx: float
-    yay: float | None = None
-    logdet_wxvx_plus_i: float | None = None
+    logdet_xvx: float | np.ndarray
+    yay: float | np.ndarray | None = None
+    logdet_wxvx_plus_i: float | np.ndarray | None = None
     r: np.ndarray | None = None
     qty: np.ndarray | None = None
     prior: PriorScale | None = None
+    kept: np.ndarray | None = None
     # Cache of ``spectrum``; a field, so that ``replace`` carries it along.
     _spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -156,7 +177,8 @@ class WhitenedFit:
         eigenvalues of G = X'V^{-1}X and w2 = (P^t Q'y)^2."""
         if self._spectrum is None:
             u, s, _ = np.linalg.svd(self.r)
-            object.__setattr__(self, "_spectrum", (s * s, (u.T @ self.qty) ** 2))
+            w = (np.swapaxes(u, -1, -2) @ self.qty[..., None])[..., 0]
+            object.__setattr__(self, "_spectrum", (s * s, w * w))
         return self._spectrum
 
     def with_prior(self, prior: PriorScale) -> "WhitenedFit":
@@ -166,18 +188,19 @@ class WhitenedFit:
         return replace(self, yay=yay, logdet_wxvx_plus_i=logdet, prior=prior)
 
 
-def _full_rank_pivots(r: np.ndarray, message: str) -> np.ndarray:
-    """|diag(R)| of a QR factor whose columns are linearly independent.
+def _full_rank(r: np.ndarray) -> np.ndarray:
+    """Whether the columns behind a QR factor (or each of a stack) are
+    linearly independent.
 
-    Raises ``SingularDesignError(message)`` when a pivot falls below
-    ``RANK_PIVOT_RTOL`` times the largest, or when R has more columns than
-    rows: ``diag`` then holds only min(n, p) pivots, and p > n columns are
-    dependent whatever those pivots are.
+    They are not when a pivot |diag(R)| falls below ``RANK_PIVOT_RTOL``
+    times the largest, or when R has more columns than rows: ``diag`` then
+    holds only min(n, p) pivots, and p > n columns are dependent whatever
+    those pivots are.  The empty set of columns counts as independent.
     """
-    rd = np.abs(np.diag(r))
-    if r.shape[1] > r.shape[0] or rd.max() == 0.0 or rd.min() < RANK_PIVOT_RTOL * rd.max():
-        raise SingularDesignError(message)
-    return rd
+    rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    top = rd.max(axis=-1, initial=0.0, keepdims=True)
+    independent = np.all((rd > 0.0) & (rd >= RANK_PIVOT_RTOL * top), axis=-1)
+    return independent & (r.shape[-1] <= r.shape[-2])
 
 
 def whiten(dataset: Dataset) -> WhitenedData:
@@ -192,37 +215,48 @@ def whiten(dataset: Dataset) -> WhitenedData:
     )
 
 
-def gls_fit(whitened: WhitenedData, model: CandidateModel) -> WhitenedFit:
-    """GLS fit of one candidate on whitened data, from one QR of its columns.
+def gls_fit(
+    whitened: WhitenedData, model: CandidateModel | Sequence[CandidateModel]
+) -> WhitenedFit:
+    """GLS fit of one candidate, or of a batch of same-size candidates.
 
+    ``model`` is a :class:`CandidateModel` or a sequence of them.  For the
+    columns S of each, one QR of R0[:, S + [y]] (``whitened.r0``) gives R,
+    Q'y and y'Py, the square of its last pivot; a batch stacks all of them
+    into one call.  A single rank-deficient candidate raises
+    ``SingularDesignError``; a batch fit drops such candidates and records
+    the positions of those it holds in ``kept``.
     :meth:`WhitenedFit.with_prior` adds the marginal-likelihood quantities.
     """
-    yt = whitened.y
-    n = whitened.n
-    yty = float(yt @ yt)
-    if model.indices and model.indices[-1] > whitened.p_omega:
+    single = isinstance(model, CandidateModel)
+    models = (model,) if single else tuple(model)
+    k, p_omega = models[0].p, whitened.p_omega
+    cols = np.array([m.indices for m in models], dtype=np.intp).reshape(len(models), k) - 1
+    if k and cols[:, -1].max() >= p_omega:
+        bad = models[int(np.argmax(cols[:, -1] >= p_omega))]
         raise ValueError(
-            f"candidate {model.label()} uses column {model.indices[-1]} "
-            f"but the design has {whitened.p_omega}"
+            f"candidate {bad.label()} uses column {bad.indices[-1]} "
+            f"but the design has {p_omega}"
         )
-    if model.p == 0:
-        # The QR of no columns: R is 0 x 0 and Q'y is empty, so every prior term is 0.
-        return WhitenedFit(p=0, n=n, beta_hat=np.zeros(0), ypy=yty, yty=yty,
-                           logdet_v=whitened.logdet_v, logdet_xvx=0.0,
-                           r=np.zeros((0, 0)), qty=np.zeros(0))
-    xj = whitened.x[:, model.zero_based]
-    q, r = np.linalg.qr(xj, mode="reduced")
-    rd = _full_rank_pivots(r, f"singular design for candidate {model.label()}")
-    c = q.T @ yt
+    stacked = whitened.r0[:, np.column_stack([cols, np.full(len(models), p_omega)])]
+    rf = np.linalg.qr(stacked.transpose(1, 0, 2), mode="r")
+    # Each R here is square whatever n is, so more columns than rows is k > n.
+    full = _full_rank(rf[:, :k, :k]) & (k <= whitened.n)
+    if single and not full[0]:
+        raise SingularDesignError(f"singular design for candidate {model.label()}")
+    take = 0 if single else np.flatnonzero(full)
+    rf = rf[take]
+    r, qty = rf[..., :k, :k], rf[..., :k, k]
+    rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     return WhitenedFit(
-        p=model.p,
-        n=n,
-        beta_hat=scipy.linalg.solve_triangular(r, c, lower=False, check_finite=False),
-        ypy=max(float(yty - c @ c), 0.0),
-        yty=yty,
+        p=k,
+        n=whitened.n,
+        beta_hat=np.linalg.solve(r, qty[..., None])[..., 0],
+        ypy=rf[..., k, k] ** 2,
+        yty=float(whitened.y @ whitened.y),
         logdet_v=whitened.logdet_v,
-        logdet_xvx=2.0 * float(np.sum(np.log(rd))),
+        logdet_xvx=2.0 * np.sum(np.log(rd), axis=-1),
         r=r,
-        qty=c,
+        qty=qty,
+        kept=None if single else take,
     )
-

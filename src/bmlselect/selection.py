@@ -1,4 +1,10 @@
-"""Exhaustive candidate enumeration, scoring, and argmin selection."""
+"""Exhaustive candidate enumeration, scoring, and argmin selection.
+
+:func:`score_candidates` is a batched all-subsets engine: it whitens the
+data and reduces it to one R factor once, then fits, estimates lambda for
+and scores the candidates of each size as stacked batches, so the work per
+candidate is array arithmetic rather than Python calls.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +14,19 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import covariance as _covariance
 from . import criteria as _criteria
-from .covariance import PriorScale, ScalarEstimate, check_prior, known_scale
-from .covariance import estimate_lambda, estimate_phi_full_model
+from .covariance import BATCH_ELEMENTS, PriorScale, ScalarEstimate, check_prior, known_scale
+from .covariance import estimate_phi_full_model
+# Importable from here for code that wraps the single-candidate lambda step;
+# fit_candidate reads the covariance module's function, which also takes batches.
+from .covariance import estimate_lambda  # noqa: F401
 from .exceptions import (
     CandidateExplosionError,
     DegenerateVarianceError,
     LambdaEstimationError,
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
-    SingularDesignError,
 )
 from .model_core import CandidateModel, Dataset, WhitenedData, WhitenedFit, gls_fit, whiten
 
@@ -48,19 +57,20 @@ class CandidateScores:
     model: CandidateModel
     scores: dict[str, float] = field(default_factory=dict)
     excluded: dict[str, str] = field(default_factory=dict)
-    beta_hat: np.ndarray | None = None
     lambda_hat: float | None = None
     lambda_at_boundary: bool = False
 
 
 @dataclass
 class ScoreTable:
-    """Every candidate's scores, ``rows`` in :func:`enumerate_candidates` order."""
+    """Every candidate's scores, ``rows`` in :func:`enumerate_candidates` order,
+    and the whitened data (at phi_hat) they were computed from."""
 
     rows: list[CandidateScores]
     criteria: tuple[str, ...]
     phi_hat: float | None = None
     phi_at_boundary: bool = False
+    whitened: WhitenedData | None = None
 
 
 @dataclass
@@ -109,11 +119,13 @@ def resolve_whitened(dataset: Dataset) -> tuple[WhitenedData, ScalarEstimate | N
 
 def fit_candidate(
     wd: WhitenedData,
-    cand: CandidateModel,
+    cand: CandidateModel | list[CandidateModel],
     options: SelectionOptions,
     needs_prior: bool,
 ) -> tuple[WhitenedFit, ScalarEstimate | None]:
-    """Fit one candidate, then estimate lambda on that fit, then apply the prior.
+    """Fit one candidate, or a batch of same-size candidates (see
+    :func:`~bmlselect.model_core.gls_fit`), then estimate lambda on that
+    fit, then apply the prior.
 
     Returns (fit, lambda_estimate); the fit records its prior scale, and the
     estimate is None where :func:`~bmlselect.covariance.known_scale` gives
@@ -124,9 +136,62 @@ def fit_candidate(
         return fit, None
     prior, est = known_scale(fit, options.prior_kind, options.lam), None
     if prior is None:
-        est = estimate_lambda(fit, options.prior_kind)
+        est = _covariance.estimate_lambda(fit, options.prior_kind)
         prior = PriorScale(options.prior_kind, est.value)
     return fit.with_prior(prior), est
+
+
+def _batches(rows: list[CandidateScores], p_omega: int):
+    """Runs of same-size rows in table order, each small enough that its
+    stacked (p_omega + 1) x (p + 1) QR inputs fit in ``BATCH_ELEMENTS``."""
+    for size, run in itertools.groupby(rows, key=lambda row: row.model.p):
+        run = list(run)
+        step = max(1, BATCH_ELEMENTS // ((p_omega + 1) * (size + 1)))
+        for lo in range(0, len(run), step):
+            yield run[lo : lo + step]
+
+
+def _score_batch(
+    wd: WhitenedData,
+    rows: list[CandidateScores],
+    criteria: tuple[str, ...],
+    options: SelectionOptions,
+    needs_prior: bool,
+) -> None:
+    """Fill the rows of one batch of same-size candidates.
+
+    Rank-deficient candidates are excluded for all criteria; a penalty that
+    is undefined at this size excludes its criterion for the whole batch.
+    A degenerate fit or a failed lambda search raises; the batch is then
+    scored again one candidate at a time so that the error names the first
+    candidate that fails.
+    """
+    try:
+        fit, lam_est = fit_candidate(wd, [row.model for row in rows], options, needs_prior)
+        scores = {}
+        for name in criteria:
+            try:
+                scores[name] = _criteria.score(name, fit).tolist()
+            except PenaltyUndefinedError:
+                pass
+    except (DegenerateVarianceError, LambdaEstimationError) as exc:
+        if len(rows) == 1:
+            raise type(exc)(f"candidate {rows[0].model.label()}: {exc}") from exc
+        for row in rows:
+            _score_batch(wd, [row], criteria, options, needs_prior)
+        raise
+    undefined = [name for name in criteria if name not in scores]
+    lam = None if lam_est is None else (lam_est.value.tolist(), lam_est.at_boundary.tolist())
+    held = {i: j for j, i in enumerate(fit.kept.tolist())}
+    for i, row in enumerate(rows):
+        j = held.get(i)
+        if j is None:
+            row.excluded = dict.fromkeys(criteria, "singular design")
+            continue
+        row.scores = {name: values[j] for name, values in scores.items()}
+        row.excluded = dict.fromkeys(undefined, "penalty undefined")
+        if lam is not None:
+            row.lambda_hat, row.lambda_at_boundary = lam[0][j], lam[1][j]
 
 
 def score_candidates(
@@ -144,29 +209,16 @@ def score_candidates(
     opts = options or SelectionOptions()
     wd, phi_est = resolve_whitened(dataset)
     needs_prior = _criteria.needs_prior(criteria)
-    rows: list[CandidateScores] = []
-    for cand in enumerate_candidates(dataset.p_omega, opts.include_null):
-        row = CandidateScores(model=cand)
-        rows.append(row)
-        try:
-            fit, lam_est = fit_candidate(wd, cand, opts, needs_prior)
-            if lam_est is not None:
-                row.lambda_hat, row.lambda_at_boundary = lam_est
-            row.beta_hat = fit.beta_hat
-            for name in criteria:
-                try:
-                    row.scores[name] = _criteria.score(name, fit)
-                except PenaltyUndefinedError:
-                    row.excluded[name] = "penalty undefined"
-        except SingularDesignError:
-            row.excluded = {name: "singular design" for name in criteria}
-        except (DegenerateVarianceError, LambdaEstimationError) as exc:
-            raise type(exc)(f"candidate {cand.label()}: {exc}") from exc
+    rows = [CandidateScores(model=cand)
+            for cand in enumerate_candidates(dataset.p_omega, opts.include_null)]
+    for batch in _batches(rows, dataset.p_omega):
+        _score_batch(wd, batch, criteria, opts, needs_prior)
     return ScoreTable(
         rows=rows,
         criteria=criteria,
         phi_hat=None if phi_est is None else phi_est.value,
         phi_at_boundary=False if phi_est is None else phi_est.at_boundary,
+        whitened=wd,
     )
 
 
@@ -220,13 +272,15 @@ def prediction_error(
     cov = dataset.cov
     if phi_hat is not None and cov.kind in ("ar1", "nerm"):
         cov = cov.with_phi(phi_hat)
-    fit = gls_fit(whiten(replace(dataset, cov=cov)), selected)
-    return _quadratic_loss(dataset.x_full, selected, fit.beta_hat, x_true @ beta_true)
+    return _quadratic_loss(whiten(replace(dataset, cov=cov)), dataset.x_full, selected,
+                           x_true @ beta_true)
 
 
 def _quadratic_loss(
-    x_full: np.ndarray, model: CandidateModel, beta_hat: np.ndarray, mu_true: np.ndarray
+    wd: WhitenedData, x_full: np.ndarray, model: CandidateModel, mu_true: np.ndarray
 ) -> float:
-    """||X_j beta_hat_j - mu*||^2 / n for candidate j's columns of ``x_full``."""
+    """||X_j beta_hat_j - mu*||^2 / n for candidate j's columns of ``x_full``,
+    with beta_hat_j the GLS fit of j on the whitened data ``wd``."""
+    beta_hat = gls_fit(wd, model).beta_hat
     diff = x_full[:, model.zero_based] @ beta_hat - mu_true if model.p else -mu_true
     return float(diff @ diff) / x_full.shape[0]

@@ -188,14 +188,12 @@ def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
             spec.criteria,
             SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null),
         )
-        beta_by_model = {row.model: row.beta_hat for row in table.rows}
         mu_true = truth.x_true @ truth.beta_true
-        out = {}
-        for name in spec.criteria:
-            best = report_from_table(table, name).selected
-            loss = _quadratic_loss(dataset.x_full, best, beta_by_model[best], mu_true)
-            out[name] = (best == truth.j_star, loss)
-        return out
+        best = {name: report_from_table(table, name).selected for name in spec.criteria}
+        # The loss refits each selected model once, from the table's whitened data.
+        loss = {m: _quadratic_loss(table.whitened, dataset.x_full, m, mu_true)
+                for m in set(best.values())}
+        return {name: (m == truth.j_star, loss[m]) for name, m in best.items()}
     except BmlselectError as exc:
         raise type(exc)(
             f"seed {spec.master_seed}, cell {cell.index} (n={cell.n}, snr={cell.snr}), "

@@ -228,6 +228,19 @@ def test_simulate_deterministic_across_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_announces_its_size_on_stderr(tmp_path, capsys, monkeypatch):
+    # One line before the run: cells, replications per cell, their product
+    # and the worker count; stdout and the CSV are as without it.
+    monkeypatch.setenv("BMLSELECT_THREADS", "1")
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--out", str(out), "--seed", "3", "--replications", "2",
+            "--n-grid", "20,30", "--snr-grid", "3", "--criterion", "bic"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "simulate: 2 cells x 2 replications = 4 replications on 1 workers\n"
+    assert captured.out == f"wrote {out}\n"
+
+
 def test_simulate_seed_echoed_when_defaulted(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(["simulate", "--out", str(out), "--replications", "2",

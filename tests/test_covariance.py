@@ -148,9 +148,12 @@ def test_nerm_whitener_is_bit_equal_to_the_dense_cholesky(sizes, phi):
     assert wh.logdet == 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
-@pytest.mark.parametrize("sizes", [(4.5, 3.5), (4, 2.5), (2, "2")], ids=str)
+@pytest.mark.parametrize(
+    "sizes", [(4.5, 3.5), (4, 2.5), (2, "2"), ("a",), (math.nan,), (math.inf,)], ids=str
+)
 def test_nerm_rejects_group_sizes_that_are_not_whole_numbers(sizes):
-    with pytest.raises(CovarianceError, match="whole numbers"):
+    # Sizes that int() cannot convert ("a", nan, inf) get the same error.
+    with pytest.raises(CovarianceError, match="positive whole numbers"):
         CovarianceSpec.nerm(sizes, 0.3)
 
 
@@ -304,6 +307,62 @@ def test_ridge_lambda_beats_every_grid_value():
         at_hat = neg2_log_marginal(fit.with_prior(PriorScale("ridge", est.value)))
         on_grid = min(neg2_log_marginal(fit.with_prior(PriorScale("ridge", lam))) for lam in grid)
         assert at_hat <= on_grid + 4 * EPS * abs(on_grid)
+
+
+def _ridge_lambda_loop(d, w2, sigma2):
+    """Reference: the one-candidate ridge search in plain Python floats, with
+    f' summed in index order, as it ran before the search took batches."""
+    from bmlselect.covariance import LAMBDA_MAX_STEPS, LAMBDA_SLOPE_RTOL, LAMBDA_STEP_ATOL
+
+    grid = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
+    ts = np.log(grid)
+    ratio = d * (1.0 / grid)[:, None]
+    vals = np.add.reduce(np.log1p(ratio) + (w2 / sigma2) / (ratio + 1.0), axis=1)
+    k = int(np.argmin(vals))
+    terms = list(zip(d.tolist(), w2.tolist()))
+
+    def slope(t):
+        lam = float(np.exp(t))
+        g = h = scale = 0.0
+        for di, wi in terms:
+            dl = di + lam
+            pen = di / dl
+            fit = lam * wi * pen / (sigma2 * dl)
+            g += fit - pen
+            h += (fit * (di - lam) + pen * lam) / dl
+            scale += fit + pen
+        return g, h, scale
+
+    t = float(ts[k])
+    g, h, _ = slope(t)
+    if (k == 0 and g >= 0.0) or (k == LAMBDA_GRID_POINTS - 1 and g <= 0.0):
+        return float(grid[k]), True
+    lo, hi = (t, float(ts[k + 1])) if g < 0.0 else (float(ts[k - 1]), t)
+    for _ in range(LAMBDA_MAX_STEPS):
+        t_new = t - g / h if h > 0.0 else hi
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        t, step = t_new, t_new - t
+        if abs(step) <= LAMBDA_STEP_ATOL:
+            break
+        g, h, scale = slope(t)
+        if abs(g) <= LAMBDA_SLOPE_RTOL * scale:
+            break
+        lo, hi = (t, hi) if g < 0.0 else (lo, t)
+    return float(np.exp(t)), False
+
+
+def test_ridge_lambda_matches_the_scalar_loop_reference():
+    # The batched search sums f' in numpy's order rather than index order,
+    # which moves each Newton iterate by rounding; both stop within
+    # LAMBDA_STEP_ATOL in log lambda of the same root, so lambda-hat agrees
+    # to a few times that, and the bound flags agree exactly.
+    for _, _, _, fit in _lambda_fits():
+        d, w2 = fit.spectrum
+        want, want_flag = _ridge_lambda_loop(d, w2, fit.sigma2_hat)
+        est = estimate_lambda(fit, "ridge")
+        assert bool(est.at_boundary) == want_flag
+        assert est.value == pytest.approx(want, rel=4 * 1e-12)
 
 
 def test_zellner_lambda_is_the_closed_form():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bmlselect import (
     CovarianceSpec,
     Dataset,
     DegenerateVarianceError,
+    PenaltyUndefinedError,
     PriorScale,
     SaturatedModelError,
     SingularDesignError,
@@ -178,6 +180,45 @@ def test_gls_fit_wide_candidate_is_singular_design():
         gls_fit(wd, CandidateModel((1, 2, 3, 4, 5, 6)))
     # as tall as wide is still a proper (saturated) fit
     assert gls_fit(wd, CandidateModel((1, 2, 3, 4, 5))).p == 5
+
+
+@pytest.mark.parametrize("prior_kind", ["ridge", "zellner"])
+def test_batch_fit_is_the_stack_of_single_fits(prior_kind):
+    # A batch runs the same arithmetic as its candidates one at a time: fit,
+    # lambda-hat, prior terms and every criterion agree bit for bit, and a
+    # rank-deficient member is dropped from the batch, not scored.
+    from bmlselect import WhitenedData, estimate_lambda, score
+    from bmlselect.criteria import CRITERION_NAMES
+
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((25, 5))
+    x[:, 4] = x[:, 0] - x[:, 2]
+    y = x[:, :2] @ np.array([1.0, -0.5]) + rng.standard_normal(25)
+    wd = WhitenedData(x=x, y=y, logdet_v=0.0)
+    for size in range(4):
+        models = [CandidateModel(c) for c in itertools.combinations(range(1, 6), size)]
+        batch = gls_fit(wd, models)
+        lam = estimate_lambda(batch, prior_kind)
+        batch = batch.with_prior(PriorScale(prior_kind, lam.value))
+        flags = np.broadcast_to(lam.at_boundary, batch.kept.shape)
+        singles = []
+        for i, model in enumerate(models):
+            try:
+                singles.append((i, gls_fit(wd, model)))
+            except SingularDesignError:
+                assert model.indices == (1, 3, 5)
+        assert batch.kept.tolist() == [i for i, _ in singles]
+        for j, (_, fit) in enumerate(singles):
+            est = estimate_lambda(fit, prior_kind)
+            assert (np.broadcast_to(lam.value, flags.shape)[j], flags[j]) == est
+            fit = fit.with_prior(PriorScale(prior_kind, est.value))
+            np.testing.assert_array_equal(batch.beta_hat[j], fit.beta_hat)
+            for name in CRITERION_NAMES:
+                try:
+                    want = score(name, fit)
+                except PenaltyUndefinedError:
+                    continue
+                assert score(name, batch)[j] == want, name
 
 
 def test_gls_fit_rejects_out_of_range_column():

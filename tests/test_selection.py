@@ -309,8 +309,10 @@ def test_score_candidates_fixed_lambda():
 
 
 def test_score_candidates_factors_each_candidate_once(monkeypatch):
-    # One QR per non-null candidate: the lambda search and the prior step
-    # read the fit's R factor instead of factoring the columns again.
+    # One QR of the whitened [X y], then one stacked QR per batch of
+    # same-size candidates (five sizes, 0 to 4, each one batch here): the
+    # lambda search and the prior step read the fits' R factors instead of
+    # factoring the columns again.
     ds = signal_dataset(11, n=30, p_omega=4, sigma=0.5)
     calls = []
     qr = np.linalg.qr
@@ -322,7 +324,7 @@ def test_score_candidates_factors_each_candidate_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     table = score_candidates(ds, ("ic_pi1", "bic"), SelectionOptions(prior_kind="ridge"))
     assert any(row.lambda_hat is not None for row in table.rows)
-    assert len(calls) == 2**4 - 1
+    assert len(calls) == 1 + 5
 
 
 def test_score_candidates_lambda_failure_names_candidate():

@@ -11,8 +11,10 @@ from bmlselect import (
     ExperimentSpec,
     SelectionOptions,
     generate_dataset,
+    gls_fit,
     run_experiment,
     score_candidates,
+    whiten,
 )
 from bmlselect.simulation import _run_replication, resolve_workers
 
@@ -96,7 +98,8 @@ def test_single_replication_matches_direct_computation():
     for name in spec.criteria:
         best = min(((row.scores[name], row.model.p, row.model.indices), row)
                    for row in table.rows if name in row.scores)[1]
-        mu_hat = ds.x_full[:, best.model.zero_based] @ best.beta_hat if best.model.p else 0.0
+        beta_hat = gls_fit(whiten(ds), best.model).beta_hat
+        mu_hat = ds.x_full[:, best.model.zero_based] @ beta_hat if best.model.p else 0.0
         pe = float(np.sum((mu_hat - truth.x_true @ truth.beta_true) ** 2)) / cell.n
         summary = result.by_criterion[name]
         assert summary.true_model_count == int(best.model == truth.j_star)
