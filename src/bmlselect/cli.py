@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import math
 import os
 import sys
 
@@ -26,6 +28,7 @@ from .exceptions import (
 )
 from .model_core import CandidateModel, Dataset
 from .selection import (
+    EXCLUSION_REASONS,
     SelectionOptions,
     fit_candidate,
     report_from_table,
@@ -314,12 +317,9 @@ def _cmd_select(ns, cfg) -> int:
     out_path = _writable(_require(_pick(ns.out, cfg, "out"), "--out"))
     data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
     table = score_candidates(dataset, criteria, options)
-
-    reports = {name: report_from_table(table, name) for name in criteria}
-    primary = reports[criteria[0]]
-    order = [(rank, model) for rank, (model, _) in enumerate(primary.ranked, start=1)]
-    order += [("", model) for model, _ in primary.excluded]
-    rows_by_model = {row.model: row for row in table.rows}
+    # Keep no report past its selection; the CSV reads the table row by row.
+    selected = {name: report_from_table(table, name).selected for name in criteria}
+    ranked, excluded = table.rank(criteria[0])
 
     with_lambda = needs_prior(criteria)
     meta = {
@@ -348,17 +348,23 @@ def _cmd_select(ns, cfg) -> int:
         head += list(criteria)
         head.append("excluded")
         writer.writerow(head)
-        for rank, model in order:
-            row = rows_by_model[model]
+        by_name = sorted(range(len(criteria)), key=criteria.__getitem__)
+        positions = itertools.chain(enumerate(ranked.tolist(), start=1),
+                                    (("", i) for i in excluded.tolist()))
+        for rank, i in positions:
+            model = table.candidates[i]
+            codes = table.exclusion[i].tolist()
             rec = [rank, model.label(), model.p]
             if with_lambda:
-                rec.append("" if row.lambda_hat is None else _fmt(row.lambda_hat))
-            for name in criteria:
-                rec.append(_fmt(row.scores[name]) if name in row.scores else "")
-            rec.append("; ".join(f"{k}: {v}" for k, v in sorted(row.excluded.items())))
+                lam = table.lambda_hat[i]
+                rec.append("" if math.isnan(lam) else _fmt(lam))
+            rec += ["" if code else _fmt(value)
+                    for value, code in zip(table.scores[i].tolist(), codes)]
+            rec.append("; ".join(f"{criteria[j]}: {EXCLUSION_REASONS[codes[j]]}"
+                                 for j in by_name if codes[j]))
             writer.writerow(rec)
     for name in criteria:
-        print(f"selected[{name}] = {reports[name].selected.label()}")
+        print(f"selected[{name}] = {selected[name].label()}")
     print(f"wrote {out_path}")
     return EXIT_OK
 

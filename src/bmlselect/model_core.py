@@ -42,14 +42,19 @@ RANK_PIVOT_RTOL = 1e-10
 class CandidateModel:
     """A candidate regression model: a subset of full-model columns.
 
-    Indices are 1-based (column 1 is the first predictor), strictly
-    increasing, and may be empty for the null model.
+    Indices are whole numbers, 1-based (column 1 is the first predictor),
+    strictly increasing, and may be empty for the null model.
     """
 
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(int(i) for i in self.indices)
+        except (TypeError, ValueError, OverflowError):
+            idx = None
+        if idx != tuple(self.indices):
+            raise ValueError(f"candidate indices must be whole numbers: {self.indices}")
         if any(b <= a for a, b in zip(idx, idx[1:])) or (idx and idx[0] < 1):
             raise ValueError(f"candidate indices must be strictly increasing and >= 1: {idx}")
         object.__setattr__(self, "indices", idx)
@@ -138,7 +143,8 @@ class WhitenedFit:
     ``yty`` is the whitened total sum of squares y'V^{-1}y, kept for
     degeneracy checks.  ``r`` and ``qty`` are the candidate's QR factor R
     and Q'y, kept so that later steps never factor the columns again.
-    ``prior`` is the scale that :meth:`with_prior` applied.  In a batch,
+    ``prior`` is the scale that :meth:`with_prior` applied; ``beta_hat``
+    is solved from ``r`` and ``qty`` only when read.  In a batch,
     every per-candidate field has a leading batch axis (``yty``,
     ``logdet_v``, ``p`` and ``n`` are shared), and ``kept`` holds the
     positions, in the batch :func:`gls_fit` was given, of the candidates
@@ -147,7 +153,6 @@ class WhitenedFit:
 
     p: int
     n: int
-    beta_hat: np.ndarray
     ypy: float | np.ndarray
     yty: float
     logdet_v: float
@@ -160,6 +165,10 @@ class WhitenedFit:
     kept: np.ndarray | None = None
     # Cache of ``spectrum``; a field, so that ``replace`` carries it along.
     _spectrum: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def beta_hat(self) -> np.ndarray:
+        return np.linalg.solve(self.r, self.qty[..., None])[..., 0]
 
     @property
     def sigma2_hat(self) -> float:
@@ -251,7 +260,6 @@ def gls_fit(
     return WhitenedFit(
         p=k,
         n=whitened.n,
-        beta_hat=np.linalg.solve(r, qty[..., None])[..., 0],
         ypy=rf[..., k, k] ** 2,
         yty=float(whitened.y @ whitened.y),
         logdet_v=whitened.logdet_v,

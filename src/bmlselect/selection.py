@@ -3,14 +3,17 @@
 :func:`score_candidates` is a batched all-subsets engine: it whitens the
 data and reduces it to one R factor once, then fits, estimates lambda for
 and scores the candidates of each size as stacked batches, so the work per
-candidate is array arithmetic rather than Python calls.
+candidate is array arithmetic rather than Python calls.  Each batch writes
+straight into the (candidates x criteria) arrays of a :class:`ScoreTable`.
+:meth:`ScoreTable.rank`, a stable sort of one criterion's admissible scores,
+is the one ranking; :func:`report_from_table` and the CLI's CSV writer both
+read it.  ``ScoreTable.rows`` is a per-candidate view for the benchmark only.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,27 +53,66 @@ class SelectionOptions:
         check_prior(self.prior_kind, self.lam)
 
 
-@dataclass
+EXCLUSION_REASONS = ("", "singular design", "penalty undefined")
+_SINGULAR, _UNDEFINED = 1, 2
+
+
+@dataclass(frozen=True)
 class CandidateScores:
-    """One scored candidate: criterion values plus per-criterion exclusions."""
+    """One candidate of the :attr:`ScoreTable.rows` view."""
 
     model: CandidateModel
-    scores: dict[str, float] = field(default_factory=dict)
-    excluded: dict[str, str] = field(default_factory=dict)
-    lambda_hat: float | None = None
-    lambda_at_boundary: bool = False
+    scores: dict[str, float]
+    excluded: dict[str, str]
+    lambda_hat: float | None
+    lambda_at_boundary: bool
 
 
 @dataclass
 class ScoreTable:
-    """Every candidate's scores, ``rows`` in :func:`enumerate_candidates` order,
-    and the whitened data (at phi_hat) they were computed from."""
+    """Every candidate's scores, in :func:`enumerate_candidates` order, and the
+    whitened data (at phi_hat) they were computed from.  ``scores[i, j]`` is
+    ``candidates[i]``'s ``criteria[j]`` where the code ``exclusion[i, j]`` is 0;
+    ``EXCLUSION_REASONS`` decodes any other code.  ``lambda_hat`` is NaN where
+    no scale was estimated."""
 
-    rows: list[CandidateScores]
+    candidates: list[CandidateModel]
     criteria: tuple[str, ...]
+    scores: np.ndarray
+    exclusion: np.ndarray
+    lambda_hat: np.ndarray
+    lambda_at_boundary: np.ndarray
     phi_hat: float | None = None
     phi_at_boundary: bool = False
     whitened: WhitenedData | None = None
+
+    def rank(self, criterion: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ranked, excluded) positions for ``criterion``: the admissible ones
+        ascending in score, ties and the excluded ones in candidate order."""
+        if criterion not in self.criteria:
+            raise ValueError(f"criterion {criterion!r} is not among the table's {self.criteria}")
+        j = self.criteria.index(criterion)
+        admissible = np.flatnonzero(self.exclusion[:, j] == 0)
+        ranked = admissible[np.argsort(self.scores[admissible, j], kind="stable")]
+        return ranked, np.flatnonzero(self.exclusion[:, j])
+
+    @property
+    def rows(self) -> list[CandidateScores]:
+        """Per-candidate records built from the arrays on each read.  Only the
+        benchmark reads them; the view goes with the next benchmark change."""
+        rows = []
+        for i, model in enumerate(self.candidates):
+            codes = self.exclusion[i].tolist()
+            named = list(zip(self.criteria, self.scores[i].tolist(), codes))
+            lam = float(self.lambda_hat[i])
+            rows.append(CandidateScores(
+                model=model,
+                scores={name: value for name, value, code in named if not code},
+                excluded={name: EXCLUSION_REASONS[code] for name, _, code in named if code},
+                lambda_hat=None if np.isnan(lam) else lam,
+                lambda_at_boundary=bool(self.lambda_at_boundary[i]),
+            ))
+        return rows
 
 
 @dataclass
@@ -141,57 +183,36 @@ def fit_candidate(
     return fit.with_prior(prior), est
 
 
-def _batches(rows: list[CandidateScores], p_omega: int):
-    """Runs of same-size rows in table order, each small enough that its
-    stacked (p_omega + 1) x (p + 1) QR inputs fit in ``BATCH_ELEMENTS``."""
-    for size, run in itertools.groupby(rows, key=lambda row: row.model.p):
-        run = list(run)
-        step = max(1, BATCH_ELEMENTS // ((p_omega + 1) * (size + 1)))
-        for lo in range(0, len(run), step):
-            yield run[lo : lo + step]
+def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> None:
+    """Score one batch of same-size candidates from ``table.whitened`` into
+    ``table`` at the batch's positions.
 
-
-def _score_batch(
-    wd: WhitenedData,
-    rows: list[CandidateScores],
-    criteria: tuple[str, ...],
-    options: SelectionOptions,
-    needs_prior: bool,
-) -> None:
-    """Fill the rows of one batch of same-size candidates.
-
-    Rank-deficient candidates are excluded for all criteria; a penalty that
-    is undefined at this size excludes its criterion for the whole batch.
-    A degenerate fit or a failed lambda search raises; the batch is then
-    scored again one candidate at a time so that the error names the first
-    candidate that fails.
+    Rank-deficient candidates keep the "singular design" code the table
+    starts with; a penalty that is undefined at this size excludes its
+    criterion for the whole batch.  A degenerate fit or a failed lambda
+    search raises; the batch is then scored again one position at a time,
+    so that the error names the first candidate that fails.
     """
+    models = table.candidates[batch]
     try:
-        fit, lam_est = fit_candidate(wd, [row.model for row in rows], options, needs_prior)
-        scores = {}
-        for name in criteria:
+        fit, lam_est = fit_candidate(table.whitened, models, options,
+                                     _criteria.needs_prior(table.criteria))
+        held = batch.start + fit.kept
+        table.exclusion[held] = 0
+        for j, name in enumerate(table.criteria):
             try:
-                scores[name] = _criteria.score(name, fit).tolist()
+                table.scores[held, j] = _criteria.score(name, fit)
             except PenaltyUndefinedError:
-                pass
+                table.exclusion[held, j] = _UNDEFINED
     except (DegenerateVarianceError, LambdaEstimationError) as exc:
-        if len(rows) == 1:
-            raise type(exc)(f"candidate {rows[0].model.label()}: {exc}") from exc
-        for row in rows:
-            _score_batch(wd, [row], criteria, options, needs_prior)
+        if len(models) == 1:
+            raise type(exc)(f"candidate {models[0].label()}: {exc}") from exc
+        for i in range(batch.start, batch.stop):
+            _score_batch(table, slice(i, i + 1), options)
         raise
-    undefined = [name for name in criteria if name not in scores]
-    lam = None if lam_est is None else (lam_est.value.tolist(), lam_est.at_boundary.tolist())
-    held = {i: j for j, i in enumerate(fit.kept.tolist())}
-    for i, row in enumerate(rows):
-        j = held.get(i)
-        if j is None:
-            row.excluded = dict.fromkeys(criteria, "singular design")
-            continue
-        row.scores = {name: values[j] for name, values in scores.items()}
-        row.excluded = dict.fromkeys(undefined, "penalty undefined")
-        if lam is not None:
-            row.lambda_hat, row.lambda_at_boundary = lam[0][j], lam[1][j]
+    if lam_est is not None:
+        table.lambda_hat[held] = lam_est.value
+        table.lambda_at_boundary[held] = lam_est.at_boundary
 
 
 def score_candidates(
@@ -208,36 +229,44 @@ def score_candidates(
     criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
     wd, phi_est = resolve_whitened(dataset)
-    needs_prior = _criteria.needs_prior(criteria)
-    rows = [CandidateScores(model=cand)
-            for cand in enumerate_candidates(dataset.p_omega, opts.include_null)]
-    for batch in _batches(rows, dataset.p_omega):
-        _score_batch(wd, batch, criteria, opts, needs_prior)
-    return ScoreTable(
-        rows=rows,
+    candidates = enumerate_candidates(dataset.p_omega, opts.include_null)
+    m = len(candidates)
+    table = ScoreTable(
+        candidates=candidates,
         criteria=criteria,
+        scores=np.full((m, len(criteria)), np.nan),
+        exclusion=np.full((m, len(criteria)), _SINGULAR, dtype=np.int8),
+        lambda_hat=np.full(m, np.nan),
+        lambda_at_boundary=np.zeros(m, dtype=bool),
         phi_hat=None if phi_est is None else phi_est.value,
         phi_at_boundary=False if phi_est is None else phi_est.at_boundary,
         whitened=wd,
     )
+    # Each size is a run of positions, scored in batches whose stacked
+    # (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
+    start = 0
+    for size, run in itertools.groupby(candidates, key=lambda cand: cand.p):
+        stop = start + sum(1 for _ in run)
+        step = max(1, BATCH_ELEMENTS // ((dataset.p_omega + 1) * (size + 1)))
+        for lo in range(start, stop, step):
+            _score_batch(table, slice(lo, min(lo + step, stop)), opts)
+        start = stop
+    return table
 
 
 def report_from_table(table: ScoreTable, criterion: str) -> SelectionReport:
-    """Build the single-criterion report; a stable sort keeps ties in table order."""
-    scored = [
-        (row.model, row.scores[criterion]) for row in table.rows if criterion in row.scores
-    ]
-    excluded = [
-        (row.model, row.excluded[criterion]) for row in table.rows if criterion in row.excluded
-    ]
-    if not scored:
+    """Build the single-criterion report from :meth:`ScoreTable.rank`."""
+    ranked, excluded = table.rank(criterion)
+    if not ranked.size:
         raise NoAdmissibleCandidateError(f"no admissible candidate for {criterion}")
-    ranked = sorted(scored, key=itemgetter(1))
+    j = table.criteria.index(criterion)
+    cands = table.candidates
     return SelectionReport(
         criterion=criterion,
-        ranked=ranked,
-        selected=ranked[0][0],
-        excluded=excluded,
+        ranked=list(zip([cands[i] for i in ranked.tolist()], table.scores[ranked, j].tolist())),
+        selected=cands[ranked[0]],
+        excluded=[(cands[i], EXCLUSION_REASONS[code])
+                  for i, code in zip(excluded.tolist(), table.exclusion[excluded, j].tolist())],
         phi_hat=table.phi_hat,
         phi_at_boundary=table.phi_at_boundary,
     )

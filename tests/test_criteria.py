@@ -121,7 +121,7 @@ def test_no_criterion_reaches_the_saturated_model_error(n):
     # n - p - 2 first, so a score is a float or PenaltyUndefinedError.
     for p in range(n - 3, n + 3):
         fit = WhitenedFit(
-            p=p, n=n, beta_hat=np.zeros(p), ypy=1.0, yty=4.0, logdet_v=0.0,
+            p=p, n=n, ypy=1.0, yty=4.0, logdet_v=0.0,
             logdet_xvx=0.0, r=np.eye(p), qty=np.ones(p),
         ).with_prior(PriorScale("zellner", 1.0))
         for name in CRITERION_NAMES:
@@ -182,7 +182,7 @@ def test_ic_pi1_star_null_model():
 
 
 def test_ic_pi2_hand_value():
-    fit = WhitenedFit(p=2, n=10, beta_hat=np.zeros(2), ypy=10.0, yty=40.0,
+    fit = WhitenedFit(p=2, n=10, ypy=10.0, yty=40.0,
                       logdet_v=0.0, logdet_xvx=1.0)
     assert fit.sigma2_hat == 1.0
     assert ic_pi2(fit) == pytest.approx(24.983940850081545, abs=1e-12)
@@ -221,9 +221,9 @@ def test_aic_minus_bic_hand_value():
 
 
 def test_bic_orders_nested_equal_variance_fits_by_p():
-    fit2 = WhitenedFit(p=2, n=30, beta_hat=np.zeros(2), ypy=12.0, yty=50.0,
+    fit2 = WhitenedFit(p=2, n=30, ypy=12.0, yty=50.0,
                        logdet_v=0.0, logdet_xvx=0.0)
-    fit4 = WhitenedFit(p=4, n=30, beta_hat=np.zeros(4), ypy=12.0, yty=50.0,
+    fit4 = WhitenedFit(p=4, n=30, ypy=12.0, yty=50.0,
                        logdet_v=0.0, logdet_xvx=0.0)
     assert bic(fit2) < bic(fit4)
     assert ic_pi2(fit2) < ic_pi2(fit4)
@@ -360,7 +360,7 @@ def test_selected_model_invariant_under_rescaling():
 
 
 def test_degenerate_variance_raises_in_criteria():
-    fit = WhitenedFit(p=1, n=6, beta_hat=np.ones(1), ypy=0.0, yty=30.0,
+    fit = WhitenedFit(p=1, n=6, ypy=0.0, yty=30.0,
                       logdet_v=0.0, logdet_xvx=0.0, yay=0.0, logdet_wxvx_plus_i=0.0)
     for crit in (aic, bic, ic_pi2, ml):
         with pytest.raises(DegenerateVarianceError):

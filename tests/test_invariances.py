@@ -30,6 +30,7 @@ from bmlselect import (
     score_candidates,
     whiten,
 )
+from bmlselect import covariance, selection
 from bmlselect.covariance import LAMBDA_BOUNDS
 from bmlselect.criteria import DEGENERATE_RTOL, aic
 from bmlselect.model_core import RANK_PIVOT_RTOL
@@ -269,3 +270,26 @@ def test_lambda_lands_on_each_bound_with_its_flag(end, prior_kind):
     assert row.lambda_at_boundary
     assert row.lambda_hat == pytest.approx(bound, rel=1e-12)
     assert all(math.isfinite(v) for v in row.scores.values())
+
+
+# ---------------------------------------------------------------------------
+# Batch splitting
+# ---------------------------------------------------------------------------
+
+
+def test_a_size_split_into_many_batches_scores_the_same_table(monkeypatch):
+    # The golden designs never split a size into several batches.  A 64-element
+    # budget splits every size here, so each batch must write its scores,
+    # exclusions and lambda-hat at its own positions; n = 10 makes the
+    # penalty undefined for p = 8, and the estimated ar1 phi feeds every size.
+    x, y = _design(29, 10, 8, 1.0)
+    ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.ar1(None))
+    whole = score_candidates(ds, CRITERION_NAMES)
+    monkeypatch.setattr(selection, "BATCH_ELEMENTS", 64)
+    monkeypatch.setattr(covariance, "BATCH_ELEMENTS", 64)
+    split = score_candidates(ds, CRITERION_NAMES)
+    assert len(split.candidates) == 256 and split.exclusion.any()
+    assert split.phi_hat == whole.phi_hat
+    for name in ("scores", "exclusion", "lambda_hat", "lambda_at_boundary"):
+        np.testing.assert_array_equal(getattr(split, name), getattr(whole, name), err_msg=name)
+

@@ -377,6 +377,10 @@ def test_candidate_model_validation():
         CandidateModel((0, 1))
     with pytest.raises(ValueError):
         CandidateModel((1, 1))
+    for bad in ((1.7, 2.2), ("2",), (1, math.inf), (None,)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            CandidateModel(bad)
+    assert CandidateModel(np.array([1, 3])).indices == (1, 3)
     m = CandidateModel((1, 3, 5))
     assert m.p == 3
     assert m.zero_based == (0, 2, 4)

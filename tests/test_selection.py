@@ -20,8 +20,24 @@ from bmlselect import (
     score_candidates,
     select,
 )
-from bmlselect.selection import CandidateScores, ScoreTable, report_from_table
+from bmlselect.selection import EXCLUSION_REASONS, ScoreTable, report_from_table
 from dense_oracle import dense_v, gls_beta, random_spd
+
+
+def bic_table(candidates, entries):
+    """A hand-built score table of one criterion, "bic": each entry is the
+    candidate's score, or the reason it was excluded."""
+    m = len(candidates)
+    excluded = [isinstance(e, str) for e in entries]
+    return ScoreTable(
+        candidates=candidates,
+        criteria=("bic",),
+        scores=np.array([[math.nan if x else e] for e, x in zip(entries, excluded)]),
+        exclusion=np.array([[EXCLUSION_REASONS.index(e) if x else 0]
+                            for e, x in zip(entries, excluded)], dtype=np.int8),
+        lambda_hat=np.full(m, math.nan),
+        lambda_at_boundary=np.zeros(m, dtype=bool),
+    )
 
 
 def signal_dataset(seed, n=50, p_omega=4, true=(1, 2), sigma=1e-6):
@@ -124,28 +140,22 @@ def test_duplicate_column_exclusion_preserves_selection():
     base = signal_dataset(4, n=40, p_omega=3, true=(1, 2), sigma=0.1)
     baseline = select(base, "bic").selected.indices
     x_dup = np.column_stack([base.x_full, base.x_full[:, 0]])
-    # duplicate-bearing dataset: full design is singular, so construct the
-    # score table from whitened data via options on a trimmed Dataset
-    from bmlselect.model_core import WhitenedData
-    from bmlselect.selection import report_from_table, ScoreTable
+    # duplicate-bearing dataset: the full design is singular, so build the
+    # score table by hand from fits on the whitened data
     from bmlselect import gls_fit
     import bmlselect.criteria as crit_mod
+    from bmlselect.exceptions import SingularDesignError
+    from bmlselect.model_core import WhitenedData
 
     wd = WhitenedData(x=x_dup, y=base.y, logdet_v=0.0)
-    rows = []
-    from bmlselect.selection import CandidateScores
-    from bmlselect.exceptions import SingularDesignError
-
-    for model in enumerate_candidates(4):
-        row = CandidateScores(model=model)
+    candidates = enumerate_candidates(4)
+    entries = []
+    for model in candidates:
         try:
-            fit = gls_fit(wd, model)
-            row.scores["bic"] = crit_mod.bic(fit)
-            row.beta_hat = fit.beta_hat
+            entries.append(crit_mod.bic(gls_fit(wd, model)))
         except SingularDesignError:
-            row.excluded["bic"] = "singular design"
-        rows.append(row)
-    table = ScoreTable(rows=rows, criteria=("bic",))
+            entries.append("singular design")
+    table = bic_table(candidates, entries)
     report = report_from_table(table, "bic")
     assert {m.indices for m, r in report.excluded if r == "singular design"} == {
         (1, 4), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4)
@@ -384,15 +394,20 @@ def test_report_ranks_by_score_then_size_then_indices(data):
         label="values",
     )
     assume(any(v is not None for v in values))
-    rows = [
-        CandidateScores(model=m, scores={"bic": v}) if v is not None
-        else CandidateScores(model=m, excluded={"bic": "penalty undefined"})
-        for m, v in zip(candidates, values)
-    ]
-    report = report_from_table(ScoreTable(rows=rows, criteria=("bic",)), "bic")
+    entries = ["penalty undefined" if v is None else v for v in values]
+    report = report_from_table(bic_table(candidates, entries), "bic")
     scored = [(m, v) for m, v in zip(candidates, values) if v is not None]
     expect = sorted(scored, key=lambda ms: (ms[1], len(ms[0].indices), ms[0].indices))
     assert report.ranked == expect
     assert report.selected == expect[0][0]
     assert report.excluded == [(m, "penalty undefined")
                                for m, v in zip(candidates, values) if v is None]
+
+
+@pytest.mark.parametrize("name", ["aic", "bogus"])
+def test_report_on_a_criterion_the_table_lacks_is_a_caller_error(name):
+    # Not a numeric failure: the table was never scored for that criterion.
+    table = score_candidates(signal_dataset(2), ("bic",))
+    message = f"criterion '{name}' is not among the table's ('bic',)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        report_from_table(table, name)
