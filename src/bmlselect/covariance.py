@@ -8,8 +8,8 @@ point from a :class:`CovarianceSpec` to an operator: it holds the only
 dispatch on the spec's kind and returns the action of L^{-1} for the
 Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
 AR(1) operator runs in O(n) via the innovations recursion instead of a
-dense factorization, and the nested-error V is built from the group labels
-in one pass.
+dense factorization, and serves identity as the recursion at phi = 0; the
+nested-error V is built from the group labels in one pass.
 
 The coefficient prior N(0, sigma^2 W) comes in two families, ridge and
 Zellner, and only this module knows them: the prior check, the terms a
@@ -257,18 +257,9 @@ def known_scale(fit: "WhitenedFit", kind: str, lam: float | None) -> PriorScale 
 # ---------------------------------------------------------------------------
 
 
-class _IdentityWhitener:
-    logdet = 0.0
-
-    def whiten(self, b):
-        return np.array(b, dtype=float)
-
-    def color(self, w):
-        return np.array(w, dtype=float)
-
-
 class _Ar1Whitener:
-    """O(n) whitening for the stationary AR(1) correlation matrix."""
+    """O(n) whitening for the stationary AR(1) correlation matrix; at phi = 0
+    the recursion returns its input, so it is the identity whitener too."""
 
     def __init__(self, phi: float, n: int):
         self.phi = float(phi)
@@ -317,10 +308,8 @@ def make_whitener(spec: CovarianceSpec, n: int):
             f"{spec.kind} covariance has phi unknown; run estimate_phi_full_model first"
         )
     spec.check_size(n)
-    if spec.kind == "identity":
-        return _IdentityWhitener()
-    if spec.kind == "ar1":
-        return _Ar1Whitener(spec.phi, n)
+    if spec.kind in ("identity", "ar1"):  # V = I is the AR(1) matrix at phi = 0
+        return _Ar1Whitener(0.0 if spec.phi is None else spec.phi, n)
     if spec.kind == "custom":
         return _CholeskyWhitener(spec.matrix)
     group = np.repeat(np.arange(len(spec.group_sizes)), spec.group_sizes)

@@ -6,8 +6,9 @@ and scores the candidates of each size as stacked batches, so the work per
 candidate is array arithmetic rather than Python calls.  Each batch writes
 straight into the (candidates x criteria) arrays of a :class:`ScoreTable`.
 :meth:`ScoreTable.rank`, a stable sort of one criterion's admissible scores,
-is the one ranking; :func:`report_from_table` and the CLI's CSV writer both
-read it.  ``ScoreTable.rows`` is a per-candidate view for the benchmark only.
+is the one ranking: :func:`report_from_table` takes its first position as the
+selection, and the CLI's CSV writer reads it whole.  ``ScoreTable.rows`` is a
+per-candidate view for the benchmark only.
 """
 
 from __future__ import annotations
@@ -117,18 +118,13 @@ class ScoreTable:
 
 @dataclass
 class SelectionReport:
-    """Selection outcome for one criterion.
-
-    ``ranked`` is ascending in score, ties in candidate order (fewer columns,
-    then lexicographic indices); ``selected`` is its first entry; candidates
-    that could not be scored appear in ``excluded``, in candidate order, with
-    a reason.
+    """Selection outcome for one criterion: the candidate that
+    :meth:`ScoreTable.rank` puts first, and phi_hat.  The report carries only
+    the selection; the full ranking and the exclusions stay in the table.
     """
 
     criterion: str
-    ranked: list[tuple[CandidateModel, float]]
     selected: CandidateModel
-    excluded: list[tuple[CandidateModel, str]]
     phi_hat: float | None = None
     phi_at_boundary: bool = False
 
@@ -256,17 +252,12 @@ def score_candidates(
 
 def report_from_table(table: ScoreTable, criterion: str) -> SelectionReport:
     """Build the single-criterion report from :meth:`ScoreTable.rank`."""
-    ranked, excluded = table.rank(criterion)
+    ranked, _ = table.rank(criterion)
     if not ranked.size:
         raise NoAdmissibleCandidateError(f"no admissible candidate for {criterion}")
-    j = table.criteria.index(criterion)
-    cands = table.candidates
     return SelectionReport(
         criterion=criterion,
-        ranked=list(zip([cands[i] for i in ranked.tolist()], table.scores[ranked, j].tolist())),
-        selected=cands[ranked[0]],
-        excluded=[(cands[i], EXCLUSION_REASONS[code])
-                  for i, code in zip(excluded.tolist(), table.exclusion[excluded, j].tolist())],
+        selected=table.candidates[ranked[0]],
         phi_hat=table.phi_hat,
         phi_at_boundary=table.phi_at_boundary,
     )
@@ -311,5 +302,5 @@ def _quadratic_loss(
     """||X_j beta_hat_j - mu*||^2 / n for candidate j's columns of ``x_full``,
     with beta_hat_j the GLS fit of j on the whitened data ``wd``."""
     beta_hat = gls_fit(wd, model).beta_hat
-    diff = x_full[:, model.zero_based] @ beta_hat - mu_true if model.p else -mu_true
+    diff = x_full[:, list(model.zero_based)] @ beta_hat - mu_true
     return float(diff @ diff) / x_full.shape[0]

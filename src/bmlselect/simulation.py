@@ -80,6 +80,10 @@ class ExperimentSpec:
         bad_snr = [s for s in snr_grid if not (math.isfinite(s) and s > 0)]
         if bad_snr:
             raise ValueError(f"snr_grid values must be finite and positive, got {bad_snr}")
+        # An empty grid writes no result row; a repeated value, rows no reader tells apart.
+        for name, grid in (("n_grid", self.n_grid), ("snr_grid", snr_grid)):
+            if not grid or len(set(grid)) < len(grid):
+                raise ValueError(f"{name} must hold at least one value, none repeated, got {grid}")
         if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
             raise ValueError("master_seed must be a non-negative integer")
         if not isinstance(self.nerm_group_size, Integral) or self.nerm_group_size < 1:
@@ -201,10 +205,6 @@ def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
         ) from exc
 
 
-def _replication_task(args):
-    return _run_replication(*args)
-
-
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: requested or cpu_count, capped by BMLSELECT_THREADS."""
     workers = requested if requested is not None else (os.cpu_count() or 1)
@@ -225,7 +225,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Exp
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with get_context("fork").Pool(processes=workers) as pool:
-            outcomes = pool.map(_replication_task, tasks, chunksize=chunk)
+            outcomes = pool.starmap(_run_replication, tasks, chunksize=chunk)
     else:
         outcomes = [_run_replication(*task) for task in tasks]
     results = []

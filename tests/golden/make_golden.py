@@ -11,18 +11,19 @@ the columns (and ``#`` header values) that moved with their largest
 relative move, whether the ranked order of the rows is the same, and for a
 `select` table whether every criterion still selects the same candidate
 (``selected[...]``, the argmin of its column with ties broken toward
-smaller p, then lexicographic indices).  Every input (data CSVs
-and config files) is derived from fixed seeds and written next to the
-outputs, and the runs name their files relative to OUT_DIR, so two runs of
-the same program give byte-identical files; the ``# data =`` line, which
-echoes the input path, is left out of the comparison all the same.  The
-runs cover the identity, ar1 and nerm covariances, the ridge and zellner
-priors with estimated and fixed lambda in `select`, and both priors in
-`criteria`, on designs of at most five columns and at most five
-replications per cell.  A 7 x 5 design, where n - p - 2 = 0 for the
-full model, takes the exclusion path: the ``excluded`` column of `select`
-and the ``undefined (...)`` values of `criteria`.  ``tests/test_golden.py``
-regenerates them into a temporary directory and compares byte for byte;
+smaller p, then lexicographic indices).  It names a file missing from
+either directory, and exits with status 1 unless every file is
+``identical``.  Every input (data CSVs and config files) is derived from
+fixed seeds and written next to the outputs, and the runs name their files
+relative to OUT_DIR, so two runs of the same program give byte-identical
+files; the ``# data =`` line, which echoes the input path, is left out of
+the comparison all the same.  The runs cover the identity, ar1 and nerm
+covariances, the ridge and zellner priors with estimated and fixed lambda
+in `select`, and both priors in `criteria`, on designs of at most five
+columns and at most five replications per cell.  A 7 x 5 design, where
+n - p - 2 = 0 for the full model, takes the exclusion path: the
+``excluded`` column of `select` and the ``undefined (...)`` values of
+`criteria`.  ``tests/test_golden.py`` regenerates them into a temporary directory and compares byte for byte;
 the committed files are the contract that a refactor must not move.
 """
 
@@ -34,6 +35,7 @@ import csv
 import io
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,11 @@ def _runs() -> list[list[str]]:
     ]
 
 
+def golden_files(folder: Path) -> list[Path]:
+    """The golden inputs and outputs in ``folder``, sorted by name."""
+    return sorted(p for p in folder.iterdir() if p.suffix in (".csv", ".cfg"))
+
+
 def generate(out: Path) -> list[Path]:
     """Write every golden input and output into ``out``; returns the files written."""
     out.mkdir(parents=True, exist_ok=True)
@@ -114,7 +121,7 @@ def generate(out: Path) -> list[Path]:
                 raise RuntimeError(f"bmlselect {' '.join(argv)} exited {code}")
     finally:
         os.chdir(cwd)
-    return sorted(p for p in out.iterdir() if p.suffix in (".csv", ".cfg"))
+    return golden_files(out)
 
 
 def comparable_bytes(path: Path) -> bytes:
@@ -172,7 +179,7 @@ def _selected(head: list[str], rows: list[dict[str, str]]) -> dict[str, str]:
 def compare(old_dir: Path, new_dir: Path) -> list[str]:
     """Report lines on how each golden file of ``new_dir`` differs from ``old_dir``."""
     report = []
-    for old_path in sorted(p for p in old_dir.iterdir() if p.suffix in (".csv", ".cfg")):
+    for old_path in golden_files(old_dir):
         new_path = new_dir / old_path.name
         if not new_path.exists():
             report.append(f"{old_path.name}: missing from {new_dir}")
@@ -209,6 +216,9 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
                        if old_sel[c] != new_sel.get(c)]
             line += "; selected " + ("same" if not changed else "DIFFERS: " + ", ".join(changed))
         report.append(line)
+    for new_path in golden_files(new_dir):
+        if not (old_dir / new_path.name).exists():
+            report.append(f"{new_path.name}: missing from {old_dir}")
     return report
 
 
@@ -223,4 +233,6 @@ if __name__ == "__main__":
         for path in written:
             print(path)
     else:
-        print("\n".join(compare(args.compare, args.out_dir)))
+        report = compare(args.compare, args.out_dir)
+        print("\n".join(report))
+        sys.exit(0 if all(line.endswith(": identical") for line in report) else 1)

@@ -5,6 +5,7 @@ import pytest
 
 from bmlselect import CRITERION_NAMES, ExperimentSpec, SelectionOptions, cli, selection
 from bmlselect.cli import main, read_results_csv
+from bmlselect.exceptions import DataParseError
 
 
 def write_ones_fixture(path):
@@ -302,8 +303,14 @@ def test_simulate_bad_phi_exits_2_before_any_replication(tmp_path, capsys, phi, 
         (("--n-grid", "0"), "n_grid"),
         (("--model", "nerm", "--n-grid", "-4"), "n_grid"),
         (("--snr-grid", "nan"), "snr_grid"),
+        (("--n-grid", ""), "n_grid must hold at least one value, none repeated, got ()"),
+        (("--snr-grid", ","), "snr_grid must hold at least one value, none repeated, got ()"),
+        (("--n-grid", "20,20"), "n_grid must hold at least one value, none repeated, got (20, 20)"),
+        (("--snr-grid", "3,3.0"),
+         "snr_grid must hold at least one value, none repeated, got (3.0, 3.0)"),
     ],
-    ids=["n_below_p", "n_equals_p", "snr_inf", "n_zero", "nerm_negative_n", "snr_nan"],
+    ids=["n_below_p", "n_equals_p", "snr_inf", "n_zero", "nerm_negative_n", "snr_nan",
+         "n_empty", "snr_empty", "n_repeated", "snr_repeated"],
 )
 def test_simulate_bad_grid_exits_2_before_any_replication(tmp_path, capsys, grid, name):
     argv = ["simulate", "--out", str(tmp_path / "r.csv"), "--replications", "2",
@@ -417,6 +424,92 @@ def test_out_check_keeps_an_existing_file(tmp_path):
     argv = command_argv("select", tmp_path, out) + ["--lambda", "-1"]
     assert main(argv) == 2
     assert out.read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (None, "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
+        ("covariance ar1\n", "{cfg}: line 1: expected 'key = value'"),
+        ("include_null = maybe\n", "include_null: expected a boolean, got 'maybe'"),
+        ("phi = abc\n", "phi: expected a number, got 'abc'"),
+    ],
+    ids=["unreadable", "no_equals", "bad_boolean", "bad_number"],
+)
+def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, config, message):
+    calls = record_work(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    out = tmp_path / "o.csv"
+    assert main(command_argv("select", tmp_path, out) + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(cfg=cfg) + "\n"
+    assert calls == []
+
+
+def test_config_skips_comment_and_blank_lines(tmp_path):
+    # Read as a key, the commented-out line would be an unknown one.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# include_null = no\n\n   \ninclude_null = yes\ncriterion = bic\n")
+    out = tmp_path / "o.csv"
+    assert main(command_argv("select", tmp_path, out) + ["--config", str(cfg)]) == 0
+    meta, _, rows = read_csv_table(out)
+    assert meta["include_null"] == "true"
+    assert "(null)" in [row[1] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read data {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("", "{path}: empty file"),
+        ("y\n1\n2\n", "{path}: need a response column plus at least one predictor"),
+        ("y,x1\n", "{path}: no data rows"),
+        ("y,x1\n1,2\n3\n", "{path}: row 3: expected 2 fields, found 1"),
+    ],
+    ids=["unreadable", "empty", "one_column", "no_rows", "field_count"],
+)
+def test_bad_data_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, text, message):
+    calls = record_work(monkeypatch)
+    path = tmp_path / "d.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["select", "--data", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("simulate", ["--replications", "2.5"],
+         "argument --replications: invalid int value: '2.5'"),
+        ("select", ["--covariance", "nerm"],
+         "nerm covariance requires group_sizes in the config file"),
+        ("simulate", ["--lambda", "1"], "simulate always re-estimates lambda; drop --lambda"),
+    ],
+    ids=["replications_not_integer", "nerm_without_sizes", "simulate_lambda"],
+)
+def test_bad_option_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, extra,
+                                            message):
+    calls = record_work(monkeypatch)
+    assert main(command_argv(command, tmp_path, tmp_path / "o.csv") + extra) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("# seed = 1\n", "{path}: no result rows"),
+     ("# seed = 1\nn,snr\n20,3\n", "{path}: unexpected header ['n', 'snr']")],
+    ids=["no_rows", "wrong_header"],
+)
+def test_read_results_csv_rejects_a_file_without_results(tmp_path, text, message):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(DataParseError) as info:
+        read_results_csv(str(path))
+    assert str(info.value) == message.format(path=path)
 
 
 def test_bare_simulate_leaves_every_default_to_the_spec(tmp_path, monkeypatch):

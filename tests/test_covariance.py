@@ -149,6 +149,28 @@ def test_nerm_whitener_is_bit_equal_to_the_dense_cholesky(sizes, phi):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="identity", phi=0.5), "identity covariance takes no phi"),
+        (dict(kind="custom", phi=0.5, matrix=np.eye(2)), "custom covariance takes no phi"),
+        (dict(kind="nerm", phi=0.5), "nerm covariance requires group_sizes"),
+        (dict(kind="ar1", group_sizes=(2, 2)), "group_sizes only apply to the nerm kind"),
+        (dict(kind="custom"), "custom covariance requires a matrix"),
+        (dict(kind="custom", matrix=np.ones((2, 3))), "custom covariance matrix must be square"),
+        (dict(kind="custom", matrix=[[1.0, 0.5], [0.0, 1.0]]),
+         "custom covariance matrix must be symmetric"),
+        (dict(kind="identity", matrix=np.eye(2)), "matrix only applies to the custom kind"),
+    ],
+    ids=["phi_on_identity", "phi_on_custom", "nerm_without_sizes", "sizes_on_ar1",
+         "custom_without_matrix", "matrix_not_square", "matrix_asymmetric", "matrix_on_identity"],
+)
+def test_spec_rejects_fields_its_kind_does_not_take(fields, message):
+    with pytest.raises(CovarianceError) as info:
+        CovarianceSpec(**fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "sizes", [(4.5, 3.5), (4, 2.5), (2, "2"), ("a",), (math.nan,), (math.inf,)], ids=str
 )
 def test_nerm_rejects_group_sizes_that_are_not_whole_numbers(sizes):

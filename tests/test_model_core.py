@@ -370,6 +370,21 @@ def test_dataset_rejects_bad_inputs():
                 cov=CovarianceSpec.identity())
 
 
+@pytest.mark.parametrize(
+    "y, x, message",
+    [
+        (np.arange(3.0), np.arange(3.0), "x_full must be a 2-D matrix"),
+        (np.empty(0), np.empty((0, 1)), "need n >= 1 observations and p_omega >= 1 predictors"),
+        (np.arange(2.0), np.array([[1.0], [np.inf]]), "x_full contains non-finite values"),
+    ],
+    ids=["x_one_dimensional", "n_zero", "x_not_finite"],
+)
+def test_dataset_rejects_malformed_inputs(y, x, message):
+    with pytest.raises(ValueError) as info:
+        Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
+    assert str(info.value) == message
+
+
 def test_candidate_model_validation():
     with pytest.raises(ValueError):
         CandidateModel((2, 1))

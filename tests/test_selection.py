@@ -40,6 +40,15 @@ def bic_table(candidates, entries):
     )
 
 
+def ranking(table, criterion):
+    """``table.rank(criterion)`` decoded: the ranked (candidate, score) pairs
+    and the excluded (candidate, reason) pairs."""
+    j = table.criteria.index(criterion)
+    ranked, excluded = table.rank(criterion)
+    return ([(table.candidates[i], table.scores[i, j].item()) for i in ranked],
+            [(table.candidates[i], EXCLUSION_REASONS[table.exclusion[i, j]]) for i in excluded])
+
+
 def signal_dataset(seed, n=50, p_omega=4, true=(1, 2), sigma=1e-6):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p_omega))
@@ -100,18 +109,19 @@ def test_select_single_candidate_class():
     rng = np.random.default_rng(1)
     ds = Dataset(y=rng.standard_normal(10), x_full=rng.standard_normal((10, 1)),
                  cov=CovarianceSpec.identity())
-    report = select(ds, "aic", SelectionOptions(include_null=False))
-    assert report.selected.indices == (1,)
-    assert len(report.ranked) == 1
+    options = SelectionOptions(include_null=False)
+    assert select(ds, "aic", options).selected.indices == (1,)
+    ranked, _ = ranking(score_candidates(ds, ("aic",), options), "aic")
+    assert len(ranked) == 1
 
 
 def test_select_ranked_is_sorted_and_selected_is_first():
     ds = signal_dataset(2, sigma=0.5)
-    report = select(ds, "bic")
-    scores = [s for _, s in report.ranked]
+    ranked, excluded = ranking(score_candidates(ds, ("bic",)), "bic")
+    scores = [s for _, s in ranked]
     assert scores == sorted(scores)
-    assert report.selected == report.ranked[0][0]
-    assert not report.excluded
+    assert select(ds, "bic").selected == ranked[0][0]
+    assert not excluded
 
 
 def test_select_all_candidates_excluded():
@@ -128,11 +138,11 @@ def test_select_excludes_small_dof_candidates_with_reason():
     x = rng.standard_normal((n, 4))
     y = rng.standard_normal(n)
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-    report = select(ds, "ic_r")
+    ranked, excluded = ranking(score_candidates(ds, ("ic_r",)), "ic_r")
     # p = 4 gives n - p - 2 = 0: excluded, not silently dropped
-    excluded_models = {m.indices: reason for m, reason in report.excluded}
+    excluded_models = {m.indices: reason for m, reason in excluded}
     assert excluded_models[(1, 2, 3, 4)] == "penalty undefined"
-    ranked_ps = {m.p for m, _ in report.ranked}
+    ranked_ps = {m.p for m, _ in ranked}
     assert 4 not in ranked_ps
 
 
@@ -157,7 +167,8 @@ def test_duplicate_column_exclusion_preserves_selection():
             entries.append("singular design")
     table = bic_table(candidates, entries)
     report = report_from_table(table, "bic")
-    assert {m.indices for m, r in report.excluded if r == "singular design"} == {
+    _, excluded = ranking(table, "bic")
+    assert {m.indices for m, r in excluded if r == "singular design"} == {
         (1, 4), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4)
     }
     # column 4 is column 1, so the selected SUBSET OF ORIGINAL COLUMNS must
@@ -373,9 +384,9 @@ def tie_dataset():
 
 @pytest.mark.parametrize("name", CRITERION_NAMES)
 def test_exact_same_size_tie_ranks_in_candidate_order(name):
-    report = select(tie_dataset(), name)
-    models = [m for m, _ in report.ranked]
-    scores = dict(report.ranked)
+    ranked, _ = ranking(score_candidates(tie_dataset(), (name,)), name)
+    models = [m for m, _ in ranked]
+    scores = dict(ranked)
     one, two = CandidateModel((1,)), CandidateModel((2,))
     assert scores[one] == scores[two]
     assert models[models.index(one) + 1] == two
@@ -395,13 +406,13 @@ def test_report_ranks_by_score_then_size_then_indices(data):
     )
     assume(any(v is not None for v in values))
     entries = ["penalty undefined" if v is None else v for v in values]
-    report = report_from_table(bic_table(candidates, entries), "bic")
+    table = bic_table(candidates, entries)
+    ranked, excluded = ranking(table, "bic")
     scored = [(m, v) for m, v in zip(candidates, values) if v is not None]
     expect = sorted(scored, key=lambda ms: (ms[1], len(ms[0].indices), ms[0].indices))
-    assert report.ranked == expect
-    assert report.selected == expect[0][0]
-    assert report.excluded == [(m, "penalty undefined")
-                               for m, v in zip(candidates, values) if v is None]
+    assert ranked == expect
+    assert report_from_table(table, "bic").selected == expect[0][0]
+    assert excluded == [(m, "penalty undefined") for m, v in zip(candidates, values) if v is None]
 
 
 @pytest.mark.parametrize("name", ["aic", "bogus"])

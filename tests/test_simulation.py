@@ -216,13 +216,19 @@ def test_spec_validation():
         dict(model_kind="nerm", n_grid=(-4,)),
         dict(snr_grid=(math.inf,)),
         dict(snr_grid=(math.nan,)),
+        dict(n_grid=()),
+        dict(snr_grid=()),
+        dict(n_grid=(20, 30, 20)),
+        dict(snr_grid=(3.0, 3)),
     ],
     ids=["n_below_p", "n_equals_p", "n_zero", "n_not_integer", "nerm_negative_n",
-         "snr_inf", "snr_nan"],
+         "snr_inf", "snr_nan", "n_empty", "snr_empty", "n_repeated", "snr_repeated"],
 )
 def test_spec_rejects_grid_every_replication_would_fail(grid):
     # n <= p_omega = 7 leaves the full design rank deficient or interpolating,
-    # and an infinite SNR leaves no noise; the spec names the grid at once.
+    # and an infinite SNR leaves no noise; an empty grid gives no result row
+    # and a repeated value gives rows no reader can tell apart.  The spec
+    # names the grid at once.
     name = "n_grid" if "n_grid" in grid else "snr_grid"
     with pytest.raises(ValueError, match=name):
         small_spec(**grid)
