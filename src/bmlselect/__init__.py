@@ -56,7 +56,6 @@ from .model_core import (
 )
 from .selection import (
     SelectionOptions,
-    SelectionReport,
     enumerate_candidates,
     prediction_error,
     score_candidates,
@@ -113,7 +112,6 @@ __all__ = [
     "neg2_log_residual",
     "whiten",
     "SelectionOptions",
-    "SelectionReport",
     "enumerate_candidates",
     "prediction_error",
     "score_candidates",

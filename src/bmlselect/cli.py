@@ -28,7 +28,6 @@ from .exceptions import (
 )
 from .model_core import CandidateModel, Dataset
 from .selection import (
-    EXCLUSION_REASONS,
     SelectionOptions,
     fit_candidate,
     report_from_table,
@@ -114,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, keys: set[str]) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,7 +128,7 @@ def _load_config(path: str) -> dict[str, str]:
             raise DataParseError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise DataParseError(f"{path}: line {lineno}: unknown key {key!r}")
         cfg[key] = value.strip()
     return cfg
@@ -204,21 +203,21 @@ def _as_float(value, what: str) -> float:
         raise DataParseError(f"{what}: expected a number, got {value!r}") from None
 
 
-def _split_list(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        parts = []
-        for item in value:
-            parts.extend(str(item).split(","))
-    else:
-        parts = str(value).split(",")
-    return [p.strip() for p in parts if p.strip()]
+def _split_list(value, what: str) -> list[str]:
+    """The items of a comma list (or of a repeated flag's comma lists).  An
+    empty item beside a non-empty one is refused; all-empty gives no items."""
+    text = ",".join(value) if isinstance(value, list) else str(value)
+    parts = [p.strip() for p in text.split(",")]
+    if any(parts) and not all(parts):
+        raise DataParseError(f"{what}: empty item in {text!r}")
+    return [p for p in parts if p]
 
 
 def _resolve_criteria(ns, cfg, default=None) -> tuple[str, ...] | None:
     raw = ns.criterion if ns.criterion else cfg.get("criterion")
     if raw is None:
         return default
-    names = _split_list(raw)
+    names = _split_list(raw, "criterion")
     if any(n.lower() == "all" for n in names):
         return CRITERION_NAMES
     return check_names(dict.fromkeys(names))
@@ -234,14 +233,24 @@ _SIMULATE_FIELDS = (
     ("master_seed", "seed", _as_int),
     ("phi_true", "phi", _as_float),
     ("replications", "replications", _as_int),
-    ("n_grid", "n_grid", lambda v, what: tuple(_as_int(n, what) for n in _split_list(v))),
-    ("snr_grid", "snr_grid", lambda v, what: tuple(_as_float(s, what) for s in _split_list(v))),
+    ("n_grid", "n_grid", lambda v, what: tuple(_as_int(n, what) for n in _split_list(v, what))),
+    ("snr_grid", "snr_grid",
+     lambda v, what: tuple(_as_float(s, what) for s in _split_list(v, what))),
     ("beta_pattern", "beta_pattern", lambda v, _: v),
     ("nerm_group_size", "nerm_group_size", _as_int),
 )
-_CONFIG_KEYS = {key for _, key, _ in _OPTION_FIELDS + _SIMULATE_FIELDS} | {
-    "data", "out", "criterion", "covariance", "model", "lambda", "estimate_lambda", "group_sizes"
+# A command's config keys are its flags' destinations (``lam`` is read as
+# ``lambda``) and these keys, which have no flag there.
+_CONFIG_ONLY_KEYS = {
+    "select": {"group_sizes"},
+    "criteria": {"group_sizes"},
+    "simulate": {"model", "nerm_group_size"},
 }
+
+
+def _config_keys(ns) -> set[str]:
+    flags = {"lambda" if dest == "lam" else dest for dest in vars(ns)} - {"command", "config"}
+    return flags | _CONFIG_ONLY_KEYS[ns.command]
 
 
 def _given(ns, cfg, fields) -> dict:
@@ -273,7 +282,7 @@ def _resolve_covariance(ns, cfg) -> CovarianceSpec:
         raw = cfg.get("group_sizes")
         if raw is None:
             raise DataParseError("nerm covariance requires group_sizes in the config file")
-        sizes = tuple(_as_int(s, "group_sizes") for s in _split_list(raw))
+        sizes = tuple(_as_int(s, "group_sizes") for s in _split_list(raw, "group_sizes"))
     return CovarianceSpec(kind=kind, phi=phi, group_sizes=sizes)
 
 
@@ -317,8 +326,7 @@ def _cmd_select(ns, cfg) -> int:
     out_path = _writable(_require(_pick(ns.out, cfg, "out"), "--out"))
     data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
     table = score_candidates(dataset, criteria, options)
-    # Keep no report past its selection; the CSV reads the table row by row.
-    selected = {name: report_from_table(table, name).selected for name in criteria}
+    selected = {name: report_from_table(table, name) for name in criteria}
     ranked, excluded = table.rank(criteria[0])
 
     with_lambda = needs_prior(criteria)
@@ -348,20 +356,17 @@ def _cmd_select(ns, cfg) -> int:
         head += list(criteria)
         head.append("excluded")
         writer.writerow(head)
-        by_name = sorted(range(len(criteria)), key=criteria.__getitem__)
         positions = itertools.chain(enumerate(ranked.tolist(), start=1),
                                     (("", i) for i in excluded.tolist()))
         for rank, i in positions:
-            model = table.candidates[i]
-            codes = table.exclusion[i].tolist()
+            model, excluded_by = table.candidates[i], table.excluded(i)
             rec = [rank, model.label(), model.p]
             if with_lambda:
                 lam = table.lambda_hat[i]
                 rec.append("" if math.isnan(lam) else _fmt(lam))
-            rec += ["" if code else _fmt(value)
-                    for value, code in zip(table.scores[i].tolist(), codes)]
-            rec.append("; ".join(f"{criteria[j]}: {EXCLUSION_REASONS[codes[j]]}"
-                                 for j in by_name if codes[j]))
+            rec += ["" if name in excluded_by else _fmt(value)
+                    for name, value in zip(criteria, table.scores[i].tolist())]
+            rec.append("; ".join(f"{name}: {why}" for name, why in sorted(excluded_by.items())))
             writer.writerow(rec)
     for name in criteria:
         print(f"selected[{name}] = {selected[name].label()}")
@@ -541,7 +546,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(ns.config) if ns.config else {}
+        cfg = _load_config(ns.config, _config_keys(ns)) if ns.config else {}
         if ns.command == "select":
             return _cmd_select(ns, cfg)
         if ns.command == "criteria":

@@ -4,17 +4,19 @@
 data and reduces it to one R factor once, then fits, estimates lambda for
 and scores the candidates of each size as stacked batches, so the work per
 candidate is array arithmetic rather than Python calls.  Each batch writes
-straight into the (candidates x criteria) arrays of a :class:`ScoreTable`.
-:meth:`ScoreTable.rank`, a stable sort of one criterion's admissible scores,
-is the one ranking: :func:`report_from_table` takes its first position as the
-selection, and the CLI's CSV writer reads it whole.  ``ScoreTable.rows`` is a
-per-candidate view for the benchmark only.
+straight into the (candidates x criteria) arrays of a :class:`ScoreTable`,
+the one record of a selection.  :meth:`ScoreTable.rank`, a stable sort of
+one criterion's admissible scores, is the one ranking:
+:func:`report_from_table` returns its first candidate, and the CLI's CSV
+writer reads it whole.  :meth:`ScoreTable.excluded` is the one decoder of the
+exclusion codes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,23 +60,12 @@ EXCLUSION_REASONS = ("", "singular design", "penalty undefined")
 _SINGULAR, _UNDEFINED = 1, 2
 
 
-@dataclass(frozen=True)
-class CandidateScores:
-    """One candidate of the :attr:`ScoreTable.rows` view."""
-
-    model: CandidateModel
-    scores: dict[str, float]
-    excluded: dict[str, str]
-    lambda_hat: float | None
-    lambda_at_boundary: bool
-
-
 @dataclass
 class ScoreTable:
     """Every candidate's scores, in :func:`enumerate_candidates` order, and the
     whitened data (at phi_hat) they were computed from.  ``scores[i, j]`` is
     ``candidates[i]``'s ``criteria[j]`` where the code ``exclusion[i, j]`` is 0;
-    ``EXCLUSION_REASONS`` decodes any other code.  ``lambda_hat`` is NaN where
+    :meth:`excluded` decodes any other code.  ``lambda_hat`` is NaN where
     no scale was estimated."""
 
     candidates: list[CandidateModel]
@@ -97,36 +88,16 @@ class ScoreTable:
         ranked = admissible[np.argsort(self.scores[admissible, j], kind="stable")]
         return ranked, np.flatnonzero(self.exclusion[:, j])
 
+    def excluded(self, i: int) -> dict[str, str]:
+        """{criterion: reason} for each criterion that excludes ``candidates[i]``."""
+        codes = self.exclusion[i].tolist()
+        return {name: EXCLUSION_REASONS[code] for name, code in zip(self.criteria, codes) if code}
+
     @property
-    def rows(self) -> list[CandidateScores]:
-        """Per-candidate records built from the arrays on each read.  Only the
-        benchmark reads them; the view goes with the next benchmark change."""
-        rows = []
-        for i, model in enumerate(self.candidates):
-            codes = self.exclusion[i].tolist()
-            named = list(zip(self.criteria, self.scores[i].tolist(), codes))
-            lam = float(self.lambda_hat[i])
-            rows.append(CandidateScores(
-                model=model,
-                scores={name: value for name, value, code in named if not code},
-                excluded={name: EXCLUSION_REASONS[code] for name, _, code in named if code},
-                lambda_hat=None if np.isnan(lam) else lam,
-                lambda_at_boundary=bool(self.lambda_at_boundary[i]),
-            ))
-        return rows
-
-
-@dataclass
-class SelectionReport:
-    """Selection outcome for one criterion: the candidate that
-    :meth:`ScoreTable.rank` puts first, and phi_hat.  The report carries only
-    the selection; the full ranking and the exclusions stay in the table.
-    """
-
-    criterion: str
-    selected: CandidateModel
-    phi_hat: float | None = None
-    phi_at_boundary: bool = False
+    def rows(self) -> list[SimpleNamespace]:
+        """One record per candidate, holding only ``excluded``, built on each
+        read.  Only the benchmark reads them."""
+        return [SimpleNamespace(excluded=self.excluded(i)) for i in range(len(self.candidates))]
 
 
 def enumerate_candidates(p_omega: int, include_null: bool = True) -> list[CandidateModel]:
@@ -250,25 +221,20 @@ def score_candidates(
     return table
 
 
-def report_from_table(table: ScoreTable, criterion: str) -> SelectionReport:
-    """Build the single-criterion report from :meth:`ScoreTable.rank`."""
+def report_from_table(table: ScoreTable, criterion: str) -> CandidateModel:
+    """The candidate that :meth:`ScoreTable.rank` puts first for ``criterion``."""
     ranked, _ = table.rank(criterion)
     if not ranked.size:
         raise NoAdmissibleCandidateError(f"no admissible candidate for {criterion}")
-    return SelectionReport(
-        criterion=criterion,
-        selected=table.candidates[ranked[0]],
-        phi_hat=table.phi_hat,
-        phi_at_boundary=table.phi_at_boundary,
-    )
+    return table.candidates[ranked[0]]
 
 
 def select(
     dataset: Dataset,
     criterion: str,
     options: SelectionOptions | None = None,
-) -> SelectionReport:
-    """Score the power set of columns and pick the criterion's argmin."""
+) -> CandidateModel:
+    """Score the power set of columns and return the criterion's argmin."""
     table = score_candidates(dataset, (criterion,), options)
     return report_from_table(table, criterion)
 

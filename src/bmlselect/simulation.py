@@ -193,7 +193,7 @@ def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
             SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null),
         )
         mu_true = truth.x_true @ truth.beta_true
-        best = {name: report_from_table(table, name).selected for name in spec.criteria}
+        best = {name: report_from_table(table, name) for name in spec.criteria}
         # The loss refits each selected model once, from the table's whitened data.
         loss = {m: _quadratic_loss(table.whitened, dataset.x_full, m, mu_true)
                 for m in set(best.values())}

@@ -373,7 +373,7 @@ def test_criterion_6_ar1_ic_r_level(ar1_experiment):
         full_losses.append(dense_loss(full_model))
         if rep >= dense_reps:
             continue
-        picks = {c: report_from_table(table, c).selected for c in sizes}
+        picks = {c: report_from_table(table, c) for c in sizes}
         for c, model in picks.items():
             sizes[c].append(model.p)
         dense_pick = min(candidates, key=lambda m: (dense_ic_r(m), m.p, m.indices))

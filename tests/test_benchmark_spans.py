@@ -49,3 +49,35 @@ def test_traced_select_records_every_wrapped_layer(tmp_path):
     assert counts["covariance.lambda"] == 0
     assert counts["covariance.phi_profile"] == 1
     assert counts["model_core.whiten"] == 1
+
+
+def test_traced_select_counts_candidates_and_exclusions_as_the_table_does(tmp_path):
+    # The 7 x 5 golden design: n - p - 2 = 0 excludes the full model wherever
+    # a penalty is undefined there.  The tracer counts the candidates and the
+    # exclusions by reason from what score_candidates returns, and times one
+    # report per criterion.
+    import numpy as np
+
+    from bmlselect import CRITERION_NAMES, CovarianceSpec, Dataset, SelectionOptions, cli
+    from bmlselect import score_candidates
+    from bmlselect.selection import EXCLUSION_REASONS
+
+    spans = _load(ROOT / "perfbench" / "spans.py", "perfbench_spans")
+    golden = _load(ROOT / "tests" / "golden" / "make_golden.py", "make_golden")
+    data = tmp_path / "tight.csv"
+    golden._write_data(data, seed=13, n=7, p=5, phi=0.0)
+    argv = ["select", "--data", str(data), "--out", str(tmp_path / "out.csv"),
+            "--criterion", "all", "--prior", "zellner"]
+    with spans.Tracer() as tracer:
+        spans.instrument(tracer)
+        assert cli.main(argv) == 0
+
+    values = np.loadtxt(data, delimiter=",", skiprows=1)
+    dataset = Dataset(y=values[:, 0], x_full=values[:, 1:], cov=CovarianceSpec.identity())
+    table = score_candidates(dataset, CRITERION_NAMES, SelectionOptions(prior_kind="zellner"))
+    reasons = Counter(EXCLUSION_REASONS[code] for code in table.exclusion.ravel().tolist() if code)
+    assert reasons
+    assert tracer.counts["candidates"] == len(table.candidates)
+    traced = {key: n for key, n in tracer.counts.items() if key.startswith("excluded: ")}
+    assert traced == {"excluded: " + reason: n for reason, n in reasons.items()}
+    assert Counter(span[0] for span in tracer.spans)["selection.report"] == len(CRITERION_NAMES)

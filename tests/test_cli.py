@@ -169,8 +169,9 @@ def test_select_with_config_file_and_override(tmp_path):
 
 @pytest.mark.parametrize(
     "group_sizes, phi, message",
-    [("10,10,10", "nan", "phi must be finite"), ("10,10,9", "0.5", "sum to 29, expected n = 30")],
-    ids=["phi_nan", "sizes_mismatch"],
+    [("10,10,10", "nan", "phi must be finite"), ("10,10,9", "0.5", "sum to 29, expected n = 30"),
+     ("15,,15", "0.5", "group_sizes: empty item in '15,,15'")],
+    ids=["phi_nan", "sizes_mismatch", "sizes_empty_item"],
 )
 def test_select_bad_nerm_covariance_exits_2(tmp_path, capsys, group_sizes, phi, message):
     data = write_signal_fixture(tmp_path / "sig.csv")
@@ -183,12 +184,31 @@ def test_select_bad_nerm_covariance_exits_2(tmp_path, capsys, group_sizes, phi, 
     assert not out.exists()
 
 
-def test_config_unknown_key_exits_2(tmp_path, capsys):
+# A key is one the command reads: its long flags, plus group_sizes for the
+# data commands and nerm_group_size and model for simulate.
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("select", "wat = 1"),
+        ("select", "model = ar1"),
+        ("select", "replications = 5"),
+        ("select", "seed = 1"),
+        ("criteria", "nerm_group_size = 4"),
+        ("simulate", "data = /nonexistent.csv"),
+        ("simulate", "group_sizes = 20,20"),
+    ],
+    ids=["unknown", "select_model", "select_replications", "select_seed",
+         "criteria_nerm_group_size", "simulate_data", "simulate_group_sizes"],
+)
+def test_config_unknown_key_exits_2(tmp_path, capsys, monkeypatch, command, line):
+    calls = record_work(monkeypatch)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("wat = 1\n")
-    rc = main(["select", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    cfg.write_text(f"criterion = bic\n{line}\n")
+    rc = main(command_argv(command, tmp_path, tmp_path / "o.csv") + ["--config", str(cfg)])
     assert rc == 2
-    assert "unknown key" in capsys.readouterr().err
+    key = line.partition(" =")[0]
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown key {key!r}\n"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +328,12 @@ def test_simulate_bad_phi_exits_2_before_any_replication(tmp_path, capsys, phi, 
         (("--n-grid", "20,20"), "n_grid must hold at least one value, none repeated, got (20, 20)"),
         (("--snr-grid", "3,3.0"),
          "snr_grid must hold at least one value, none repeated, got (3.0, 3.0)"),
+        (("--n-grid", "20,,30"), "n_grid: empty item in '20,,30'"),
+        (("--snr-grid", "3,"), "snr_grid: empty item in '3,'"),
     ],
     ids=["n_below_p", "n_equals_p", "snr_inf", "n_zero", "nerm_negative_n", "snr_nan",
-         "n_empty", "snr_empty", "n_repeated", "snr_repeated"],
+         "n_empty", "snr_empty", "n_repeated", "snr_repeated", "n_empty_item",
+         "snr_empty_item"],
 )
 def test_simulate_bad_grid_exits_2_before_any_replication(tmp_path, capsys, grid, name):
     argv = ["simulate", "--out", str(tmp_path / "r.csv"), "--replications", "2",
@@ -394,8 +417,10 @@ def command_argv(command, tmp_path, out):
 @pytest.mark.parametrize(
     "value, message",
     [("", "no criterion requested"), (",", "no criterion requested"),
-     ("bic,hqc", f"unknown criteria: ['hqc']; choose from {', '.join(CRITERION_NAMES)}")],
-    ids=["empty", "comma", "unknown"],
+     ("bic,hqc", f"unknown criteria: ['hqc']; choose from {', '.join(CRITERION_NAMES)}"),
+     ("bic,,aic", "criterion: empty item in 'bic,,aic'"),
+     ("bic, ", "criterion: empty item in 'bic, '")],
+    ids=["empty", "comma", "unknown", "empty_item", "blank_last_item"],
 )
 @pytest.mark.parametrize("command", ["select", "criteria", "simulate"])
 def test_bad_criterion_list_exits_2_before_any_work(tmp_path, capsys, monkeypatch,

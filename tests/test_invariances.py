@@ -56,18 +56,25 @@ def _close(a, b):
     return abs(a - b) <= SCORE_RTOL * max(1.0, abs(a), abs(b))
 
 
+def _scores_of(table, i):
+    """{criterion: score} of ``table.candidates[i]`` over the criteria that
+    do not exclude it."""
+    return {name: table.scores[i, j].item()
+            for j, name in enumerate(table.criteria) if not table.exclusion[i, j]}
+
+
 def _by_indices(table):
-    return {row.model.indices: row for row in table.rows}
+    return {model.indices: _scores_of(table, i) for i, model in enumerate(table.candidates)}
 
 
 def _assert_same_selection(table, other, name, to_original):
     """``other``'s selection, mapped to ``table``'s columns, is ``table``'s,
     or ties with it in ``table``'s scores."""
-    chosen = report_from_table(table, name).selected
-    mapped = tuple(sorted(to_original[i] for i in report_from_table(other, name).selected.indices))
+    chosen = report_from_table(table, name)
+    mapped = tuple(sorted(to_original[i] for i in report_from_table(other, name).indices))
     if mapped != chosen.indices:
-        rows = _by_indices(table)
-        assert _close(rows[mapped].scores[name], rows[chosen.indices].scores[name]), name
+        scores = _by_indices(table)
+        assert _close(scores[mapped][name], scores[chosen.indices][name]), name
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -85,13 +92,14 @@ def test_row_permutation_leaves_every_score_unchanged(seed, n, p, snr, data):
         score_candidates(Dataset(y=yy, x_full=xx, cov=CovarianceSpec.identity()), CRITERION_NAMES)
         for xx, yy in ((x, y), (x[perm], y[perm]))
     ]
-    base, permuted = (_by_indices(t) for t in tables)
-    for key, row in base.items():
-        other = permuted[key]
-        assert other.excluded == row.excluded
-        assert other.scores.keys() == row.scores.keys()
-        for name, value in row.scores.items():
-            assert _close(other.scores[name], value), (key, name)
+    base, permuted = tables
+    for i, model in enumerate(base.candidates):
+        assert permuted.candidates[i] == model
+        assert permuted.excluded(i) == base.excluded(i)
+        scores, other = _scores_of(base, i), _scores_of(permuted, i)
+        assert other.keys() == scores.keys()
+        for name, value in scores.items():
+            assert _close(other[name], value), (model.indices, name)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -168,8 +176,7 @@ def _near_dependent_design(factor):
 def test_rank_pivot_just_above_the_threshold_is_a_proper_fit():
     x, y = _near_dependent_design(3.0)
     table = score_candidates(Dataset(y=y, x_full=x, cov=CovarianceSpec.identity()), ("bic",))
-    rows = _by_indices(table)
-    assert "bic" in rows[(1, 2, 3)].scores
+    assert "bic" in _by_indices(table)[(1, 2, 3)]
     assert not any(row.excluded for row in table.rows)
     pivots = np.abs(np.diag(gls_fit(whiten(Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())),
                                     CandidateModel((1, 2, 3))).r))
@@ -217,7 +224,7 @@ def test_residual_just_above_the_degeneracy_threshold_scores():
     fit = gls_fit(whiten(ds), CandidateModel((1, 2)))
     assert math.isfinite(aic(fit))
     table = score_candidates(ds, ("aic", "bic", "ic_r"))
-    assert all(len(row.scores) == 3 for row in table.rows)
+    assert all(len(scores) == 3 for scores in _by_indices(table).values())
 
 
 def test_residual_just_below_the_degeneracy_threshold_raises():
@@ -266,10 +273,10 @@ def test_lambda_lands_on_each_bound_with_its_flag(end, prior_kind):
     assert est.at_boundary
     assert est.value == pytest.approx(bound, rel=1e-12)
     table = score_candidates(ds, ("ic_pi1", "dic"), SelectionOptions(prior_kind=prior_kind))
-    row = _by_indices(table)[(1,)]
-    assert row.lambda_at_boundary
-    assert row.lambda_hat == pytest.approx(bound, rel=1e-12)
-    assert all(math.isfinite(v) for v in row.scores.values())
+    i = table.candidates.index(CandidateModel((1,)))
+    assert table.lambda_at_boundary[i]
+    assert table.lambda_hat[i] == pytest.approx(bound, rel=1e-12)
+    assert all(math.isfinite(v) for v in _scores_of(table, i).values())
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ PUBLIC_API = [
     "neg2_log_residual",
     "whiten",
     "SelectionOptions",
-    "SelectionReport",
     "enumerate_candidates",
     "prediction_error",
     "score_candidates",

@@ -49,6 +49,13 @@ def ranking(table, criterion):
             [(table.candidates[i], EXCLUSION_REASONS[table.exclusion[i, j]]) for i in excluded])
 
 
+def admissible_scores(table, model):
+    """{criterion: score} of ``model`` over the criteria that do not exclude it."""
+    i = table.candidates.index(model)
+    return {name: table.scores[i, j].item()
+            for j, name in enumerate(table.criteria) if not table.exclusion[i, j]}
+
+
 def signal_dataset(seed, n=50, p_omega=4, true=(1, 2), sigma=1e-6):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p_omega))
@@ -98,8 +105,7 @@ def test_select_near_noiseless_recovers_truth():
     exact = {"bic", "ic_pi1", "ic_r"}
     for crit in ("ic_pi1", "ic_pi1_star", "ic_pi2", "ic_r", "ic_r_star", "ric",
                  "aic", "bic", "dic", "ml"):
-        report = select(ds, crit)
-        chosen = set(report.selected.indices)
+        chosen = set(select(ds, crit).indices)
         assert chosen >= {1, 2}, crit
         if crit in exact:
             assert chosen == {1, 2}, crit
@@ -110,7 +116,7 @@ def test_select_single_candidate_class():
     ds = Dataset(y=rng.standard_normal(10), x_full=rng.standard_normal((10, 1)),
                  cov=CovarianceSpec.identity())
     options = SelectionOptions(include_null=False)
-    assert select(ds, "aic", options).selected.indices == (1,)
+    assert select(ds, "aic", options).indices == (1,)
     ranked, _ = ranking(score_candidates(ds, ("aic",), options), "aic")
     assert len(ranked) == 1
 
@@ -120,7 +126,7 @@ def test_select_ranked_is_sorted_and_selected_is_first():
     ranked, excluded = ranking(score_candidates(ds, ("bic",)), "bic")
     scores = [s for _, s in ranked]
     assert scores == sorted(scores)
-    assert select(ds, "bic").selected == ranked[0][0]
+    assert select(ds, "bic") == ranked[0][0]
     assert not excluded
 
 
@@ -148,7 +154,7 @@ def test_select_excludes_small_dof_candidates_with_reason():
 
 def test_duplicate_column_exclusion_preserves_selection():
     base = signal_dataset(4, n=40, p_omega=3, true=(1, 2), sigma=0.1)
-    baseline = select(base, "bic").selected.indices
+    baseline = select(base, "bic").indices
     x_dup = np.column_stack([base.x_full, base.x_full[:, 0]])
     # duplicate-bearing dataset: the full design is singular, so build the
     # score table by hand from fits on the whitened data
@@ -166,14 +172,14 @@ def test_duplicate_column_exclusion_preserves_selection():
         except SingularDesignError:
             entries.append("singular design")
     table = bic_table(candidates, entries)
-    report = report_from_table(table, "bic")
+    selected = report_from_table(table, "bic")
     _, excluded = ranking(table, "bic")
     assert {m.indices for m, r in excluded if r == "singular design"} == {
         (1, 4), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4)
     }
     # column 4 is column 1, so the selected SUBSET OF ORIGINAL COLUMNS must
     # match the duplicate-free baseline
-    as_original = tuple(sorted(1 if i == 4 else i for i in report.selected.indices))
+    as_original = tuple(sorted(1 if i == 4 else i for i in selected.indices))
     assert as_original == baseline
 
 
@@ -187,9 +193,10 @@ def test_nested_candidate_with_identical_fit_prefers_smaller_p():
     y = 2.0 * q[:, 0] + 0.3 * q[:, 1] + 1e-6 * q[:, 3]
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
     table = score_candidates(ds, ("bic", "ic_pi2", "ic_pi1_star"), SelectionOptions(lam=1.0))
-    by_idx = {row.model.indices: row for row in table.rows}
+    smaller = admissible_scores(table, CandidateModel((1, 2)))
+    larger = admissible_scores(table, CandidateModel((1, 2, 3)))
     for crit in ("bic", "ic_pi2", "ic_pi1_star"):
-        assert by_idx[(1, 2)].scores[crit] < by_idx[(1, 2, 3)].scores[crit]
+        assert smaller[crit] < larger[crit]
 
 
 def test_select_consistency_trend_ic_pi1():
@@ -207,7 +214,7 @@ def test_select_consistency_trend_ic_pi1():
         sigma = math.sqrt(4.0) / 5.0
         y = x @ beta + sigma * rng.standard_normal(400)
         ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-        hits += select(ds, "ic_pi1").selected == truth
+        hits += select(ds, "ic_pi1") == truth
     assert hits >= 0.95 * reps
 
 
@@ -298,12 +305,13 @@ def test_score_candidates_estimates_phi_once_and_reports_it():
 def test_score_candidates_lambda_recorded_per_candidate(prior_kind):
     ds = signal_dataset(12, sigma=0.3)
     table = score_candidates(ds, ("ic_pi1",), SelectionOptions(prior_kind=prior_kind))
-    for row in table.rows:
-        if row.model.p > 0:
-            assert row.lambda_hat is not None and row.lambda_hat > 0
+    for model, lam, at_boundary in zip(table.candidates, table.lambda_hat,
+                                       table.lambda_at_boundary):
+        if model.p > 0:
+            assert not math.isnan(lam) and lam > 0
         else:
-            assert row.lambda_hat is None
-            assert not row.lambda_at_boundary
+            assert math.isnan(lam)
+            assert not at_boundary
 
 
 @pytest.mark.parametrize(
@@ -326,7 +334,7 @@ def test_selection_options_check_the_prior_whatever_the_criteria(kwargs, message
 def test_score_candidates_fixed_lambda():
     ds = signal_dataset(13, sigma=0.3)
     table = score_candidates(ds, ("ic_pi1",), SelectionOptions(lam=2.5))
-    assert all(row.lambda_hat is None for row in table.rows)
+    assert np.isnan(table.lambda_hat).all()
 
 
 def test_score_candidates_factors_each_candidate_once(monkeypatch):
@@ -344,7 +352,7 @@ def test_score_candidates_factors_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     table = score_candidates(ds, ("ic_pi1", "bic"), SelectionOptions(prior_kind="ridge"))
-    assert any(row.lambda_hat is not None for row in table.rows)
+    assert not np.isnan(table.lambda_hat).all()
     assert len(calls) == 1 + 5
 
 
@@ -411,7 +419,7 @@ def test_report_ranks_by_score_then_size_then_indices(data):
     scored = [(m, v) for m, v in zip(candidates, values) if v is not None]
     expect = sorted(scored, key=lambda ms: (ms[1], len(ms[0].indices), ms[0].indices))
     assert ranked == expect
-    assert report_from_table(table, "bic").selected == expect[0][0]
+    assert report_from_table(table, "bic") == expect[0][0]
     assert excluded == [(m, "penalty undefined") for m, v in zip(candidates, values) if v is None]
 
 

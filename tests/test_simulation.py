@@ -95,14 +95,14 @@ def test_single_replication_matches_direct_computation():
     [result] = run_experiment(spec, workers=1)
     ds, truth = generate_dataset(spec, cell, 0)
     table = score_candidates(ds, spec.criteria, SelectionOptions())
-    for name in spec.criteria:
-        best = min(((row.scores[name], row.model.p, row.model.indices), row)
-                   for row in table.rows if name in row.scores)[1]
-        beta_hat = gls_fit(whiten(ds), best.model).beta_hat
-        mu_hat = ds.x_full[:, best.model.zero_based] @ beta_hat if best.model.p else 0.0
+    for j, name in enumerate(spec.criteria):
+        best = min(((table.scores[i, j], model.p, model.indices), model)
+                   for i, model in enumerate(table.candidates) if not table.exclusion[i, j])[1]
+        beta_hat = gls_fit(whiten(ds), best).beta_hat
+        mu_hat = ds.x_full[:, best.zero_based] @ beta_hat if best.p else 0.0
         pe = float(np.sum((mu_hat - truth.x_true @ truth.beta_true) ** 2)) / cell.n
         summary = result.by_criterion[name]
-        assert summary.true_model_count == int(best.model == truth.j_star)
+        assert summary.true_model_count == int(best == truth.j_star)
         assert summary.mean_prediction_error == pytest.approx(pe, rel=1e-12)
         assert summary.standard_error == 0.0
 
