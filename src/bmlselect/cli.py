@@ -1,10 +1,13 @@
 """Command-line interface: score one model, run subset selection, or drive
 Monte Carlo experiments.
 
-Output files are plain CSV prefixed by ``# key = value`` comment lines that
-echo the fully resolved configuration (including any defaulted seed).
-Numbers carry 17 significant digits, so a fixed seed yields byte-identical
-files regardless of worker count.
+Every setting is resolved in one step: the config file's ``key = value``
+lines, overlaid by the flags that were given, each parsed once by the parser
+its name selects.  A command reads only that dict, and a setting that the
+run would not read exits 2.  Output files are plain CSV prefixed by
+``# key = value`` comment lines that echo the fully resolved configuration
+(including any defaulted seed).  Numbers carry 17 significant digits, so a
+fixed seed yields byte-identical files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .selection import (
 )
 from .simulation import (
     BETA_PATTERNS,
-    CriterionSummary,
     ExperimentResult,
     ExperimentSpec,
     resolve_workers,
@@ -60,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_data):
-        if with_data:
+    def add_common(p, command):
+        if command != "simulate":
             p.add_argument("--data", help="input CSV: header row, response first, predictors after")
         p.add_argument("--config", help="flat key = value config file; flags override it")
         p.add_argument("--out", help="output CSV path")
@@ -75,24 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--estimate-lambda",
             action="store_true",
+            default=None,
             help="re-estimate the prior scale per candidate (the default)",
         )
         p.add_argument("--phi", type=float, help="fix the covariance parameter")
-        p.add_argument(
-            "--include-null",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="include the empty model among candidates (default yes)",
-        )
+        if command != "criteria":  # which scores the full model alone
+            p.add_argument(
+                "--include-null",
+                action=argparse.BooleanOptionalAction,
+                help="include the empty model among candidates (default yes)",
+            )
 
     for name, text in (("select", "exhaustive subset selection on a data file"),
                        ("criteria", "score the full model of a data file")):
         p_data = sub.add_parser(name, help=text)
-        add_common(p_data, with_data=True)
+        add_common(p_data, name)
         p_data.add_argument("--covariance", choices=("identity", "ar1", "nerm"))
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment grid")
-    add_common(p_sim, with_data=False)
+    add_common(p_sim, "simulate")
     p_sim.add_argument(
         "--covariance",
         "--model",
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Config and input parsing
+# Settings and input parsing
 # ---------------------------------------------------------------------------
 
 
@@ -130,12 +133,14 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
         key = key.strip().lower().replace("-", "_")
         if key not in keys:
             raise DataParseError(f"{path}: line {lineno}: unknown key {key!r}")
-        cfg[key] = value.strip()
+        # In a simulate config, as on its command line, `model` is `covariance`.
+        cfg["covariance" if key == "model" else key] = value.strip()
     return cfg
 
 
 def _read_data(path: str):
-    """Parse a headered CSV: first column response, remaining predictors."""
+    """Parse a headered CSV: first column response, remaining predictors.
+    Blank lines are skipped; every other cell must be a finite number."""
     import numpy as np
 
     try:
@@ -151,6 +156,8 @@ def _read_data(path: str):
         raise DataParseError(f"{path}: need a response column plus at least one predictor")
     values = []
     for rownum, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
         if len(row) != ncol:
             raise DataParseError(
                 f"{path}: row {rownum}: expected {ncol} fields, found {len(row)}"
@@ -163,19 +170,15 @@ def _read_data(path: str):
                 raise DataParseError(
                     f"{path}: row {rownum}, column {colnum}: not a number: {cell!r}"
                 ) from None
+            if not math.isfinite(parsed[-1]):
+                raise DataParseError(
+                    f"{path}: row {rownum}, column {colnum}: not a finite number: {cell!r}"
+                )
         values.append(parsed)
     if not values:
         raise DataParseError(f"{path}: no data rows")
     data = np.asarray(values, dtype=float)
     return data[:, 0], data[:, 1:], header
-
-
-def _pick(cli_value, cfg: dict, key: str, default=None):
-    if cli_value is not None:
-        return cli_value
-    if key in cfg:
-        return cfg[key]
-    return default
 
 
 def _as_bool(value, what: str) -> bool:
@@ -213,31 +216,44 @@ def _split_list(value, what: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _resolve_criteria(ns, cfg, default=None) -> tuple[str, ...] | None:
-    raw = ns.criterion if ns.criterion else cfg.get("criterion")
-    if raw is None:
-        return default
-    names = _split_list(raw, "criterion")
+def _list_of(parse):
+    return lambda value, what: tuple(parse(item, what) for item in _split_list(value, what))
+
+
+def _as_criteria(value, what: str) -> tuple[str, ...]:
+    names = _split_list(value, what)
     if any(n.lower() == "all" for n in names):
         return CRITERION_NAMES
     return check_names(dict.fromkeys(names))
 
 
-# (dataclass field, flag and config key, parser) of the values a user may set;
-# a value set neither way is left to the dataclass default.
-_OPTION_FIELDS = (
-    ("prior_kind", "prior", lambda v, _: v),
-    ("include_null", "include_null", _as_bool),
-)
+# The parser of each setting that is not used as its text.  Flag values pass
+# through it too; those argparse has already typed come back unchanged.
+_PARSERS = {
+    "lambda": _as_float,
+    "phi": _as_float,
+    "seed": _as_int,
+    "replications": _as_int,
+    "nerm_group_size": _as_int,
+    "include_null": _as_bool,
+    "estimate_lambda": _as_bool,
+    "n_grid": _list_of(_as_int),
+    "snr_grid": _list_of(_as_float),
+    "group_sizes": _list_of(_as_int),
+    "criterion": _as_criteria,
+}
+# (dataclass field, setting) of the values a user may set; a value set
+# neither way is left to the dataclass default.
+_OPTION_FIELDS = (("prior_kind", "prior"), ("include_null", "include_null"))
 _SIMULATE_FIELDS = (
-    ("master_seed", "seed", _as_int),
-    ("phi_true", "phi", _as_float),
-    ("replications", "replications", _as_int),
-    ("n_grid", "n_grid", lambda v, what: tuple(_as_int(n, what) for n in _split_list(v, what))),
-    ("snr_grid", "snr_grid",
-     lambda v, what: tuple(_as_float(s, what) for s in _split_list(v, what))),
-    ("beta_pattern", "beta_pattern", lambda v, _: v),
-    ("nerm_group_size", "nerm_group_size", _as_int),
+    ("master_seed", "seed"),
+    ("phi_true", "phi"),
+    ("replications", "replications"),
+    ("n_grid", "n_grid"),
+    ("snr_grid", "snr_grid"),
+    ("beta_pattern", "beta_pattern"),
+    ("nerm_group_size", "nerm_group_size"),
+    ("criteria", "criterion"),
 )
 # A command's config keys are its flags' destinations (``lam`` is read as
 # ``lambda``) and these keys, which have no flag there.
@@ -248,42 +264,28 @@ _CONFIG_ONLY_KEYS = {
 }
 
 
-def _config_keys(ns) -> set[str]:
-    flags = {"lambda" if dest == "lam" else dest for dest in vars(ns)} - {"command", "config"}
-    return flags | _CONFIG_ONLY_KEYS[ns.command]
+def _settings(ns) -> dict:
+    """The run's parsed settings: the config file's keys, overlaid by each flag given."""
+    flags = {"lambda" if dest == "lam" else dest: value
+             for dest, value in vars(ns).items() if dest not in ("command", "config")}
+    raw = _load_config(ns.config, set(flags) | _CONFIG_ONLY_KEYS[ns.command]) if ns.config else {}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    return {key: _PARSERS[key](value, key) if key in _PARSERS else value
+            for key, value in raw.items()}
 
 
-def _given(ns, cfg, fields) -> dict:
-    """The parsed values of ``fields`` that were set by flag or config."""
-    given = {}
-    for name, key, parse in fields:
-        value = _pick(getattr(ns, key, None), cfg, key)
-        if value is not None:
-            given[name] = parse(value, key)
-    return given
-
-
-def _resolve_options(ns, cfg) -> SelectionOptions:
+def _resolve_options(s: dict) -> SelectionOptions:
     """The prior choice and include_null; the prior is checked whatever the criteria."""
-    lam = _pick(ns.lam, cfg, "lambda")
-    lam = None if lam is None else _as_float(lam, "lambda")
-    estimate = ns.estimate_lambda or _as_bool(cfg.get("estimate_lambda", False), "estimate_lambda")
-    if lam is not None and estimate:
+    if "lambda" in s and s.get("estimate_lambda"):
         raise DataParseError("--lambda and --estimate-lambda are mutually exclusive")
-    return SelectionOptions(lam=lam, **_given(ns, cfg, _OPTION_FIELDS))
+    return SelectionOptions(lam=s.get("lambda"), **{f: s[k] for f, k in _OPTION_FIELDS if k in s})
 
 
-def _resolve_covariance(ns, cfg) -> CovarianceSpec:
-    kind = _pick(ns.covariance, cfg, "covariance", "identity")
-    phi = ns.phi if ns.phi is not None else cfg.get("phi")
-    phi = None if phi is None else _as_float(phi, "phi")
-    sizes = None
-    if kind == "nerm":
-        raw = cfg.get("group_sizes")
-        if raw is None:
-            raise DataParseError("nerm covariance requires group_sizes in the config file")
-        sizes = tuple(_as_int(s, "group_sizes") for s in _split_list(raw, "group_sizes"))
-    return CovarianceSpec(kind=kind, phi=phi, group_sizes=sizes)
+def _resolve_covariance(s: dict) -> CovarianceSpec:
+    kind = s.get("covariance", "identity")
+    if kind == "nerm" and "group_sizes" not in s:
+        raise DataParseError("nerm covariance requires group_sizes in the config file")
+    return CovarianceSpec(kind=kind, phi=s.get("phi"), group_sizes=s.get("group_sizes"))
 
 
 def _require(value, flag: str):
@@ -313,18 +315,17 @@ def _header_lines(meta: dict) -> list[str]:
     return [f"# {key} = {value}" for key, value in meta.items()]
 
 
-def _resolve_data_run(ns, cfg):
+def _resolve_data_run(s: dict):
     """(data path, dataset, criteria, options) of a `select` or `criteria` run."""
-    data_path = _require(_pick(ns.data, cfg, "data"), "--data")
+    data_path = _require(s.get("data"), "--data")
     y, x, _ = _read_data(data_path)
-    dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(ns, cfg))
-    criteria = _resolve_criteria(ns, cfg, CRITERION_NAMES)
-    return data_path, dataset, criteria, _resolve_options(ns, cfg)
+    dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(s))
+    return data_path, dataset, s.get("criterion", CRITERION_NAMES), _resolve_options(s)
 
 
-def _cmd_select(ns, cfg) -> int:
-    out_path = _writable(_require(_pick(ns.out, cfg, "out"), "--out"))
-    data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
+def _cmd_select(s: dict) -> int:
+    out_path = _writable(_require(s.get("out"), "--out"))
+    data_path, dataset, criteria, options = _resolve_data_run(s)
     table = score_candidates(dataset, criteria, options)
     selected = {name: report_from_table(table, name) for name in criteria}
     ranked, excluded = table.rank(criteria[0])
@@ -374,11 +375,11 @@ def _cmd_select(ns, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_criteria(ns, cfg) -> int:
-    out_path = _pick(ns.out, cfg, "out")
+def _cmd_criteria(s: dict) -> int:
+    out_path = s.get("out")
     if out_path:
         _writable(out_path)
-    data_path, dataset, criteria, options = _resolve_data_run(ns, cfg)
+    data_path, dataset, criteria, options = _resolve_data_run(s)
     wd, phi_est = resolve_whitened(dataset)
     cov = dataset.cov if phi_est is None else dataset.cov.with_phi(phi_est.value)
     model = CandidateModel(tuple(range(1, dataset.p_omega + 1)))
@@ -411,18 +412,19 @@ def _cmd_criteria(ns, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(ns, cfg) -> int:
-    out_path = _writable(_require(_pick(ns.out, cfg, "out"), "--out"))
-    if _resolve_options(ns, cfg).lam is not None:
+def _cmd_simulate(s: dict) -> int:
+    out_path = _writable(_require(s.get("out"), "--out"))
+    if "lambda" in s:
         raise DataParseError("simulate always re-estimates lambda; drop --lambda")
-    given = _given(ns, cfg, _OPTION_FIELDS + _SIMULATE_FIELDS)
-    criteria = _resolve_criteria(ns, cfg)
-    if criteria is not None:
-        given["criteria"] = criteria
-    kind = _pick(ns.covariance, cfg, "model") or cfg.get("covariance")
+    given = {f: s[k] for f, k in _OPTION_FIELDS + _SIMULATE_FIELDS if k in s}
+    kind = s.get("covariance")
     if kind is not None:
         given["model_kind"] = "constant_variance" if kind == "identity" else kind
     spec = ExperimentSpec(**given)
+    for key, reads in (("phi", spec.model_kind != "constant_variance"),
+                       ("nerm_group_size", spec.model_kind == "nerm")):
+        if key in s and not reads:
+            raise DataParseError(f"{key} does not apply to the {spec.model_kind} model")
     cells = len(spec.cells())
     print(
         f"simulate: {cells} cells x {spec.replications} replications = "
@@ -452,7 +454,7 @@ def _cmd_simulate(ns, cfg) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Results CSV round trip
+# Results CSV
 # ---------------------------------------------------------------------------
 
 _RESULT_COLUMNS = (
@@ -491,49 +493,6 @@ def write_results_csv(path: str, results: list[ExperimentResult], meta: dict) ->
                 )
 
 
-def read_results_csv(path: str):
-    """Re-parse a simulate CSV into (meta, [ExperimentResult]); floats round-trip exactly."""
-    meta: dict[str, str] = {}
-    body: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-            elif line:
-                body.append(line)
-    if not body:
-        raise DataParseError(f"{path}: no result rows")
-    reader = csv.reader(body)
-    header = next(reader)
-    if tuple(header) != _RESULT_COLUMNS:
-        raise DataParseError(f"{path}: unexpected header {header}")
-    results: list[ExperimentResult] = []
-    current_key = None
-    current: ExperimentResult | None = None
-    for row in reader:
-        rec = dict(zip(_RESULT_COLUMNS, row))
-        key = (rec["model_kind"], rec["n"], rec["snr"], rec["beta_pattern"], rec["replications"])
-        if key != current_key:
-            current = ExperimentResult(
-                model_kind=rec["model_kind"],
-                n=int(rec["n"]),
-                snr=float(rec["snr"]),
-                beta_pattern=rec["beta_pattern"],
-                replications=int(rec["replications"]),
-                by_criterion={},
-            )
-            results.append(current)
-            current_key = key
-        current.by_criterion[rec["criterion"]] = CriterionSummary(
-            true_model_count=int(rec["true_model_count"]),
-            mean_prediction_error=float(rec["mean_prediction_error"]),
-            standard_error=float(rec["se_prediction_error"]),
-        )
-    return meta, results
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -546,12 +505,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(ns.config, _config_keys(ns)) if ns.config else {}
-        if ns.command == "select":
-            return _cmd_select(ns, cfg)
-        if ns.command == "criteria":
-            return _cmd_criteria(ns, cfg)
-        return _cmd_simulate(ns, cfg)
+        command = {"select": _cmd_select, "criteria": _cmd_criteria, "simulate": _cmd_simulate}
+        return command[ns.command](_settings(ns))
     except (DataParseError, CovarianceError, CandidateExplosionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from bmlselect import CRITERION_NAMES, ExperimentSpec, SelectionOptions, cli, selection
-from bmlselect.cli import main, read_results_csv
-from bmlselect.exceptions import DataParseError
+from bmlselect.cli import main
 
 
 def write_ones_fixture(path):
@@ -168,6 +168,43 @@ def test_select_with_config_file_and_override(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line, flag",
+    [("phi = 0.3", ["--phi", "0.6"]), ("seed = 1", ["--seed", "2"]),
+     ("include_null = yes", ["--no-include-null"]), ("n_grid = 30", ["--n-grid", "25"]),
+     ("criterion = aic", ["--criterion", "bic"])],
+    ids=["float", "int", "bool", "list", "criterion"],
+)
+def test_simulate_flag_beats_its_config_key(tmp_path, monkeypatch, line, flag):
+    # One setting of each parser kind: the run with both writes what the flag
+    # alone writes, and the key alone writes something else.
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "r.csv"
+
+    def run(*extra):
+        assert main(["simulate", "--out", str(out), "--model", "ar1", *extra]) == 0
+        return out.read_text()
+
+    assert run("--config", str(cfg), *flag) == run(*flag) != run("--config", str(cfg))
+
+
+@pytest.mark.parametrize(
+    "lines, kind",
+    [("model = nerm\ncovariance = ar1\n", "ar1"), ("covariance = ar1\nmodel = nerm\n", "nerm")],
+    ids=["covariance_last", "model_last"],
+)
+def test_simulate_config_model_is_covariance_and_the_later_line_wins(tmp_path, monkeypatch,
+                                                                     lines, kind):
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(lines)
+    assert main(["simulate", "--out", str(tmp_path / "r.csv"), "--config", str(cfg)]) == 0
+    assert [spec.model_kind for spec in specs] == [kind]
+
+
+@pytest.mark.parametrize(
     "group_sizes, phi, message",
     [("10,10,10", "nan", "phi must be finite"), ("10,10,9", "0.5", "sum to 29, expected n = 30"),
      ("15,,15", "0.5", "group_sizes: empty item in '15,,15'")],
@@ -194,11 +231,13 @@ def test_select_bad_nerm_covariance_exits_2(tmp_path, capsys, group_sizes, phi, 
         ("select", "replications = 5"),
         ("select", "seed = 1"),
         ("criteria", "nerm_group_size = 4"),
+        ("criteria", "include_null = false"),
         ("simulate", "data = /nonexistent.csv"),
         ("simulate", "group_sizes = 20,20"),
     ],
     ids=["unknown", "select_model", "select_replications", "select_seed",
-         "criteria_nerm_group_size", "simulate_data", "simulate_group_sizes"],
+         "criteria_nerm_group_size", "criteria_include_null", "simulate_data",
+         "simulate_group_sizes"],
 )
 def test_config_unknown_key_exits_2(tmp_path, capsys, monkeypatch, command, line):
     calls = record_work(monkeypatch)
@@ -357,25 +396,26 @@ def test_simulate_replication_failure_exits_3_and_names_it(tmp_path, capsys):
 
 
 def test_simulate_round_trip_reader(tmp_path):
+    # The writer's 17 significant digits read back as the very floats it wrote.
     from bmlselect import ExperimentSpec, run_experiment
 
     out = tmp_path / "r.csv"
     assert main(simulate_args(out, extra=("--beta-pattern", "two_ones"))) == 0
-    meta, results = read_results_csv(str(out))
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     spec = ExperimentSpec(
         model_kind="constant_variance", n_grid=(20,), snr_grid=(3.0,),
         beta_pattern="two_ones", replications=3, criteria=("bic", "aic"),
         master_seed=42,
     )
-    expect = run_experiment(spec, workers=1)
-    assert len(results) == len(expect) == 1
-    got, want = results[0], expect[0]
-    assert got.n == want.n and got.snr == want.snr
-    for name in ("bic", "aic"):
-        a, b = got.by_criterion[name], want.by_criterion[name]
-        assert a.true_model_count == b.true_model_count
-        assert a.mean_prediction_error == b.mean_prediction_error
-        assert a.standard_error == b.standard_error
+    (want,) = run_experiment(spec, workers=1)
+    assert [row["criterion"] for row in rows] == ["bic", "aic"]
+    for row in rows:
+        summary = want.by_criterion[row["criterion"]]
+        assert int(row["n"]) == want.n and float(row["snr"]) == want.snr
+        assert int(row["true_model_count"]) == summary.true_model_count
+        assert float(row["mean_prediction_error"]) == summary.mean_prediction_error
+        assert float(row["se_prediction_error"]) == summary.standard_error
 
 
 def test_numerical_failure_exits_3_and_names_candidate(tmp_path, capsys):
@@ -491,8 +531,13 @@ def test_config_skips_comment_and_blank_lines(tmp_path):
         ("y\n1\n2\n", "{path}: need a response column plus at least one predictor"),
         ("y,x1\n", "{path}: no data rows"),
         ("y,x1\n1,2\n3\n", "{path}: row 3: expected 2 fields, found 1"),
+        ("y,x1\n1,2\n\n3\n", "{path}: row 4: expected 2 fields, found 1"),
+        ("y,x1\nnan,1\n2,1\n", "{path}: row 2, column 1: not a finite number: 'nan'"),
+        ("y,x1\n1,1\n2,inf\n", "{path}: row 3, column 2: not a finite number: 'inf'"),
+        ("y,x1\n1,1e400\n2,1\n", "{path}: row 2, column 2: not a finite number: '1e400'"),
     ],
-    ids=["unreadable", "empty", "one_column", "no_rows", "field_count"],
+    ids=["unreadable", "empty", "one_column", "no_rows", "field_count",
+         "field_count_after_blank_line", "nan_in_y", "inf_in_x", "overflow"],
 )
 def test_bad_data_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, text, message):
     calls = record_work(monkeypatch)
@@ -523,18 +568,44 @@ def test_bad_option_exits_2_before_any_work(tmp_path, capsys, monkeypatch, comma
     assert calls == []
 
 
+def test_data_file_trailing_blank_line_is_skipped(tmp_path):
+    data = write_signal_fixture(tmp_path / "sig.csv")
+    blank = tmp_path / "blank.csv"
+    blank.write_text(open(data).read() + "\n")
+    tables = []
+    for path in (data, blank):
+        out = tmp_path / "o.csv"
+        assert main(["select", "--data", str(path), "--out", str(out), "--criterion", "bic"]) == 0
+        tables.append([l for l in out.read_text().splitlines() if not l.startswith("# data = ")])
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize(
-    "text, message",
-    [("# seed = 1\n", "{path}: no result rows"),
-     ("# seed = 1\nn,snr\n20,3\n", "{path}: unexpected header ['n', 'snr']")],
-    ids=["no_rows", "wrong_header"],
+    "command, config, extra, message",
+    [
+        ("select", "group_sizes = 10,10,10\n", ["--covariance", "identity"],
+         "group_sizes only apply to the nerm kind"),
+        ("criteria", "group_sizes = 10,10,10\n", ["--covariance", "ar1"],
+         "group_sizes only apply to the nerm kind"),
+        ("criteria", "", ["--no-include-null"], "unrecognized arguments: --no-include-null"),
+        ("simulate", "", ["--model", "constant_variance", "--phi", "0.9"],
+         "phi does not apply to the constant_variance model"),
+        ("simulate", "nerm_group_size = 5\n", ["--model", "ar1"],
+         "nerm_group_size does not apply to the ar1 model"),
+    ],
+    ids=["select_identity_group_sizes", "criteria_ar1_group_sizes", "criteria_include_null",
+         "simulate_constant_variance_phi", "simulate_ar1_nerm_group_size"],
 )
-def test_read_results_csv_rejects_a_file_without_results(tmp_path, text, message):
-    path = tmp_path / "r.csv"
-    path.write_text(text)
-    with pytest.raises(DataParseError) as info:
-        read_results_csv(str(path))
-    assert str(info.value) == message.format(path=path)
+def test_a_setting_the_run_never_reads_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, config, extra, message):
+    calls = record_work(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o.csv"
+    assert main(command_argv(command, tmp_path, out) + ["--config", str(cfg), *extra]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert calls == []
+    assert not out.exists()
 
 
 def test_bare_simulate_leaves_every_default_to_the_spec(tmp_path, monkeypatch):
