@@ -270,15 +270,14 @@ def _settings(ns) -> dict:
              for dest, value in vars(ns).items() if dest not in ("command", "config")}
     raw = _load_config(ns.config, set(flags) | _CONFIG_ONLY_KEYS[ns.command]) if ns.config else {}
     raw.update((key, value) for key, value in flags.items() if value is not None)
-    return {key: _PARSERS[key](value, key) if key in _PARSERS else value
-            for key, value in raw.items()}
-
-
-def _resolve_options(s: dict) -> SelectionOptions:
-    """The prior choice and include_null; the prior is checked whatever the criteria."""
-    if "lambda" in s and s.get("estimate_lambda"):
+    s = {key: _PARSERS[key](value, key) if key in _PARSERS else value
+         for key, value in raw.items()}
+    # estimate_lambda only says whether lambda is left unfixed, so it must agree.
+    if s.get("estimate_lambda") and "lambda" in s:
         raise DataParseError("--lambda and --estimate-lambda are mutually exclusive")
-    return SelectionOptions(lam=s.get("lambda"), **{f: s[k] for f, k in _OPTION_FIELDS if k in s})
+    if s.get("estimate_lambda") is False and "lambda" not in s:
+        raise DataParseError("estimate_lambda = false does not apply without lambda")
+    return s
 
 
 def _resolve_covariance(s: dict) -> CovarianceSpec:
@@ -315,12 +314,23 @@ def _header_lines(meta: dict) -> list[str]:
     return [f"# {key} = {value}" for key, value in meta.items()]
 
 
+def _write_csv(path: str, meta: dict, head, rows) -> None:
+    """The ``# key = value`` lines of ``meta``, then a CSV table."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in _header_lines(meta))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(head)
+        writer.writerows(rows)
+
+
 def _resolve_data_run(s: dict):
     """(data path, dataset, criteria, options) of a `select` or `criteria` run."""
     data_path = _require(s.get("data"), "--data")
     y, x, _ = _read_data(data_path)
     dataset = Dataset(y=y, x_full=x, cov=_resolve_covariance(s))
-    return data_path, dataset, s.get("criterion", CRITERION_NAMES), _resolve_options(s)
+    options = SelectionOptions(lam=s.get("lambda"),  # checks the prior whatever the criteria
+                               **{f: s[k] for f, k in _OPTION_FIELDS if k in s})
+    return data_path, dataset, s.get("criterion", CRITERION_NAMES), options
 
 
 def _cmd_select(s: dict) -> int:
@@ -347,28 +357,25 @@ def _cmd_select(s: dict) -> int:
         "include_null": str(options.include_null).lower(),
         "ranked_by": criteria[0],
     }
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        for line in _header_lines(meta):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        head = ["rank", "candidate", "p"]
-        if with_lambda:
-            head.append("lambda_hat")
-        head += list(criteria)
-        head.append("excluded")
-        writer.writerow(head)
-        positions = itertools.chain(enumerate(ranked.tolist(), start=1),
-                                    (("", i) for i in excluded.tolist()))
-        for rank, i in positions:
-            model, excluded_by = table.candidates[i], table.excluded(i)
-            rec = [rank, model.label(), model.p]
-            if with_lambda:
-                lam = table.lambda_hat[i]
-                rec.append("" if math.isnan(lam) else _fmt(lam))
-            rec += ["" if name in excluded_by else _fmt(value)
-                    for name, value in zip(criteria, table.scores[i].tolist())]
-            rec.append("; ".join(f"{name}: {why}" for name, why in sorted(excluded_by.items())))
-            writer.writerow(rec)
+    # Each row's label and size, read off the membership array in one pass.
+    sizes = table.members.sum(axis=1).tolist()
+    columns = iter((table.members.nonzero()[1] + 1).tolist())
+    labels = [" ".join(map(str, itertools.islice(columns, k))) or "(null)" for k in sizes]
+    flagged, lam_hat = table.exclusion.any(axis=1).tolist(), table.lambda_hat.tolist()
+
+    def record(rank, i):
+        excluded_by = table.excluded(i) if flagged[i] else {}
+        lam = ["" if math.isnan(lam_hat[i]) else _fmt(lam_hat[i])] if with_lambda else []
+        scores = ["" if name in excluded_by else _fmt(value)
+                  for name, value in zip(criteria, table.scores[i].tolist())]
+        reasons = "; ".join(f"{name}: {why}" for name, why in sorted(excluded_by.items()))
+        return [rank, labels[i], sizes[i], *lam, *scores, reasons]
+
+    head = ["rank", "candidate", "p", *(["lambda_hat"] if with_lambda else []), *criteria,
+            "excluded"]
+    positions = itertools.chain(enumerate(ranked.tolist(), start=1),
+                                (("", i) for i in excluded.tolist()))
+    _write_csv(out_path, meta, head, itertools.starmap(record, positions))
     for name in criteria:
         print(f"selected[{name}] = {selected[name].label()}")
     print(f"wrote {out_path}")
@@ -471,26 +478,12 @@ _RESULT_COLUMNS = (
 
 
 def write_results_csv(path: str, results: list[ExperimentResult], meta: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in _header_lines(meta):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_RESULT_COLUMNS)
-        for res in results:
-            for name, summary in res.by_criterion.items():
-                writer.writerow(
-                    [
-                        res.model_kind,
-                        res.n,
-                        _fmt(res.snr),
-                        res.beta_pattern,
-                        name,
-                        res.replications,
-                        summary.true_model_count,
-                        _fmt(summary.mean_prediction_error),
-                        _fmt(summary.standard_error),
-                    ]
-                )
+    _write_csv(path, meta, _RESULT_COLUMNS, (
+        [res.model_kind, res.n, _fmt(res.snr), res.beta_pattern, name, res.replications,
+         summary.true_model_count, _fmt(summary.mean_prediction_error),
+         _fmt(summary.standard_error)]
+        for res in results for name, summary in res.by_criterion.items()
+    ))
 
 
 # ---------------------------------------------------------------------------

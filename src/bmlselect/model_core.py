@@ -8,15 +8,15 @@ factor, or an O(n) recursion for AR(1)) and reduces the whitened [X y] to
 one (p_omega + 1) x (p_omega + 1) R factor, ``WhitenedData.r0``; no later
 step reads the n rows again.  A candidate with columns S is one small QR of
 R0[:, S + [y]], which yields its R factor, Q'y and y'Py (Furnival & Wilson
-1974); :func:`gls_fit` stacks a batch of same-size candidates into one such
-call, and the SVD of R (:attr:`WhitenedFit.spectrum`) is one batched call
-too.  Every field of a fit is then an array over the batch, and a single
-candidate is the batch of one with the batch axis dropped, so one set of
-formulas serves both.  The prior terms read only these
-(:class:`~bmlselect.covariance.PriorScale` holds their formulas), so the
-lambda search, the prior step (:meth:`WhitenedFit.with_prior`) and ``dic``
-factor nothing more; the n x n projection matrices are never formed (test
-oracles do form them).
+1974); :func:`gls_fit` stacks a batch of same-size candidates (one row of
+column indices each) into one such call, and the SVD of R
+(:attr:`WhitenedFit.spectrum`) is one batched call too.  Every field of a
+fit is then an array over the batch, and a single candidate is the batch
+of one with the batch axis dropped, so one set of formulas serves both.
+The prior terms read only these (:class:`~bmlselect.covariance.PriorScale`
+holds their formulas), so the lambda search, the prior step
+(:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the
+n x n projection matrices are never formed (test oracles do form them).
 
 One rank rule, :func:`_full_rank`, judges every QR factor: a pivot below
 ``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
@@ -25,7 +25,6 @@ marks the design as rank deficient.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,30 +223,31 @@ def whiten(dataset: Dataset) -> WhitenedData:
     )
 
 
-def gls_fit(
-    whitened: WhitenedData, model: CandidateModel | Sequence[CandidateModel]
-) -> WhitenedFit:
+def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray) -> WhitenedFit:
     """GLS fit of one candidate, or of a batch of same-size candidates.
 
-    ``model`` is a :class:`CandidateModel` or a sequence of them.  For the
-    columns S of each, one QR of R0[:, S + [y]] (``whitened.r0``) gives R,
-    Q'y and y'Py, the square of its last pivot; a batch stacks all of them
-    into one call.  A single rank-deficient candidate raises
-    ``SingularDesignError``; a batch fit drops such candidates and records
-    the positions of those it holds in ``kept``.
-    :meth:`WhitenedFit.with_prior` adds the marginal-likelihood quantities.
+    ``model`` is a :class:`CandidateModel`, or a (batch x p) array of
+    1-based column indices, each row strictly increasing within 1..p_omega
+    (else ``ValueError``, naming the first bad row).  For the columns S of
+    each, one QR of R0[:, S + [y]] (``whitened.r0``) gives R, Q'y and y'Py,
+    the square of its last pivot; a batch stacks all of them into one call.
+    A single rank-deficient candidate raises ``SingularDesignError``; a
+    batch fit drops such candidates and records the positions of those it
+    holds in ``kept``.  :meth:`WhitenedFit.with_prior` adds the
+    marginal-likelihood quantities.
     """
     single = isinstance(model, CandidateModel)
-    models = (model,) if single else tuple(model)
-    k, p_omega = models[0].p, whitened.p_omega
-    cols = np.array([m.indices for m in models], dtype=np.intp).reshape(len(models), k) - 1
-    if k and cols[:, -1].max() >= p_omega:
-        bad = models[int(np.argmax(cols[:, -1] >= p_omega))]
-        raise ValueError(
-            f"candidate {bad.label()} uses column {bad.indices[-1]} "
-            f"but the design has {p_omega}"
-        )
-    stacked = whitened.r0[:, np.column_stack([cols, np.full(len(models), p_omega)])]
+    cols = np.array([model.indices] if single else model, dtype=np.intp)
+    (b, k), p_omega = cols.shape, whitened.p_omega
+    # Bracketed by 0 and p_omega + 1, a valid row strictly increases.
+    steps = np.diff(cols, axis=1, prepend=0, append=p_omega + 1) <= 0
+    bad = np.flatnonzero(steps.any(axis=1))
+    if bad.size:
+        row = cols[bad[0]].tolist()
+        raise ValueError(f"candidate {' '.join(map(str, row))} uses column "
+                         f"{row[min(int(np.argmax(steps[bad[0]])), k - 1)]}, but its "
+                         f"columns must increase strictly within 1..{p_omega}")
+    stacked = whitened.r0[:, np.column_stack([cols - 1, np.full(b, p_omega)])]
     rf = np.linalg.qr(stacked.transpose(1, 0, 2), mode="r")
     # Each R here is square whatever n is, so more columns than rows is k > n.
     full = _full_rank(rf[:, :k, :k]) & (k <= whitened.n)

@@ -1,20 +1,20 @@
 """Exhaustive candidate enumeration, scoring, and argmin selection.
 
-:func:`score_candidates` is a batched all-subsets engine: it whitens the
-data and reduces it to one R factor once, then fits, estimates lambda for
-and scores the candidates of each size as stacked batches, so the work per
-candidate is array arithmetic rather than Python calls.  Each batch writes
-straight into the (candidates x criteria) arrays of a :class:`ScoreTable`,
-the one record of a selection.  :meth:`ScoreTable.rank`, a stable sort of
-one criterion's admissible scores, is the one ranking:
-:func:`report_from_table` returns its first candidate, and the CLI's CSV
-writer reads it whole.  :meth:`ScoreTable.excluded` is the one decoder of the
-exclusion codes.
+The candidates are the rows of one boolean membership array
+(:func:`enumerate_candidates`).  :func:`score_candidates` whitens the data
+and reduces it to one R factor once, then fits, estimates lambda for and
+scores each run of same-size rows as stacked batches, writing straight into
+the (candidates x criteria) arrays of a :class:`ScoreTable`, the one record
+of a selection.  :meth:`ScoreTable.rank` is the one ranking,
+:meth:`ScoreTable.candidate` the one decoder of a row into a
+:class:`~bmlselect.model_core.CandidateModel`, and
+:meth:`ScoreTable.excluded` the one decoder of the exclusion codes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -24,7 +24,7 @@ from . import covariance as _covariance
 from . import criteria as _criteria
 from .covariance import BATCH_ELEMENTS, PriorScale, ScalarEstimate, check_prior, known_scale
 from .covariance import estimate_phi_full_model
-# Importable from here for code that wraps the single-candidate lambda step;
+# Kept importable from here because perfbench/spans.py wraps this name;
 # fit_candidate reads the covariance module's function, which also takes batches.
 from .covariance import estimate_lambda  # noqa: F401
 from .exceptions import (
@@ -62,13 +62,14 @@ _SINGULAR, _UNDEFINED = 1, 2
 
 @dataclass
 class ScoreTable:
-    """Every candidate's scores, in :func:`enumerate_candidates` order, and the
-    whitened data (at phi_hat) they were computed from.  ``scores[i, j]`` is
-    ``candidates[i]``'s ``criteria[j]`` where the code ``exclusion[i, j]`` is 0;
-    :meth:`excluded` decodes any other code.  ``lambda_hat`` is NaN where
-    no scale was estimated."""
+    """Every candidate's scores and the whitened data (at phi_hat) they were
+    computed from.  Row ``i`` of every array is one candidate: ``members[i]``
+    marks its columns (:func:`enumerate_candidates` order, decoded by
+    :meth:`candidate`), and ``scores[i, j]`` is its ``criteria[j]`` where the
+    code ``exclusion[i, j]`` is 0; :meth:`excluded` decodes any other code.
+    ``lambda_hat`` is NaN where no scale was estimated."""
 
-    candidates: list[CandidateModel]
+    members: np.ndarray
     criteria: tuple[str, ...]
     scores: np.ndarray
     exclusion: np.ndarray
@@ -88,8 +89,12 @@ class ScoreTable:
         ranked = admissible[np.argsort(self.scores[admissible, j], kind="stable")]
         return ranked, np.flatnonzero(self.exclusion[:, j])
 
+    def candidate(self, i: int) -> CandidateModel:
+        """The candidate of row ``i``."""
+        return CandidateModel(tuple((np.flatnonzero(self.members[i]) + 1).tolist()))
+
     def excluded(self, i: int) -> dict[str, str]:
-        """{criterion: reason} for each criterion that excludes ``candidates[i]``."""
+        """{criterion: reason} for each criterion that excludes candidate ``i``."""
         codes = self.exclusion[i].tolist()
         return {name: EXCLUSION_REASONS[code] for name, code in zip(self.criteria, codes) if code}
 
@@ -97,11 +102,12 @@ class ScoreTable:
     def rows(self) -> list[SimpleNamespace]:
         """One record per candidate, holding only ``excluded``, built on each
         read.  Only the benchmark reads them."""
-        return [SimpleNamespace(excluded=self.excluded(i)) for i in range(len(self.candidates))]
+        return [SimpleNamespace(excluded=self.excluded(i)) for i in range(len(self.scores))]
 
 
-def enumerate_candidates(p_omega: int, include_null: bool = True) -> list[CandidateModel]:
-    """All column subsets of {1, ..., p_omega}, ordered by size then lexicographically.
+def enumerate_candidates(p_omega: int, include_null: bool = True) -> np.ndarray:
+    """The (candidates x p_omega) boolean membership array of all column
+    subsets of {1, ..., p_omega}, ordered by size then lexicographically.
 
     This order is the tie-break between equal scores.
     """
@@ -110,12 +116,14 @@ def enumerate_candidates(p_omega: int, include_null: bool = True) -> list[Candid
             f"candidate explosion: 2^{p_omega} subsets; restrict the design "
             f"to at most {MAX_P_OMEGA} columns"
         )
-    start = 0 if include_null else 1
-    out = []
-    for size in range(start, p_omega + 1):
-        for combo in itertools.combinations(range(1, p_omega + 1), size):
-            out.append(CandidateModel(combo))
-    return out
+    # The null row stands apart: fromiter refuses a zero-width subarray dtype.
+    blocks = [np.zeros((int(include_null), p_omega), dtype=bool)]
+    for size in range(1, p_omega + 1):
+        cols = np.fromiter(itertools.combinations(range(p_omega), size),
+                           dtype=(np.intp, size), count=math.comb(p_omega, size))
+        blocks.append(np.zeros((len(cols), p_omega), dtype=bool))
+        np.put_along_axis(blocks[-1], cols, True, axis=1)
+    return np.concatenate(blocks)
 
 
 def resolve_whitened(dataset: Dataset) -> tuple[WhitenedData, ScalarEstimate | None]:
@@ -128,7 +136,7 @@ def resolve_whitened(dataset: Dataset) -> tuple[WhitenedData, ScalarEstimate | N
 
 def fit_candidate(
     wd: WhitenedData,
-    cand: CandidateModel | list[CandidateModel],
+    cand: CandidateModel | np.ndarray,
     options: SelectionOptions,
     needs_prior: bool,
 ) -> tuple[WhitenedFit, ScalarEstimate | None]:
@@ -160,9 +168,9 @@ def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> 
     search raises; the batch is then scored again one position at a time,
     so that the error names the first candidate that fails.
     """
-    models = table.candidates[batch]
+    cols = table.members[batch].nonzero()[1].reshape(batch.stop - batch.start, -1) + 1
     try:
-        fit, lam_est = fit_candidate(table.whitened, models, options,
+        fit, lam_est = fit_candidate(table.whitened, cols, options,
                                      _criteria.needs_prior(table.criteria))
         held = batch.start + fit.kept
         table.exclusion[held] = 0
@@ -172,8 +180,8 @@ def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> 
             except PenaltyUndefinedError:
                 table.exclusion[held, j] = _UNDEFINED
     except (DegenerateVarianceError, LambdaEstimationError) as exc:
-        if len(models) == 1:
-            raise type(exc)(f"candidate {models[0].label()}: {exc}") from exc
+        if len(cols) == 1:
+            raise type(exc)(f"candidate {table.candidate(batch.start).label()}: {exc}") from exc
         for i in range(batch.start, batch.stop):
             _score_batch(table, slice(i, i + 1), options)
         raise
@@ -196,10 +204,10 @@ def score_candidates(
     criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
     wd, phi_est = resolve_whitened(dataset)
-    candidates = enumerate_candidates(dataset.p_omega, opts.include_null)
-    m = len(candidates)
+    members = enumerate_candidates(dataset.p_omega, opts.include_null)
+    m = len(members)
     table = ScoreTable(
-        candidates=candidates,
+        members=members,
         criteria=criteria,
         scores=np.full((m, len(criteria)), np.nan),
         exclusion=np.full((m, len(criteria)), _SINGULAR, dtype=np.int8),
@@ -209,15 +217,13 @@ def score_candidates(
         phi_at_boundary=False if phi_est is None else phi_est.at_boundary,
         whitened=wd,
     )
-    # Each size is a run of positions, scored in batches whose stacked
+    # Each size is a run of rows, scored in batches whose stacked
     # (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
-    start = 0
-    for size, run in itertools.groupby(candidates, key=lambda cand: cand.p):
-        stop = start + sum(1 for _ in run)
+    sizes, starts, counts = np.unique(members.sum(axis=1), return_index=True, return_counts=True)
+    for size, start, count in zip(sizes.tolist(), starts.tolist(), counts.tolist()):
         step = max(1, BATCH_ELEMENTS // ((dataset.p_omega + 1) * (size + 1)))
-        for lo in range(start, stop, step):
-            _score_batch(table, slice(lo, min(lo + step, stop)), opts)
-        start = stop
+        for lo in range(start, start + count, step):
+            _score_batch(table, slice(lo, min(lo + step, start + count)), opts)
     return table
 
 
@@ -226,7 +232,7 @@ def report_from_table(table: ScoreTable, criterion: str) -> CandidateModel:
     ranked, _ = table.rank(criterion)
     if not ranked.size:
         raise NoAdmissibleCandidateError(f"no admissible candidate for {criterion}")
-    return table.candidates[ranked[0]]
+    return table.candidate(int(ranked[0]))
 
 
 def select(

@@ -20,7 +20,8 @@ files; the ``# data =`` line, which echoes the input path, is left out of
 the comparison all the same.  The runs cover the identity, ar1 and nerm
 covariances, the ridge and zellner priors with estimated and fixed lambda
 in `select`, and both priors in `criteria`, on designs of at most five
-columns and at most five replications per cell.  A 7 x 5 design, where
+columns and at most five replications per cell, and one `select` run on a
+10-column design, whose candidate labels carry two-digit indices.  A 7 x 5 design, where
 n - p - 2 = 0 for the full model, takes the exclusion path: the
 ``excluded`` column of `select` and the ``undefined (...)`` values of
 `criteria`.  ``tests/test_golden.py`` regenerates them into a temporary directory and compares byte for byte;
@@ -71,6 +72,8 @@ def _runs() -> list[list[str]]:
     _write_data(Path("data_iid.csv"), seed=12, n=30, p=4, phi=0.0)
     # n - p - 2 = 0 for the full model: the exclusion path.
     _write_data(Path("data_tight.csv"), seed=13, n=7, p=5, phi=0.0)
+    # Ten columns: candidate labels with two-digit indices.
+    _write_data(Path("data_wide.csv"), seed=14, n=30, p=10, phi=0.0)
     Path("nerm.cfg").write_text("group_sizes = " + ",".join(["4"] * 10) + "\n", encoding="utf-8")
     Path("simulate_nerm.cfg").write_text("nerm_group_size = 4\n", encoding="utf-8")
     return [
@@ -91,6 +94,8 @@ def _runs() -> list[list[str]]:
          "--covariance", "ar1", "--criterion", "all", "--prior", "zellner", "--lambda", "0.75"],
         ["criteria", "--data", "data_iid.csv", "--out", "criteria_identity_zellner.csv",
          "--criterion", "all", "--prior", "zellner"],
+        ["select", "--data", "data_wide.csv", "--out", "select_wide_identity.csv",
+         "--criterion", "ic_r,bic"],
         ["simulate", "--out", "simulate_constant_variance.csv", "--seed", "5",
          "--model", "constant_variance", "--n-grid", "20,30", "--snr-grid", "1,3",
          "--replications", "2", "--criterion", "all"],

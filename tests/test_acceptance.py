@@ -338,7 +338,8 @@ def test_criterion_6_ar1_ic_r_level(ar1_experiment):
     ses = {c: s.standard_error for c, s in cell_res.by_criterion.items()}
     cell = AR1_SPEC.cells()[0]
     n = cell.n
-    candidates = enumerate_candidates(AR1_SPEC.p_omega, AR1_SPEC.include_null)
+    candidates = [CandidateModel(tuple((np.flatnonzero(row) + 1).tolist()))
+                  for row in enumerate_candidates(AR1_SPEC.p_omega, AR1_SPEC.include_null)]
     full_model = candidates[-1]
     opts = SelectionOptions(prior_kind=AR1_SPEC.prior_kind, include_null=AR1_SPEC.include_null)
     dense_reps = 100

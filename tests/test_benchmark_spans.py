@@ -77,7 +77,7 @@ def test_traced_select_counts_candidates_and_exclusions_as_the_table_does(tmp_pa
     table = score_candidates(dataset, CRITERION_NAMES, SelectionOptions(prior_kind="zellner"))
     reasons = Counter(EXCLUSION_REASONS[code] for code in table.exclusion.ravel().tolist() if code)
     assert reasons
-    assert tracer.counts["candidates"] == len(table.candidates)
+    assert tracer.counts["candidates"] == len(table.members)
     traced = {key: n for key, n in tracer.counts.items() if key.startswith("excluded: ")}
     assert traced == {"excluded: " + reason: n for reason, n in reasons.items()}
     assert Counter(span[0] for span in tracer.spans)["selection.report"] == len(CRITERION_NAMES)

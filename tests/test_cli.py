@@ -592,9 +592,17 @@ def test_data_file_trailing_blank_line_is_skipped(tmp_path):
          "phi does not apply to the constant_variance model"),
         ("simulate", "nerm_group_size = 5\n", ["--model", "ar1"],
          "nerm_group_size does not apply to the ar1 model"),
+        ("select", "estimate_lambda = false\n", [],
+         "estimate_lambda = false does not apply without lambda"),
+        ("criteria", "estimate_lambda = no\n", [],
+         "estimate_lambda = false does not apply without lambda"),
+        ("simulate", "estimate_lambda = false\n", [],
+         "estimate_lambda = false does not apply without lambda"),
     ],
     ids=["select_identity_group_sizes", "criteria_ar1_group_sizes", "criteria_include_null",
-         "simulate_constant_variance_phi", "simulate_ar1_nerm_group_size"],
+         "simulate_constant_variance_phi", "simulate_ar1_nerm_group_size",
+         "select_estimate_lambda_false", "criteria_estimate_lambda_false",
+         "simulate_estimate_lambda_false"],
 )
 def test_a_setting_the_run_never_reads_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, command, config, extra, message):

@@ -284,7 +284,8 @@ def _lambda_fits():
         ds = Dataset(y=y, x_full=x, cov=cov)
         wd = whiten(ds)
         v = dense_v(cov, n)
-        for cand in enumerate_candidates(p, include_null=False):
+        for row in enumerate_candidates(p, include_null=False):
+            cand = CandidateModel(tuple((np.flatnonzero(row) + 1).tolist()))
             out.append((ds, v, cand, gls_fit(wd, cand)))
     return out
 

@@ -57,14 +57,14 @@ def _close(a, b):
 
 
 def _scores_of(table, i):
-    """{criterion: score} of ``table.candidates[i]`` over the criteria that
-    do not exclude it."""
+    """{criterion: score} of the table's candidate ``i`` over the criteria
+    that do not exclude it."""
     return {name: table.scores[i, j].item()
             for j, name in enumerate(table.criteria) if not table.exclusion[i, j]}
 
 
 def _by_indices(table):
-    return {model.indices: _scores_of(table, i) for i, model in enumerate(table.candidates)}
+    return {table.candidate(i).indices: _scores_of(table, i) for i in range(len(table.members))}
 
 
 def _assert_same_selection(table, other, name, to_original):
@@ -93,8 +93,8 @@ def test_row_permutation_leaves_every_score_unchanged(seed, n, p, snr, data):
         for xx, yy in ((x, y), (x[perm], y[perm]))
     ]
     base, permuted = tables
-    for i, model in enumerate(base.candidates):
-        assert permuted.candidates[i] == model
+    for i in range(len(base.members)):
+        assert permuted.candidate(i) == base.candidate(i)
         assert permuted.excluded(i) == base.excluded(i)
         scores, other = _scores_of(base, i), _scores_of(permuted, i)
         assert other.keys() == scores.keys()
@@ -273,7 +273,7 @@ def test_lambda_lands_on_each_bound_with_its_flag(end, prior_kind):
     assert est.at_boundary
     assert est.value == pytest.approx(bound, rel=1e-12)
     table = score_candidates(ds, ("ic_pi1", "dic"), SelectionOptions(prior_kind=prior_kind))
-    i = table.candidates.index(CandidateModel((1,)))
+    i = [table.candidate(k) for k in range(len(table.members))].index(CandidateModel((1,)))
     assert table.lambda_at_boundary[i]
     assert table.lambda_hat[i] == pytest.approx(bound, rel=1e-12)
     assert all(math.isfinite(v) for v in _scores_of(table, i).values())
@@ -295,7 +295,7 @@ def test_a_size_split_into_many_batches_scores_the_same_table(monkeypatch):
     monkeypatch.setattr(selection, "BATCH_ELEMENTS", 64)
     monkeypatch.setattr(covariance, "BATCH_ELEMENTS", 64)
     split = score_candidates(ds, CRITERION_NAMES)
-    assert len(split.candidates) == 256 and split.exclusion.any()
+    assert len(split.members) == 256 and split.exclusion.any()
     assert split.phi_hat == whole.phi_hat
     for name in ("scores", "exclusion", "lambda_hat", "lambda_at_boundary"):
         np.testing.assert_array_equal(getattr(split, name), getattr(whole, name), err_msg=name)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,8 +197,9 @@ def test_batch_fit_is_the_stack_of_single_fits(prior_kind):
     y = x[:, :2] @ np.array([1.0, -0.5]) + rng.standard_normal(25)
     wd = WhitenedData(x=x, y=y, logdet_v=0.0)
     for size in range(4):
-        models = [CandidateModel(c) for c in itertools.combinations(range(1, 6), size)]
-        batch = gls_fit(wd, models)
+        combos = list(itertools.combinations(range(1, 6), size))
+        models = [CandidateModel(c) for c in combos]
+        batch = gls_fit(wd, np.array(combos, dtype=np.intp).reshape(len(combos), size))
         lam = estimate_lambda(batch, prior_kind)
         batch = batch.with_prior(PriorScale(prior_kind, lam.value))
         flags = np.broadcast_to(lam.at_boundary, batch.kept.shape)
@@ -225,6 +227,26 @@ def test_gls_fit_rejects_out_of_range_column():
     wd = whiten(ones_dataset())
     with pytest.raises(ValueError, match="column 2"):
         gls_fit(wd, CandidateModel((2,)))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [2, 4]], "candidate 2 4 uses column 4, but its columns must increase "
+                           "strictly within 1..3"),
+        ([[1, 2], [0, 3]], "candidate 0 3 uses column 0,"),
+        ([[1, 3], [-1, 2]], "candidate -1 2 uses column -1,"),
+        ([[2, 2], [1, 2]], "candidate 2 2 uses column 2,"),
+        ([[1, 3], [3, 1]], "candidate 3 1 uses column 1,"),
+    ],
+    ids=["past_p_omega", "zero", "negative", "repeated", "decreasing"],
+)
+def test_gls_fit_batch_rejects_a_bad_index_row_naming_it(rows, message):
+    rng = np.random.default_rng(4)
+    ds = Dataset(y=rng.standard_normal(10), x_full=rng.standard_normal((10, 3)),
+                 cov=CovarianceSpec.identity())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gls_fit(whiten(ds), np.array(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -24,13 +25,19 @@ from bmlselect.selection import EXCLUSION_REASONS, ScoreTable, report_from_table
 from dense_oracle import dense_v, gls_beta, random_spd
 
 
-def bic_table(candidates, entries):
+def models_of(members):
+    """The candidate of each row of a membership array."""
+    return [CandidateModel(tuple((np.flatnonzero(row) + 1).tolist())) for row in members]
+
+
+def bic_table(members, entries):
     """A hand-built score table of one criterion, "bic": each entry is the
-    candidate's score, or the reason it was excluded."""
-    m = len(candidates)
+    score of the candidate in that row of ``members``, or the reason it was
+    excluded."""
+    m = len(members)
     excluded = [isinstance(e, str) for e in entries]
     return ScoreTable(
-        candidates=candidates,
+        members=members,
         criteria=("bic",),
         scores=np.array([[math.nan if x else e] for e, x in zip(entries, excluded)]),
         exclusion=np.array([[EXCLUSION_REASONS.index(e) if x else 0]
@@ -45,13 +52,13 @@ def ranking(table, criterion):
     and the excluded (candidate, reason) pairs."""
     j = table.criteria.index(criterion)
     ranked, excluded = table.rank(criterion)
-    return ([(table.candidates[i], table.scores[i, j].item()) for i in ranked],
-            [(table.candidates[i], EXCLUSION_REASONS[table.exclusion[i, j]]) for i in excluded])
+    return ([(table.candidate(i), table.scores[i, j].item()) for i in ranked],
+            [(table.candidate(i), EXCLUSION_REASONS[table.exclusion[i, j]]) for i in excluded])
 
 
 def admissible_scores(table, model):
     """{criterion: score} of ``model`` over the criteria that do not exclude it."""
-    i = table.candidates.index(model)
+    i = models_of(table.members).index(model)
     return {name: table.scores[i, j].item()
             for j, name in enumerate(table.criteria) if not table.exclusion[i, j]}
 
@@ -72,12 +79,12 @@ def signal_dataset(seed, n=50, p_omega=4, true=(1, 2), sigma=1e-6):
 
 def test_enumerate_p2_with_null():
     got = enumerate_candidates(2)
-    assert [m.indices for m in got] == [(), (1,), (2,), (1, 2)]
+    assert [m.indices for m in models_of(got)] == [(), (1,), (2,), (1, 2)]
 
 
 def test_enumerate_p2_without_null():
     got = enumerate_candidates(2, include_null=False)
-    assert [m.indices for m in got] == [(1,), (2,), (1, 2)]
+    assert [m.indices for m in models_of(got)] == [(1,), (2,), (1, 2)]
 
 
 def test_enumerate_p7_power_set():
@@ -85,12 +92,24 @@ def test_enumerate_p7_power_set():
 
 
 def test_enumerate_order_by_size_then_lex():
-    got = [m.indices for m in enumerate_candidates(3)]
+    got = [m.indices for m in models_of(enumerate_candidates(3))]
     assert got == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-    assert got == [m.indices for m in enumerate_candidates(3)]
+    assert got == [m.indices for m in models_of(enumerate_candidates(3))]
 
 
-def test_enumerate_guardrail():
+@pytest.mark.parametrize("include_null", [True, False])
+@pytest.mark.parametrize("p_omega", range(1, 13))
+def test_enumerate_rows_follow_combinations_order(p_omega, include_null):
+    members = enumerate_candidates(p_omega, include_null)
+    want = [combo for size in range(0 if include_null else 1, p_omega + 1)
+            for combo in itertools.combinations(range(1, p_omega + 1), size)]
+    assert members.dtype == bool and members.shape == (len(want), p_omega)
+    assert [m.indices for m in models_of(members)] == want
+
+
+def test_enumerate_guardrail(monkeypatch):
+    # The limit is checked before any row is built.
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
     with pytest.raises(CandidateExplosionError, match="candidate explosion"):
         enumerate_candidates(21)
 
@@ -166,7 +185,7 @@ def test_duplicate_column_exclusion_preserves_selection():
     wd = WhitenedData(x=x_dup, y=base.y, logdet_v=0.0)
     candidates = enumerate_candidates(4)
     entries = []
-    for model in candidates:
+    for model in models_of(candidates):
         try:
             entries.append(crit_mod.bic(gls_fit(wd, model)))
         except SingularDesignError:
@@ -305,7 +324,7 @@ def test_score_candidates_estimates_phi_once_and_reports_it():
 def test_score_candidates_lambda_recorded_per_candidate(prior_kind):
     ds = signal_dataset(12, sigma=0.3)
     table = score_candidates(ds, ("ic_pi1",), SelectionOptions(prior_kind=prior_kind))
-    for model, lam, at_boundary in zip(table.candidates, table.lambda_hat,
+    for model, lam, at_boundary in zip(models_of(table.members), table.lambda_hat,
                                        table.lambda_at_boundary):
         if model.p > 0:
             assert not math.isnan(lam) and lam > 0
@@ -416,11 +435,12 @@ def test_report_ranks_by_score_then_size_then_indices(data):
     entries = ["penalty undefined" if v is None else v for v in values]
     table = bic_table(candidates, entries)
     ranked, excluded = ranking(table, "bic")
-    scored = [(m, v) for m, v in zip(candidates, values) if v is not None]
+    scored = [(m, v) for m, v in zip(models_of(candidates), values) if v is not None]
     expect = sorted(scored, key=lambda ms: (ms[1], len(ms[0].indices), ms[0].indices))
     assert ranked == expect
     assert report_from_table(table, "bic") == expect[0][0]
-    assert excluded == [(m, "penalty undefined") for m, v in zip(candidates, values) if v is None]
+    assert excluded == [(m, "penalty undefined")
+                        for m, v in zip(models_of(candidates), values) if v is None]
 
 
 @pytest.mark.parametrize("name", ["aic", "bogus"])

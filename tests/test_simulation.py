@@ -97,7 +97,8 @@ def test_single_replication_matches_direct_computation():
     table = score_candidates(ds, spec.criteria, SelectionOptions())
     for j, name in enumerate(spec.criteria):
         best = min(((table.scores[i, j], model.p, model.indices), model)
-                   for i, model in enumerate(table.candidates) if not table.exclusion[i, j])[1]
+                   for i, model in enumerate(map(table.candidate, range(len(table.members))))
+                   if not table.exclusion[i, j])[1]
         beta_hat = gls_fit(whiten(ds), best).beta_hat
         mu_hat = ds.x_full[:, best.zero_based] @ beta_hat if best.p else 0.0
         pe = float(np.sum((mu_hat - truth.x_true @ truth.beta_true) ** 2)) / cell.n
