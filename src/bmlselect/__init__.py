@@ -29,7 +29,6 @@ from .criteria import (
     ic_r,
     ic_r_star,
     ml,
-    neg2_log_marginal,
     neg2_log_residual,
     ric,
     score,
@@ -108,7 +107,6 @@ __all__ = [
     "WhitenedData",
     "WhitenedFit",
     "gls_fit",
-    "neg2_log_marginal",
     "neg2_log_residual",
     "whiten",
     "SelectionOptions",

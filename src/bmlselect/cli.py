@@ -4,46 +4,42 @@ Monte Carlo experiments.
 Every setting is resolved in one step: the config file's ``key = value``
 lines, overlaid by the flags that were given, each parsed once by the parser
 its name selects.  A command reads only that dict, and a setting that the
-run would not read exits 2.  Output files are plain CSV prefixed by
-``# key = value`` comment lines that echo the fully resolved configuration
-(including any defaulted seed).  Numbers carry 17 significant digits, so a
-fixed seed yields byte-identical files regardless of worker count.
+run would not read exits 2.  `select` and `criteria` score through one
+engine (:func:`~bmlselect.selection.score_candidates`): `criteria` is the
+full model's row of the table `select` ranks, so a value it cannot give
+reads ``undefined (<reason>)`` in the words of `select`'s ``excluded``
+column.  Every output, a file or `criteria`'s stdout, is written by
+:func:`_write_csv`: plain CSV prefixed by ``# key = value`` comment lines
+that echo the fully resolved configuration (including any defaulted seed).
+Numbers carry 17 significant digits, so a fixed seed yields byte-identical
+files regardless of worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .covariance import PRIOR_KINDS, CovarianceSpec
-from .criteria import CRITERION_NAMES, check_names, needs_prior, score
+from .criteria import CRITERION_NAMES, check_names, needs_prior
 from .exceptions import (
     BmlselectError,
     CandidateExplosionError,
     CovarianceError,
     DataParseError,
-    PenaltyUndefinedError,
+    SingularDesignError,
 )
-from .model_core import CandidateModel, Dataset
-from .selection import (
-    SelectionOptions,
-    fit_candidate,
-    report_from_table,
-    resolve_whitened,
-    score_candidates,
-)
-from .simulation import (
-    BETA_PATTERNS,
-    ExperimentResult,
-    ExperimentSpec,
-    resolve_workers,
-    run_experiment,
-)
+from .model_core import Dataset
+from .selection import SelectionOptions, report_from_table, score_candidates
+from .simulation import BETA_PATTERNS, ExperimentSpec, resolve_workers, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,8 +137,6 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
 def _read_data(path: str):
     """Parse a headered CSV: first column response, remaining predictors.
     Blank lines are skipped; every other cell must be a finite number."""
-    import numpy as np
-
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -310,17 +304,13 @@ def _writable(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _header_lines(meta: dict) -> list[str]:
-    return [f"# {key} = {value}" for key, value in meta.items()]
-
-
-def _write_csv(path: str, meta: dict, head, rows) -> None:
-    """The ``# key = value`` lines of ``meta``, then a CSV table."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(line + "\n" for line in _header_lines(meta))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(head)
-        writer.writerows(rows)
+def _write_csv(fh, meta: dict, head, rows) -> None:
+    """Write the ``# key = value`` lines of ``meta``, then a CSV table, to
+    the open text stream ``fh``.  Every command's output goes through here."""
+    fh.writelines(f"# {key} = {value}\n" for key, value in meta.items())
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(head)
+    writer.writerows(rows)
 
 
 def _resolve_data_run(s: dict):
@@ -375,7 +365,8 @@ def _cmd_select(s: dict) -> int:
             "excluded"]
     positions = itertools.chain(enumerate(ranked.tolist(), start=1),
                                 (("", i) for i in excluded.tolist()))
-    _write_csv(out_path, meta, head, itertools.starmap(record, positions))
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(fh, meta, head, itertools.starmap(record, positions))
     for name in criteria:
         print(f"selected[{name}] = {selected[name].label()}")
     print(f"wrote {out_path}")
@@ -387,17 +378,13 @@ def _cmd_criteria(s: dict) -> int:
     if out_path:
         _writable(out_path)
     data_path, dataset, criteria, options = _resolve_data_run(s)
-    wd, phi_est = resolve_whitened(dataset)
-    cov = dataset.cov if phi_est is None else dataset.cov.with_phi(phi_est.value)
-    model = CandidateModel(tuple(range(1, dataset.p_omega + 1)))
-    fit, _ = fit_candidate(wd, model, options, needs_prior(criteria))
-
-    values = []
-    for name in criteria:
-        try:
-            values.append((name, _fmt(score(name, fit))))
-        except PenaltyUndefinedError as exc:
-            values.append((name, f"undefined ({exc})"))
+    # The full model is the one row of the engine's table.
+    table = score_candidates(dataset, criteria, options,
+                             members=np.ones((1, dataset.p_omega), dtype=bool))
+    excluded = table.excluded(0)
+    if "singular design" in excluded.values():  # its whitened columns fail the rank rule
+        raise SingularDesignError(f"singular design for candidate {table.candidate(0).label()}")
+    cov = dataset.cov if table.phi_hat is None else dataset.cov.with_phi(table.phi_hat)
     meta = {
         "command": "criteria",
         "version": __version__,
@@ -406,16 +393,18 @@ def _cmd_criteria(s: dict) -> int:
         "p": dataset.p_omega,
         "covariance": cov.describe(),
         "prior": options.prior_kind,
-        "lambda": "none"
-        if fit.prior is None
-        else _fmt(fit.prior.lam) + (" (estimated)" if options.lam is None else ""),
+        "lambda": "none" if not needs_prior(criteria) else (
+            _fmt(options.lam) if options.lam is not None
+            else _fmt(table.lambda_hat[0]) + " (estimated)"),
     }
-    lines = _header_lines(meta) + ["criterion,value"] + [f"{k},{v}" for k, v in values]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
+    rows = [(name, f"undefined ({excluded[name]})" if name in excluded else _fmt(value))
+            for name, value in zip(criteria, table.scores[0].tolist())]
+    text = io.StringIO()
+    _write_csv(text, meta, ("criterion", "value"), rows)
+    sys.stdout.write(text.getvalue())
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text.getvalue())
     return EXIT_OK
 
 
@@ -455,35 +444,16 @@ def _cmd_simulate(s: dict) -> int:
     }
     if spec.model_kind == "nerm":
         meta["nerm_group_size"] = spec.nerm_group_size
-    write_results_csv(out_path, results, meta)
+    head = ("model_kind", "n", "snr", "beta_pattern", "criterion", "replications",
+            "true_model_count", "mean_prediction_error", "se_prediction_error")
+    rows = ([res.model_kind, res.n, _fmt(res.snr), res.beta_pattern, name, res.replications,
+             summary.true_model_count, _fmt(summary.mean_prediction_error),
+             _fmt(summary.standard_error)]
+            for res in results for name, summary in res.by_criterion.items())
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(fh, meta, head, rows)
     print(f"wrote {out_path}")
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# Results CSV
-# ---------------------------------------------------------------------------
-
-_RESULT_COLUMNS = (
-    "model_kind",
-    "n",
-    "snr",
-    "beta_pattern",
-    "criterion",
-    "replications",
-    "true_model_count",
-    "mean_prediction_error",
-    "se_prediction_error",
-)
-
-
-def write_results_csv(path: str, results: list[ExperimentResult], meta: dict) -> None:
-    _write_csv(path, meta, _RESULT_COLUMNS, (
-        [res.model_kind, res.n, _fmt(res.snr), res.beta_pattern, name, res.replications,
-         summary.true_model_count, _fmt(summary.mean_prediction_error),
-         _fmt(summary.standard_error)]
-        for res in results for name, summary in res.by_criterion.items()
-    ))
 
 
 # ---------------------------------------------------------------------------

@@ -94,16 +94,6 @@ def _reml_term(fit: WhitenedFit) -> float:
     return (fit.n - fit.p) * (LOG_2PI + np.log(s2)) + fit.logdet_v
 
 
-def neg2_log_marginal(fit: WhitenedFit) -> float:
-    """-2 log of the normal-prior marginal density at the plug-in variance.
-
-    Equals n log(2 pi sigma2_hat) + log|V| + log|W X'V^{-1}X + I| +
-    y'Ay / sigma2_hat.
-    """
-    _require_prior(fit)
-    return _ml_term(fit) + fit.logdet_wxvx_plus_i + fit.yay / fit.sigma2_hat
-
-
 def neg2_log_residual(fit: WhitenedFit) -> float:
     """-2 log of the flat-prior (residual) likelihood at the REML variance.
 
@@ -114,8 +104,14 @@ def neg2_log_residual(fit: WhitenedFit) -> float:
 
 
 def ml(fit: WhitenedFit) -> float:
-    """The marginal likelihood alone: -2 log f(y | sigma2_hat, W)."""
-    return neg2_log_marginal(fit)
+    """The marginal likelihood alone: -2 log f(y | sigma2_hat, W), the
+    normal-prior marginal density at the plug-in variance.
+
+    Equals n log(2 pi sigma2_hat) + log|V| + log|W X'V^{-1}X + I| +
+    y'Ay / sigma2_hat.
+    """
+    _require_prior(fit)
+    return _ml_term(fit) + fit.logdet_wxvx_plus_i + fit.yay / fit.sigma2_hat
 
 
 def ic_pi1(fit: WhitenedFit) -> float:

@@ -1,11 +1,13 @@
 """Exhaustive candidate enumeration, scoring, and argmin selection.
 
-The candidates are the rows of one boolean membership array
-(:func:`enumerate_candidates`).  :func:`score_candidates` whitens the data
-and reduces it to one R factor once, then fits, estimates lambda for and
-scores each run of same-size rows as stacked batches, writing straight into
-the (candidates x criteria) arrays of a :class:`ScoreTable`, the one record
-of a selection.  :meth:`ScoreTable.rank` is the one ranking,
+The candidates are the rows of one boolean membership array: every subset
+(:func:`enumerate_candidates`), or any rows a caller passes, such as the
+full model alone that ``bmlselect criteria`` scores.  :func:`score_candidates`
+estimates phi, whitens the data and reduces it to one R factor once, then
+fits, estimates lambda for and scores each run of same-size rows as stacked
+batches, writing straight into the (candidates x criteria) arrays of a
+:class:`ScoreTable`, the one record of a selection.  This is the one
+scoring path.  :meth:`ScoreTable.rank` is the one ranking,
 :meth:`ScoreTable.candidate` the one decoder of a row into a
 :class:`~bmlselect.model_core.CandidateModel`, and
 :meth:`ScoreTable.excluded` the one decoder of the exclusion codes.
@@ -22,10 +24,10 @@ import numpy as np
 
 from . import covariance as _covariance
 from . import criteria as _criteria
-from .covariance import BATCH_ELEMENTS, PriorScale, ScalarEstimate, check_prior, known_scale
+from .covariance import BATCH_ELEMENTS, PriorScale, check_prior, known_scale
 from .covariance import estimate_phi_full_model
 # Kept importable from here because perfbench/spans.py wraps this name;
-# fit_candidate reads the covariance module's function, which also takes batches.
+# _score_batch reads the covariance module's function, which also takes batches.
 from .covariance import estimate_lambda  # noqa: F401
 from .exceptions import (
     CandidateExplosionError,
@@ -34,7 +36,7 @@ from .exceptions import (
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
 )
-from .model_core import CandidateModel, Dataset, WhitenedData, WhitenedFit, gls_fit, whiten
+from .model_core import CandidateModel, Dataset, WhitenedData, gls_fit, whiten
 
 MAX_P_OMEGA = 20
 
@@ -126,41 +128,11 @@ def enumerate_candidates(p_omega: int, include_null: bool = True) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def resolve_whitened(dataset: Dataset) -> tuple[WhitenedData, ScalarEstimate | None]:
-    """Estimate phi if needed and whiten; returns (whitened, phi_estimate)."""
-    phi_est = estimate_phi_full_model(dataset)
-    if phi_est is not None:
-        dataset = replace(dataset, cov=dataset.cov.with_phi(phi_est.value))
-    return whiten(dataset), phi_est
-
-
-def fit_candidate(
-    wd: WhitenedData,
-    cand: CandidateModel | np.ndarray,
-    options: SelectionOptions,
-    needs_prior: bool,
-) -> tuple[WhitenedFit, ScalarEstimate | None]:
-    """Fit one candidate, or a batch of same-size candidates (see
-    :func:`~bmlselect.model_core.gls_fit`), then estimate lambda on that
-    fit, then apply the prior.
-
-    Returns (fit, lambda_estimate); the fit records its prior scale, and the
-    estimate is None where :func:`~bmlselect.covariance.known_scale` gives
-    the scale.  Without ``needs_prior`` the fit carries no prior quantities.
-    """
-    fit = gls_fit(wd, cand)
-    if not needs_prior:
-        return fit, None
-    prior, est = known_scale(fit, options.prior_kind, options.lam), None
-    if prior is None:
-        est = _covariance.estimate_lambda(fit, options.prior_kind)
-        prior = PriorScale(options.prior_kind, est.value)
-    return fit.with_prior(prior), est
-
-
 def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> None:
     """Score one batch of same-size candidates from ``table.whitened`` into
-    ``table`` at the batch's positions.
+    ``table`` at the batch's positions: fit them, then give the fit its
+    prior scale (:func:`~bmlselect.covariance.known_scale`, else the
+    estimate), then score it.
 
     Rank-deficient candidates keep the "singular design" code the table
     starts with; a penalty that is undefined at this size excludes its
@@ -170,8 +142,13 @@ def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> 
     """
     cols = table.members[batch].nonzero()[1].reshape(batch.stop - batch.start, -1) + 1
     try:
-        fit, lam_est = fit_candidate(table.whitened, cols, options,
-                                     _criteria.needs_prior(table.criteria))
+        fit, lam_est = gls_fit(table.whitened, cols), None
+        if _criteria.needs_prior(table.criteria):
+            prior = known_scale(fit, options.prior_kind, options.lam)
+            if prior is None:
+                lam_est = _covariance.estimate_lambda(fit, options.prior_kind)
+                prior = PriorScale(options.prior_kind, lam_est.value)
+            fit = fit.with_prior(prior)
         held = batch.start + fit.kept
         table.exclusion[held] = 0
         for j, name in enumerate(table.criteria):
@@ -194,17 +171,34 @@ def score_candidates(
     dataset: Dataset,
     criteria: tuple[str, ...] | list[str],
     options: SelectionOptions | None = None,
+    members: np.ndarray | None = None,
 ) -> ScoreTable:
     """Score every candidate with every requested criterion.
 
-    Rank-deficient candidates are excluded for all criteria; candidates with
-    n - p - 2 <= 0 are excluded for the criteria whose penalty is undefined
-    there.  Degenerate (interpolating) fits raise, naming the candidate.
+    The candidates are the rows of ``members``, by default every subset
+    (:func:`enumerate_candidates`, with or without the null model as
+    ``options.include_null`` says).  A given ``members`` must be a 2-D
+    boolean array with ``dataset.p_omega`` columns, at least one row, and
+    row sizes that never decrease, since each size is scored as one run of
+    rows; else ``ValueError``.  Rank-deficient candidates are excluded for
+    all criteria; candidates with n - p - 2 <= 0 are excluded for the
+    criteria whose penalty is undefined there.  Degenerate (interpolating)
+    fits raise, naming the candidate.
     """
     criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
-    wd, phi_est = resolve_whitened(dataset)
-    members = enumerate_candidates(dataset.p_omega, opts.include_null)
+    if members is None:
+        members = enumerate_candidates(dataset.p_omega, opts.include_null)
+    members = np.asarray(members)
+    if members.dtype != bool or members.ndim != 2 or members.shape[1] != dataset.p_omega:
+        raise ValueError(f"members must be a 2-D boolean array with {dataset.p_omega} "
+                         f"columns, not {members.dtype} of shape {members.shape}")
+    sizes = members.sum(axis=1)
+    if not sizes.size or np.any(np.diff(sizes) < 0):
+        raise ValueError("members must hold at least one row, with sizes that never decrease")
+    phi_est = estimate_phi_full_model(dataset)
+    if phi_est is not None:
+        dataset = replace(dataset, cov=dataset.cov.with_phi(phi_est.value))
     m = len(members)
     table = ScoreTable(
         members=members,
@@ -215,11 +209,11 @@ def score_candidates(
         lambda_at_boundary=np.zeros(m, dtype=bool),
         phi_hat=None if phi_est is None else phi_est.value,
         phi_at_boundary=False if phi_est is None else phi_est.at_boundary,
-        whitened=wd,
+        whitened=whiten(dataset),
     )
     # Each size is a run of rows, scored in batches whose stacked
     # (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
-    sizes, starts, counts = np.unique(members.sum(axis=1), return_index=True, return_counts=True)
+    sizes, starts, counts = np.unique(sizes, return_index=True, return_counts=True)
     for size, start, count in zip(sizes.tolist(), starts.tolist(), counts.tolist()):
         step = max(1, BATCH_ELEMENTS // ((dataset.p_omega + 1) * (size + 1)))
         for lo in range(start, start + count, step):

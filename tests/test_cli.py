@@ -1,5 +1,8 @@
 import csv
+import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +271,77 @@ def test_criteria_command_prints_full_model_scores(tmp_path, capsys):
     assert "aic" in table
 
 
+# n - p - 2 = 0 for its full model: four criteria are undefined there.
+TIGHT_DATA = Path(__file__).parent / "golden" / "data_tight.csv"
+
+
+def test_criteria_writes_valid_csv_where_penalties_are_undefined(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["criteria", "--data", str(TIGHT_DATA), "--out", str(out),
+                 "--criterion", "all"]) == 0
+    stdout = capsys.readouterr().out
+    assert out.read_text() == stdout
+    rows = list(csv.reader(line for line in io.StringIO(stdout) if not line.startswith("#")))
+    assert rows[0] == ["criterion", "value"]
+    assert [len(row) for row in rows] == [2] * (1 + len(CRITERION_NAMES))
+    undefined = {name for name, value in rows[1:] if value == "undefined (penalty undefined)"}
+    assert undefined == {"ic_pi1", "ic_r", "ic_r_star", "ric"}
+
+
+def test_criteria_full_model_singular_after_whitening_exits_3(tmp_path, capsys, monkeypatch):
+    # Dataset's rank check passes on the raw columns; here the whitened
+    # first column is zero, so the engine's rank rule drops the full model.
+    real = selection.gls_fit
+
+    def rank_deficient(wd, cols):
+        x = wd.x.copy()
+        x[:, 0] = 0.0
+        return real(replace(wd, x=x), cols)
+
+    monkeypatch.setattr(selection, "gls_fit", rank_deficient)
+    data = write_signal_fixture(tmp_path / "sig.csv")
+    out = tmp_path / "c.csv"
+    assert main(["criteria", "--data", data, "--out", str(out), "--criterion", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: singular design for candidate 1 2 3\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", [None, "0.8"], ids=["lambda_estimated", "lambda_fixed"])
+@pytest.mark.parametrize("prior", ["ridge", "zellner"])
+@pytest.mark.parametrize("covariance", ["identity", "ar1", "nerm", "tight"])
+def test_criteria_is_the_full_model_row_of_select(tmp_path, capsys, covariance, prior, lam):
+    if covariance == "tight":
+        data, extra = str(TIGHT_DATA), []
+    else:
+        data = write_signal_fixture(tmp_path / "sig.csv", seed=3)
+        extra = ["--covariance", covariance]
+    if covariance == "nerm":
+        cfg = tmp_path / "nerm.cfg"
+        cfg.write_text("group_sizes = 5,5,5,5,5,5\n")
+        extra += ["--config", str(cfg)]
+    extra += ["--criterion", "all", "--prior", prior] + (["--lambda", lam] if lam else [])
+    selected, scored = tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main(["select", "--data", data, "--out", str(selected), *extra]) == 0
+    assert main(["criteria", "--data", data, "--out", str(scored), *extra]) == 0
+    sel_meta, header, rows = read_csv_table(selected)
+    meta, _, values = read_csv_table(scored)
+    full = " ".join(str(j) for j in range(1, int(meta["p"]) + 1))
+    (row,) = [dict(zip(header, r)) for r in rows if r[1] == full]
+    excluded = dict(part.split(": ") for part in row["excluded"].split("; ") if part)
+    assert [name for name, _ in values] == list(CRITERION_NAMES)
+    for name, value in values:
+        assert value == (f"undefined ({excluded[name]})" if name in excluded else row[name])
+    if lam is None:
+        assert meta["lambda"] == row["lambda_hat"] + " (estimated)"
+    else:
+        assert (meta["lambda"], row["lambda_hat"]) == (sel_meta["lambda"], "")
+        assert float(meta["lambda"]) == float(lam)
+    if covariance in ("ar1", "nerm"):
+        assert f"phi={sel_meta['phi'].removesuffix(' (estimated)')}" in meta["covariance"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -442,8 +516,8 @@ def test_usage_error_exits_2():
 def record_work(monkeypatch):
     """Replace the calls that start scoring, fitting or replicating with a recorder."""
     calls = []
-    for attr in ("score_candidates", "resolve_whitened", "run_experiment"):
-        monkeypatch.setattr(cli, attr, lambda *args, attr=attr: calls.append(attr))
+    for attr in ("score_candidates", "run_experiment"):
+        monkeypatch.setattr(cli, attr, lambda *args, attr=attr, **kwargs: calls.append(attr))
     return calls
 
 

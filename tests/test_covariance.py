@@ -15,7 +15,7 @@ from bmlselect import (
     estimate_lambda,
     estimate_phi_full_model,
     gls_fit,
-    neg2_log_marginal,
+    ml,
     whiten,
 )
 from bmlselect.covariance import LAMBDA_BOUNDS, LAMBDA_GRID_POINTS, make_whitener
@@ -327,8 +327,8 @@ def test_ridge_lambda_beats_every_grid_value():
     grid = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
     for _, _, _, fit in _lambda_fits():
         est = estimate_lambda(fit, "ridge")
-        at_hat = neg2_log_marginal(fit.with_prior(PriorScale("ridge", est.value)))
-        on_grid = min(neg2_log_marginal(fit.with_prior(PriorScale("ridge", lam))) for lam in grid)
+        at_hat = ml(fit.with_prior(PriorScale("ridge", est.value)))
+        on_grid = min(ml(fit.with_prior(PriorScale("ridge", lam))) for lam in grid)
         assert at_hat <= on_grid + 4 * EPS * abs(on_grid)
 
 
@@ -470,7 +470,7 @@ def _lambda_criterion_objective(wd, model, prior_kind):
 
     def obj(lam):
         fit = gls_fit(wd, model).with_prior(PriorScale(prior_kind, lam))
-        return neg2_log_marginal(fit)
+        return ml(fit)
 
     return obj
 

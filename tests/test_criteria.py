@@ -22,7 +22,6 @@ from bmlselect import (
     ic_r,
     ic_r_star,
     ml,
-    neg2_log_marginal,
     neg2_log_residual,
     ric,
     score,
@@ -399,6 +398,6 @@ def test_score_rejects_unknown_name(name):
 def test_prior_criteria_need_a_fit_with_a_prior(p):
     _, wd, _, _, _ = fitted(seed=30, n=20, p=3)
     fit = gls_fit(wd, CandidateModel(tuple(range(1, p + 1))))
-    for crit in (dic, ml, neg2_log_marginal, ic_pi1_star, ic_pi1):
+    for crit in (dic, ml, ic_pi1_star, ic_pi1):
         with pytest.raises(ValueError, match="^fit was computed without a prior scale$"):
             crit(fit)

@@ -16,7 +16,7 @@ from bmlselect import (
     SaturatedModelError,
     SingularDesignError,
     gls_fit,
-    neg2_log_marginal,
+    ml,
     neg2_log_residual,
     whiten,
 )
@@ -250,14 +250,14 @@ def test_gls_fit_batch_rejects_a_bad_index_row_naming_it(rows, message):
 
 
 # ---------------------------------------------------------------------------
-# neg2_log_marginal
+# ml, the normal-prior marginal likelihood
 # ---------------------------------------------------------------------------
 
 
 def test_neg2_log_marginal_ones_column_dense_oracle():
     ds = ones_dataset()
     fit = gls_fit(whiten(ds), CandidateModel((1,))).with_prior(PriorScale("ridge", 1.0))
-    got = neg2_log_marginal(fit)
+    got = ml(fit)
     expect = neg2_log_marginal_dense(ds.y, ds.x_full, np.eye(4), np.eye(1))
     assert abs(got - expect) < 1e-9 * abs(expect)
 
@@ -275,7 +275,7 @@ def test_neg2_log_marginal_random_dense_oracle(seed, lam):
     )
     fit = gls_fit(whiten(ds), CandidateModel((1, 2, 3))).with_prior(PriorScale("ridge", lam))
     expect = neg2_log_marginal_dense(ds.y, ds.x_full, v, np.eye(p) / lam)
-    assert neg2_log_marginal(fit) == pytest.approx(expect, rel=1e-9)
+    assert ml(fit) == pytest.approx(expect, rel=1e-9)
 
 
 def test_neg2_log_marginal_flat_prior_limit_sweep():
@@ -291,7 +291,7 @@ def test_neg2_log_marginal_flat_prior_limit_sweep():
     deltas = []
     for w in (1e2, 1e4, 1e6, 1e8):
         fit = gls_fit(wd, model).with_prior(PriorScale("ridge", 1.0 / w))
-        value = neg2_log_marginal(fit) - model.p * math.log(w)
+        value = ml(fit) - model.p * math.log(w)
         deltas.append(value - limit)
     assert all(d > -1e-9 for d in deltas)
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
@@ -301,7 +301,7 @@ def test_neg2_log_marginal_flat_prior_limit_sweep():
 def test_neg2_log_marginal_requires_prior():
     fit = gls_fit(whiten(ones_dataset()), CandidateModel((1,)))
     with pytest.raises(ValueError, match="prior"):
-        neg2_log_marginal(fit)
+        ml(fit)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_degenerate_variance_error():
         neg2_log_residual(fit)
     fitp = gls_fit(whiten(ds), CandidateModel((1, 2))).with_prior(PriorScale("ridge", 1.0))
     with pytest.raises(DegenerateVarianceError):
-        neg2_log_marginal(fitp)
+        ml(fitp)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +470,7 @@ def test_whitened_path_matches_dense_oracles(seed):
             fit = gls_fit(wd, model).with_prior(PriorScale("ridge", lam))
             xj = x[:, model.zero_based]
             wmat = np.eye(model.p) / lam
-            got_m = neg2_log_marginal(fit)
+            got_m = ml(fit)
             expect_m = neg2_log_marginal_dense(y, xj, v, wmat)
             assert abs(got_m - expect_m) < 1e-8 * abs(expect_m)
             if model.p < n:
@@ -508,7 +508,7 @@ def test_spectral_prior_step_matches_dense_oracle(cov_name, kind, lam):
     # (W small), the V^-1 - V^-1 X (G + W^-1)^-1 X'V^-1 form where W is huge.
     a = mat_a_woodbury(v, xj, w) if lam >= 1.0 else mat_a(v, xj, w)
     assert fit.yay == pytest.approx(float(y @ a @ y), rel=1e-9)
-    assert neg2_log_marginal(fit) == pytest.approx(neg2_log_marginal_dense(y, xj, v, w), rel=1e-9)
+    assert ml(fit) == pytest.approx(neg2_log_marginal_dense(y, xj, v, w), rel=1e-9)
     # dic against the dense posterior mean (G + W^-1)^-1 X'V^-1 y
     assert dic(fit) == pytest.approx(dic_dense(y, xj, v, w, fit.sigma2_hat), rel=1e-9)
 

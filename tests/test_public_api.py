@@ -37,7 +37,6 @@ PUBLIC_API = [
     "WhitenedData",
     "WhitenedFit",
     "gls_fit",
-    "neg2_log_marginal",
     "neg2_log_residual",
     "whiten",
     "SelectionOptions",

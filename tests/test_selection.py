@@ -395,6 +395,43 @@ def test_score_candidates_rejects_an_empty_criterion_list():
         score_candidates(signal_dataset(14), ())
 
 
+P4_ROWS = "members must be a 2-D boolean array with 4 columns, not "
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        (np.ones(4, dtype=bool), P4_ROWS + "bool of shape (4,)"),
+        (np.ones((1, 1, 4), dtype=bool), P4_ROWS + "bool of shape (1, 1, 4)"),
+        (np.ones((1, 4), dtype=np.int64), P4_ROWS + "int64 of shape (1, 4)"),
+        (np.ones((1, 3), dtype=bool), P4_ROWS + "bool of shape (1, 3)"),
+        (np.zeros((0, 4), dtype=bool), "members must hold at least one row, with sizes "
+                                       "that never decrease"),
+        (enumerate_candidates(4)[::-1], "members must hold at least one row, with sizes "
+                                        "that never decrease"),
+    ],
+    ids=["one_d", "three_d", "int", "too_few_columns", "no_rows", "sizes_decrease"],
+)
+def test_score_candidates_checks_the_members_it_is_given(members, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        score_candidates(signal_dataset(14), ("bic",), members=members)
+
+
+def test_score_candidates_on_some_rows_equals_those_rows_of_the_full_table():
+    # n = 8 over 6 columns: the full model, the last of the rows taken,
+    # leaves n - p - 2 = 0 and is excluded; phi and lambda are estimated.
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((8, 6))
+    ds = Dataset(y=x[:, 0] + rng.standard_normal(8), x_full=x, cov=CovarianceSpec.ar1(None))
+    full = score_candidates(ds, CRITERION_NAMES)
+    rows = np.arange(0, len(full.members), 3)
+    some = score_candidates(ds, CRITERION_NAMES, members=full.members[rows])
+    assert some.exclusion[-1].any()
+    for name in ("scores", "exclusion", "lambda_hat", "lambda_at_boundary"):
+        assert getattr(some, name).tobytes() == getattr(full, name)[rows].tobytes(), name
+    assert some.phi_hat == full.phi_hat
+
+
 # ---------------------------------------------------------------------------
 # Tie-break: candidate order, fewer columns first, then lexicographic indices
 # ---------------------------------------------------------------------------
