@@ -347,10 +347,7 @@ def _cmd_select(s: dict) -> int:
         "include_null": str(options.include_null).lower(),
         "ranked_by": criteria[0],
     }
-    # Each row's label and size, read off the membership array in one pass.
-    sizes = table.members.sum(axis=1).tolist()
-    columns = iter((table.members.nonzero()[1] + 1).tolist())
-    labels = [" ".join(map(str, itertools.islice(columns, k))) or "(null)" for k in sizes]
+    labels, sizes = table.labels(), table.members.sum(axis=1).tolist()
     flagged, lam_hat = table.exclusion.any(axis=1).tolist(), table.lambda_hat.tolist()
 
     def record(rank, i):

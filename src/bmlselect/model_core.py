@@ -18,7 +18,8 @@ holds their formulas), so the lambda search, the prior step
 (:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the
 n x n projection matrices are never formed (test oracles do form them).
 
-One rank rule, :func:`_full_rank`, judges every QR factor: a pivot below
+:func:`candidate_label` is the one name format of a candidate.  One rank
+rule, :func:`_full_rank`, judges every QR factor: a pivot below
 ``RANK_PIVOT_RTOL`` times the largest one, or more columns than rows,
 marks the design as rank deficient.
 """
@@ -67,7 +68,12 @@ class CandidateModel:
         return tuple(i - 1 for i in self.indices)
 
     def label(self) -> str:
-        return " ".join(str(i) for i in self.indices) if self.indices else "(null)"
+        return candidate_label(self.indices)
+
+
+def candidate_label(indices) -> str:
+    """The one name format of a candidate: its 1-based columns, or ``(null)``."""
+    return " ".join(map(str, indices)) or "(null)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,18 +232,21 @@ def whiten(dataset: Dataset) -> WhitenedData:
 def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray) -> WhitenedFit:
     """GLS fit of one candidate, or of a batch of same-size candidates.
 
-    ``model`` is a :class:`CandidateModel`, or a (batch x p) array of
-    1-based column indices, each row strictly increasing within 1..p_omega
-    (else ``ValueError``, naming the first bad row).  For the columns S of
-    each, one QR of R0[:, S + [y]] (``whitened.r0``) gives R, Q'y and y'Py,
-    the square of its last pivot; a batch stacks all of them into one call.
+    ``model`` is a :class:`CandidateModel`, or a (batch x p) integer array
+    of 1-based column indices, each row strictly increasing within
+    1..p_omega (else ``ValueError``, naming the dtype or the first bad
+    row).  For the columns S of each, one QR of R0[:, S + [y]]
+    (``whitened.r0``) gives R, Q'y and y'Py, the square of its last pivot;
+    a batch stacks all of them into one call.
     A single rank-deficient candidate raises ``SingularDesignError``; a
     batch fit drops such candidates and records the positions of those it
     holds in ``kept``.  :meth:`WhitenedFit.with_prior` adds the
     marginal-likelihood quantities.
     """
     single = isinstance(model, CandidateModel)
-    cols = np.array([model.indices] if single else model, dtype=np.intp)
+    cols = np.array([model.indices], dtype=np.intp) if single else np.asarray(model)
+    if not np.issubdtype(cols.dtype, np.integer):
+        raise ValueError(f"candidate column indices must be integers, not {cols.dtype}")
     (b, k), p_omega = cols.shape, whitened.p_omega
     # Bracketed by 0 and p_omega + 1, a valid row strictly increases.
     steps = np.diff(cols, axis=1, prepend=0, append=p_omega + 1) <= 0

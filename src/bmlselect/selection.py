@@ -7,10 +7,12 @@ estimates phi, whitens the data and reduces it to one R factor once, then
 fits, estimates lambda for and scores each run of same-size rows as stacked
 batches, writing straight into the (candidates x criteria) arrays of a
 :class:`ScoreTable`, the one record of a selection.  This is the one
-scoring path.  :meth:`ScoreTable.rank` is the one ranking,
-:meth:`ScoreTable.candidate` the one decoder of a row into a
-:class:`~bmlselect.model_core.CandidateModel`, and
-:meth:`ScoreTable.excluded` the one decoder of the exclusion codes.
+scoring path.  :meth:`ScoreTable.rank` is the one ranking and
+:meth:`ScoreTable.excluded` the one decoder of the exclusion codes.  One
+decoder turns a run of same-size membership rows into their column
+indices; the engine, :meth:`ScoreTable.candidate` and
+:meth:`ScoreTable.labels` all read rows through it.  :func:`prediction_error`
+is the one loss, read from the table's whitened data.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .exceptions import (
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
 )
-from .model_core import CandidateModel, Dataset, WhitenedData, gls_fit, whiten
+from .model_core import CandidateModel, Dataset, WhitenedData, candidate_label, gls_fit, whiten
 
 MAX_P_OMEGA = 20
 
@@ -93,7 +95,13 @@ class ScoreTable:
 
     def candidate(self, i: int) -> CandidateModel:
         """The candidate of row ``i``."""
-        return CandidateModel(tuple((np.flatnonzero(self.members[i]) + 1).tolist()))
+        return CandidateModel(tuple(_columns(self.members[i][None])[0].tolist()))
+
+    def labels(self) -> list[str]:
+        """Every row's label, decoded one run of same-size rows at a time."""
+        runs = np.flatnonzero(np.diff(self.members.sum(axis=1))) + 1
+        return [candidate_label(row) for run in np.split(self.members, runs)
+                for row in _columns(run).tolist()]
 
     def excluded(self, i: int) -> dict[str, str]:
         """{criterion: reason} for each criterion that excludes candidate ``i``."""
@@ -128,6 +136,11 @@ def enumerate_candidates(p_omega: int, include_null: bool = True) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _columns(members: np.ndarray) -> np.ndarray:
+    """The (rows x k) 1-based column indices of membership rows of k columns each."""
+    return members.nonzero()[1].reshape(len(members), -1) + 1
+
+
 def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> None:
     """Score one batch of same-size candidates from ``table.whitened`` into
     ``table`` at the batch's positions: fit them, then give the fit its
@@ -140,7 +153,7 @@ def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> 
     search raises; the batch is then scored again one position at a time,
     so that the error names the first candidate that fails.
     """
-    cols = table.members[batch].nonzero()[1].reshape(batch.stop - batch.start, -1) + 1
+    cols = _columns(table.members[batch])
     try:
         fit, lam_est = gls_fit(table.whitened, cols), None
         if _criteria.needs_prior(table.criteria):
@@ -239,34 +252,15 @@ def select(
     return report_from_table(table, criterion)
 
 
-def prediction_error(
-    selected: CandidateModel,
-    dataset: Dataset,
-    truth: tuple[np.ndarray, np.ndarray],
-    phi_hat: float | None = None,
-) -> float:
-    """Quadratic loss ||X_j beta_hat_j - X* beta*||^2 / n of the selected model.
-
-    ``beta_hat_j`` is the GLS estimator under V(phi_hat); the loss itself is
-    the plain Euclidean norm on the original (unwhitened) scale.
-    """
-    x_true, beta_true = truth
-    x_true = np.asarray(x_true, dtype=float)
-    beta_true = np.asarray(beta_true, dtype=float).reshape(-1)
-    if x_true.shape != (dataset.n, beta_true.shape[0]):
-        raise ValueError("truth dimensions do not conform to the dataset")
-    cov = dataset.cov
-    if phi_hat is not None and cov.kind in ("ar1", "nerm"):
-        cov = cov.with_phi(phi_hat)
-    return _quadratic_loss(whiten(replace(dataset, cov=cov)), dataset.x_full, selected,
-                           x_true @ beta_true)
-
-
-def _quadratic_loss(
-    wd: WhitenedData, x_full: np.ndarray, model: CandidateModel, mu_true: np.ndarray
-) -> float:
-    """||X_j beta_hat_j - mu*||^2 / n for candidate j's columns of ``x_full``,
-    with beta_hat_j the GLS fit of j on the whitened data ``wd``."""
-    beta_hat = gls_fit(wd, model).beta_hat
-    diff = x_full[:, list(model.zero_based)] @ beta_hat - mu_true
-    return float(diff @ diff) / x_full.shape[0]
+def prediction_error(whitened: WhitenedData, x_full: np.ndarray, selected: CandidateModel,
+                     mu_true: np.ndarray) -> float:
+    """Quadratic loss ||X_j beta_hat_j - mu*||^2 / n of candidate j on the original
+    scale: X_j is its columns of ``x_full``, beta_hat_j its GLS fit on
+    ``whitened``, the data whitened at phi_hat (a table's ``whitened``)."""
+    x_full = np.asarray(x_full, dtype=float)
+    mu_true = np.asarray(mu_true, dtype=float).reshape(-1)
+    if x_full.shape != (whitened.n, whitened.p_omega) or mu_true.shape != (whitened.n,):
+        raise ValueError(f"x_full {x_full.shape} and mu_true {mu_true.shape} do not conform "
+                         f"to the whitened data ({whitened.n} x {whitened.p_omega})")
+    diff = x_full[:, list(selected.zero_based)] @ gls_fit(whitened, selected).beta_hat - mu_true
+    return float(diff @ diff) / whitened.n

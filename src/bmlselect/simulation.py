@@ -25,7 +25,7 @@ from .covariance import CovarianceSpec, check_prior, make_whitener
 from .criteria import check_names
 from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
-from .selection import SelectionOptions, _quadratic_loss, report_from_table, score_candidates
+from .selection import SelectionOptions, prediction_error, report_from_table, score_candidates
 
 MODEL_KINDS = ("constant_variance", "ar1", "nerm")
 
@@ -36,6 +36,11 @@ BETA_PATTERNS = {
 
 # The comparison set used by the experiment defaults.
 DEFAULT_CRITERIA = ("ic_pi1", "ic_r", "aic", "bic", "dic", "ml")
+
+
+def _is_int(value) -> bool:
+    """The one integer rule of :class:`ExperimentSpec`: Integral, not bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,14 @@ class ExperimentSpec:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.beta_pattern not in BETA_PATTERNS:
             raise ValueError(f"unknown beta pattern {self.beta_pattern!r}")
-        if not isinstance(self.replications, Integral) or self.replications < 1:
-            raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
+        for name, low in (("replications", 1), ("master_seed", 0), ("nerm_group_size", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
         # n <= p_omega leaves the full design rank deficient or interpolating,
         # and an infinite SNR leaves no noise: every replication would fail.
-        bad_n = [n for n in self.n_grid if not isinstance(n, Integral) or n <= self.p_omega]
+        bad_n = [n for n in self.n_grid if not _is_int(n) or n <= self.p_omega]
         if bad_n:
             raise ValueError(
                 f"n_grid values must be integers greater than p_omega = {self.p_omega}, "
@@ -84,10 +92,6 @@ class ExperimentSpec:
         for name, grid in (("n_grid", self.n_grid), ("snr_grid", snr_grid)):
             if not grid or len(set(grid)) < len(grid):
                 raise ValueError(f"{name} must hold at least one value, none repeated, got {grid}")
-        if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
-            raise ValueError("master_seed must be a non-negative integer")
-        if not isinstance(self.nerm_group_size, Integral) or self.nerm_group_size < 1:
-            raise ValueError(f"nerm_group_size must be an integer >= 1, got {self.nerm_group_size}")
         check_prior(self.prior_kind)
         object.__setattr__(self, "criteria", check_names(self.criteria))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -195,7 +199,7 @@ def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
         mu_true = truth.x_true @ truth.beta_true
         best = {name: report_from_table(table, name) for name in spec.criteria}
         # The loss refits each selected model once, from the table's whitened data.
-        loss = {m: _quadratic_loss(table.whitened, dataset.x_full, m, mu_true)
+        loss = {m: prediction_error(table.whitened, dataset.x_full, m, mu_true)
                 for m in set(best.values())}
         return {name: (m == truth.j_star, loss[m]) for name, m in best.items()}
     except BmlselectError as exc:

@@ -381,7 +381,7 @@ def test_criterion_6_ar1_ic_r_level(ar1_experiment):
         if dense_pick != picks["ic_r"]:
             mismatches.append(rep)
             continue
-        pkg = prediction_error(picks["ic_r"], ds, (truth.x_true, truth.beta_true), phi_hat)
+        pkg = prediction_error(table.whitened, ds.x_full, picks["ic_r"], mu_true)
         ref = dense_loss(dense_pick)
         max_rel = max(max_rel, abs(pkg - ref) / ref)
 

@@ -238,8 +238,12 @@ def test_gls_fit_rejects_out_of_range_column():
         ([[1, 3], [-1, 2]], "candidate -1 2 uses column -1,"),
         ([[2, 2], [1, 2]], "candidate 2 2 uses column 2,"),
         ([[1, 3], [3, 1]], "candidate 3 1 uses column 1,"),
+        ([[1.5, 2.7]], "candidate column indices must be integers, not float64"),
+        ([[1.0, 2.0]], "candidate column indices must be integers, not float64"),
+        ([[True, False, True]], "candidate column indices must be integers, not bool"),
     ],
-    ids=["past_p_omega", "zero", "negative", "repeated", "decreasing"],
+    ids=["past_p_omega", "zero", "negative", "repeated", "decreasing", "fractional",
+         "whole_floats", "membership_row"],
 )
 def test_gls_fit_batch_rejects_a_bad_index_row_naming_it(rows, message):
     rng = np.random.default_rng(4)

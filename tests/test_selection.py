@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bmlselect import (
     CRITERION_NAMES,
     CandidateExplosionError,
     CandidateModel,
+    CovarianceError,
     CovarianceSpec,
     Dataset,
     LambdaEstimationError,
@@ -20,6 +22,7 @@ from bmlselect import (
     prediction_error,
     score_candidates,
     select,
+    whiten,
 )
 from bmlselect.selection import EXCLUSION_REASONS, ScoreTable, report_from_table
 from dense_oracle import dense_v, gls_beta, random_spd
@@ -248,7 +251,7 @@ def test_prediction_error_zero_at_truth():
     beta = np.array([1.0, -2.0, 0.5])
     y = x @ beta  # no noise: GLS recovers beta exactly
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-    err = prediction_error(CandidateModel((1, 2, 3)), ds, (x, beta))
+    err = prediction_error(whiten(ds), x, CandidateModel((1, 2, 3)), x @ beta)
     assert err < 1e-20
 
 
@@ -258,7 +261,7 @@ def test_prediction_error_null_model():
     beta = np.array([1.0, 2.0])
     y = x @ beta + rng.standard_normal(10)
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-    err = prediction_error(CandidateModel(()), ds, (x, beta))
+    err = prediction_error(whiten(ds), x, CandidateModel(()), x @ beta)
     assert err == pytest.approx(float((x @ beta) @ (x @ beta)) / 10, rel=1e-12)
 
 
@@ -271,7 +274,7 @@ def test_prediction_error_matches_dense_oracle():
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.custom(v))
     sel = CandidateModel((1, 3))
-    got = prediction_error(sel, ds, (x, beta))
+    got = prediction_error(whiten(ds), x, sel, x @ beta)
     beta_hat = gls_beta(y, x[:, [0, 2]], v)
     diff = x[:, [0, 2]] @ beta_hat - x @ beta
     expect = float(diff @ diff) / n
@@ -285,19 +288,79 @@ def test_prediction_error_uses_phi_hat():
     beta = np.array([1.0, 1.0])
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.ar1(None))
-    got = prediction_error(CandidateModel((1, 2)), ds, (x, beta), phi_hat=0.3)
+    at_phi_hat = whiten(replace(ds, cov=ds.cov.with_phi(0.3)))
+    got = prediction_error(at_phi_hat, x, CandidateModel((1, 2)), x @ beta)
     v = dense_v(CovarianceSpec.ar1(0.3), n)
     beta_hat = gls_beta(y, x, v)
     diff = x @ beta_hat - x @ beta
     assert got == pytest.approx(float(diff @ diff) / n, rel=1e-10)
-    with pytest.raises(Exception):
-        prediction_error(CandidateModel((1, 2)), ds, (x, beta))  # phi unresolved
+    with pytest.raises(CovarianceError, match="phi unknown"):  # no whitened data without phi
+        prediction_error(whiten(ds), x, CandidateModel((1, 2)), x @ beta)
+
+
+@pytest.mark.parametrize("kind", ["identity", "ar1", "nerm"])
+def test_prediction_error_from_the_table_matches_dense_oracle_at_phi_hat(kind):
+    # The loss of every candidate, read from the table's whitened data,
+    # equals the dense GLS loss under V(phi_hat); and that data is the
+    # dataset whitened at phi_hat, to the bit.
+    rng = np.random.default_rng(11)
+    n = 24
+    x = rng.standard_normal((n, 3))
+    beta = np.array([1.0, -1.0, 0.0])
+    y = x @ beta + rng.standard_normal(n)
+    cov = {"identity": CovarianceSpec.identity(), "ar1": CovarianceSpec.ar1(None),
+           "nerm": CovarianceSpec.nerm((4,) * 6)}[kind]
+    ds = Dataset(y=y, x_full=x, cov=cov)
+    table = score_candidates(ds, ("bic",))
+    assert (table.phi_hat is None) == (kind == "identity")
+    at_phi_hat = ds if table.phi_hat is None else replace(ds, cov=cov.with_phi(table.phi_hat))
+    rebuilt, v, mu = whiten(at_phi_hat), dense_v(at_phi_hat.cov, n), x @ beta
+    for i in range(len(table.members)):
+        model = table.candidate(i)
+        got = prediction_error(table.whitened, x, model, mu)
+        assert prediction_error(rebuilt, x, model, mu) == got
+        xj = x[:, list(model.zero_based)]
+        diff = (xj @ gls_beta(y, xj, v) if model.p else 0.0) - mu
+        assert got == pytest.approx(float(diff @ diff) / n, rel=1e-10)
 
 
 def test_prediction_error_rejects_nonconforming_truth():
     ds = signal_dataset(10, n=12, p_omega=2, true=(1,), sigma=0.1)
-    with pytest.raises(ValueError, match="conform"):
-        prediction_error(CandidateModel((1,)), ds, (np.ones((5, 1)), np.ones(1)))
+    wd, x = whiten(ds), ds.x_full
+    for x_full, mu_true in ((x, np.ones(5)), (x[:5], np.ones(12)), (x[:, :1], np.ones(12))):
+        with pytest.raises(ValueError, match="conform"):
+            prediction_error(wd, x_full, CandidateModel((1,)), mu_true)
+
+
+# ---------------------------------------------------------------------------
+# ScoreTable.labels
+# ---------------------------------------------------------------------------
+
+
+def assert_labels_decode_rows(table):
+    assert table.labels() == [table.candidate(i).label() for i in range(len(table.members))]
+
+
+@pytest.mark.parametrize("include_null", [True, False])
+def test_labels_are_the_candidate_labels_of_every_row(include_null):
+    for p in range(1, 13):
+        members = enumerate_candidates(p, include_null)
+        assert_labels_decode_rows(bic_table(members, [0.0] * len(members)))
+
+
+def test_labels_of_a_members_subset():
+    ds = signal_dataset(12, n=30, p_omega=6)
+    table = score_candidates(ds, ("bic",), members=enumerate_candidates(6)[::3])
+    assert_labels_decode_rows(table)
+    assert table.labels()[:3] == ["(null)", "3", "6"]
+
+
+def test_labels_of_a_hand_built_table_whose_row_sizes_go_up_and_down():
+    members = enumerate_candidates(5)[[7, 0, 20, 3, 1, 31, 12, 12, 0]]
+    table = bic_table(members, [0.0] * len(members))
+    assert_labels_decode_rows(table)
+    assert table.labels() == ["1 3", "(null)", "1 3 5", "3", "1", "1 2 3 4 5", "2 5", "2 5",
+                              "(null)"]
 
 
 # ---------------------------------------------------------------------------

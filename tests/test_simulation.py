@@ -183,6 +183,21 @@ def test_spec_rejects_a_fractional_nerm_group_size():
         small_spec(model_kind="nerm", nerm_group_size=4.0)
 
 
+def test_spec_takes_numpy_integers_and_stores_ints():
+    spec = small_spec(model_kind="nerm", master_seed=np.int64(3), replications=np.int32(2),
+                      nerm_group_size=np.int64(4), n_grid=(np.int64(20),))
+    fields = (spec.master_seed, spec.replications, spec.nerm_group_size, *spec.n_grid)
+    assert fields == (3, 2, 4, 20)
+    assert all(type(value) is int for value in fields)
+
+
+@pytest.mark.parametrize("field", ["replications", "master_seed", "nerm_group_size", "n_grid"])
+def test_spec_refuses_true_for_every_integer_field(field):
+    value = (True,) if field == "n_grid" else True
+    with pytest.raises(ValueError, match=field):
+        small_spec(model_kind="nerm", **{field: value})
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown model kind"):
         small_spec(model_kind="arma")
