@@ -8,8 +8,9 @@ point from a :class:`CovarianceSpec` to an operator: it holds the only
 dispatch on the spec's kind and returns the action of L^{-1} for the
 Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
 AR(1) operator runs in O(n) via the innovations recursion instead of a
-dense factorization, and serves identity as the recursion at phi = 0; the
-nested-error V is built from the group labels in one pass.
+dense factorization (its ``color`` runs x_1 = w_1, x_i = s w_i + phi x_{i-1}
+with s = sqrt(1 - phi^2)), and serves identity as the recursion at
+phi = 0; the nested-error V is built from the group labels in one pass.
 
 The coefficient prior N(0, sigma^2 W) comes in two families, ridge and
 Zellner, and only this module knows them: the prior check, the terms a
@@ -36,7 +37,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .exceptions import CovarianceError, LambdaEstimationError
 
@@ -71,6 +71,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LAMBDA_GRID = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
 _LOG_LAMBDA_GRID = np.log(_LAMBDA_GRID)
 _INV_LAMBDA_GRID = 1.0 / _LAMBDA_GRID
+
+
+def is_int(value) -> bool:
+    """The package's one integer rule: an int or a NumPy integer, so not a
+    bool.  A type test, not ``numbers.Integral``, which is several times
+    slower: the nerm phi profile checks every group size at each evaluation."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 class ScalarEstimate(NamedTuple):
@@ -117,15 +124,12 @@ class CovarianceSpec:
         if self.kind == "nerm":
             if not self.group_sizes:
                 raise CovarianceError("nerm covariance requires group_sizes")
-            try:
-                sizes = tuple(int(s) for s in self.group_sizes)
-            except (TypeError, ValueError, OverflowError):
-                sizes = None
-            if sizes is None or sizes != tuple(self.group_sizes) or min(sizes) < 1:
+            sizes = tuple(self.group_sizes)
+            if not all(is_int(s) and s >= 1 for s in sizes):
                 raise CovarianceError(
                     f"nerm group sizes must be positive whole numbers, got {self.group_sizes}"
                 )
-            object.__setattr__(self, "group_sizes", sizes)
+            object.__setattr__(self, "group_sizes", tuple(map(int, sizes)))
         elif self.group_sizes is not None:
             raise CovarianceError("group_sizes only apply to the nerm kind")
         if self.kind == "custom":
@@ -259,7 +263,9 @@ def known_scale(fit: "WhitenedFit", kind: str, lam: float | None) -> PriorScale 
 
 class _Ar1Whitener:
     """O(n) whitening for the stationary AR(1) correlation matrix; at phi = 0
-    the recursion returns its input, so it is the identity whitener too."""
+    the recursion returns its input, so it is the identity whitener too.
+    ``color`` applies L along the first axis: x_1 = w_1, x_i = s w_i +
+    phi x_{i-1} with s = sqrt(1 - phi^2); ``whiten`` inverts it."""
 
     def __init__(self, phi: float, n: int):
         self.phi = float(phi)
@@ -273,10 +279,11 @@ class _Ar1Whitener:
         return out
 
     def color(self, w):
-        w = np.asarray(w, dtype=float)
-        x = w.copy()
+        x = np.array(w, dtype=float)
         x[1:] *= self.scale
-        return scipy.signal.lfilter([1.0], [1.0, -self.phi], x, axis=0)
+        for i in range(1, len(x)):
+            x[i] += self.phi * x[i - 1]
+        return x
 
 
 class _CholeskyWhitener:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import CovarianceSpec, PriorScale, make_whitener
+from .covariance import CovarianceSpec, PriorScale, is_int, make_whitener
 from .exceptions import SaturatedModelError, SingularDesignError
 
 # Shared relative pivot rule: a QR pivot below this fraction of the largest
@@ -49,12 +49,10 @@ class CandidateModel:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        try:
-            idx = tuple(int(i) for i in self.indices)
-        except (TypeError, ValueError, OverflowError):
-            idx = None
-        if idx != tuple(self.indices):
+        idx = tuple(self.indices)
+        if not all(map(is_int, idx)):
             raise ValueError(f"candidate indices must be whole numbers: {self.indices}")
+        idx = tuple(map(int, idx))
         if any(b <= a for a, b in zip(idx, idx[1:])) or (idx and idx[0] < 1):
             raise ValueError(f"candidate indices must be strictly increasing and >= 1: {idx}")
         object.__setattr__(self, "indices", idx)

@@ -17,11 +17,10 @@ import os
 from dataclasses import dataclass, field
 from itertools import product
 from multiprocessing import get_context
-from numbers import Integral
 
 import numpy as np
 
-from .covariance import CovarianceSpec, check_prior, make_whitener
+from .covariance import CovarianceSpec, check_prior, is_int, make_whitener
 from .criteria import check_names
 from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
@@ -36,11 +35,6 @@ BETA_PATTERNS = {
 
 # The comparison set used by the experiment defaults.
 DEFAULT_CRITERIA = ("ic_pi1", "ic_r", "aic", "bic", "dic", "ml")
-
-
-def _is_int(value) -> bool:
-    """The one integer rule of :class:`ExperimentSpec`: Integral, not bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,12 +67,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown beta pattern {self.beta_pattern!r}")
         for name, low in (("replications", 1), ("master_seed", 0), ("nerm_group_size", 1)):
             value = getattr(self, name)
-            if not _is_int(value) or value < low:
+            if not is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value}")
             object.__setattr__(self, name, int(value))
         # n <= p_omega leaves the full design rank deficient or interpolating,
         # and an infinite SNR leaves no noise: every replication would fail.
-        bad_n = [n for n in self.n_grid if not _is_int(n) or n <= self.p_omega]
+        bad_n = [n for n in self.n_grid if not is_int(n) or n <= self.p_omega]
         if bad_n:
             raise ValueError(
                 f"n_grid values must be integers greater than p_omega = {self.p_omega}, "
@@ -102,7 +96,8 @@ class ExperimentSpec:
                 raise ValueError(
                     f"nerm group size {self.nerm_group_size} does not divide n in {bad}"
                 )
-        # Build every true V once, so a bad phi_true fails before any replication.
+        # Build the true covariance spec at every n, so a bad phi_true fails
+        # before any replication (V itself is built per replication).
         for n in self.n_grid:
             self.covariance(n, self.phi_true)
 

@@ -42,6 +42,24 @@ def test_ar1_whitener_colors_to_phi_powers():
     assert np.allclose(np.diag(v), 1.0)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.5, -0.5, 0.99, -0.99])
+@pytest.mark.parametrize("n", [1, 2, 160])
+def test_ar1_color_matches_lfilter_bytes(n, phi):
+    # The recursion is the order-1 direct form that lfilter computes, so the
+    # coloured noise of the simulation study is the same to the last bit.
+    import scipy.signal
+
+    wh = make_whitener(CovarianceSpec.ar1(phi), n)
+    rng = np.random.default_rng(n)
+    for w in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n)):
+        scaled = w.copy()
+        scaled[1:] *= math.sqrt(1.0 - phi * phi)
+        expect = scipy.signal.lfilter([1.0], [1.0, -phi], scaled, axis=0)
+        got = wh.color(w)
+        assert got.shape == w.shape
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_nerm_whitener_single_group():
     wh = make_whitener(CovarianceSpec.nerm((2,), 1.0), 2)
     l = wh.color(np.eye(2))
@@ -171,12 +189,19 @@ def test_spec_rejects_fields_its_kind_does_not_take(fields, message):
 
 
 @pytest.mark.parametrize(
-    "sizes", [(4.5, 3.5), (4, 2.5), (2, "2"), ("a",), (math.nan,), (math.inf,)], ids=str
+    "sizes",
+    [(4.5, 3.5), (4, 2.5), (2, "2"), ("a",), (math.nan,), (math.inf,), (True, 2), (1, 2.0)],
+    ids=str,
 )
 def test_nerm_rejects_group_sizes_that_are_not_whole_numbers(sizes):
-    # Sizes that int() cannot convert ("a", nan, inf) get the same error.
+    # Sizes are integers, not bools or floats, even whole ones (True, 2.0).
     with pytest.raises(CovarianceError, match="positive whole numbers"):
         CovarianceSpec.nerm(sizes, 0.3)
+
+
+def test_nerm_stores_numpy_integer_sizes_as_int():
+    sizes = CovarianceSpec.nerm(np.array([2, 3]), 0.3).group_sizes
+    assert sizes == (2, 3) and all(type(s) is int for s in sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,7 @@ def test_candidate_model_validation():
         CandidateModel((0, 1))
     with pytest.raises(ValueError):
         CandidateModel((1, 1))
-    for bad in ((1.7, 2.2), ("2",), (1, math.inf), (None,)):
+    for bad in ((1.7, 2.2), ("2",), (1, math.inf), (None,), (True, 2), (1, 2.0)):
         with pytest.raises(ValueError, match="whole numbers"):
             CandidateModel(bad)
     assert CandidateModel(np.array([1, 3])).indices == (1, 3)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bmlselect
 
 # Every public name, in the order of ``bmlselect.__all__``.  Adding or
@@ -60,3 +65,14 @@ def test_public_api_is_pinned():
     assert bmlselect.__all__ == PUBLIC_API
     missing = [name for name in PUBLIC_API if not hasattr(bmlselect, name)]
     assert missing == []
+
+
+def test_runtime_loads_no_scipy_subpackage_beyond_linalg():
+    # A fresh interpreter: the test process itself has imported more of scipy.
+    probe = "import sys, bmlselect.cli; print(*(m for m in sys.modules if m.startswith('scipy.')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    public = {m.split(".")[1] for m in out.split()} - {"version"}
+    assert {p for p in public if not p.startswith("_")} == {"linalg"}
