@@ -4,13 +4,14 @@ The regression model treats the error covariance as sigma^2 * V, where V is
 known up to a scalar parameter phi.  Three structured families are provided
 (identity, AR(1), nested-error blocks) plus an escape hatch for any fixed
 symmetric positive-definite matrix.  :func:`make_whitener` is the one entry
-point from a :class:`CovarianceSpec` to an operator: it holds the only
-dispatch on the spec's kind and returns the action of L^{-1} for the
-Cholesky factor V = L L^t, which is all the fitting layer ever needs; the
-AR(1) operator runs in O(n) via the innovations recursion instead of a
-dense factorization (its ``color`` runs x_1 = w_1, x_i = s w_i + phi x_{i-1}
-with s = sqrt(1 - phi^2)), and serves identity as the recursion at
-phi = 0; the nested-error V is built from the group labels in one pass.
+point from a :class:`CovarianceSpec` to an operator, the action of L^{-1}
+for the Cholesky factor V = L L^t, which is all the fitting layer needs.
+Its one dispatch on the kind builds a family phi -> operator, which the phi
+profile builds once per profile, not at each evaluation.  Dense V is
+factored by LAPACK's dpotrf, called directly; the AR(1) operator runs in
+O(n) via the innovations recursion (its ``color`` runs x_1 = w_1, x_i =
+s w_i + phi x_{i-1} with s = sqrt(1 - phi^2)), and serves identity as the
+recursion at phi = 0; the nested-error V is built from the group labels.
 
 The coefficient prior N(0, sigma^2 W) comes in two families, ridge and
 Zellner, and only this module knows them: the prior check, the terms a
@@ -76,7 +77,7 @@ _INV_LAMBDA_GRID = 1.0 / _LAMBDA_GRID
 def is_int(value) -> bool:
     """The package's one integer rule: an int or a NumPy integer, so not a
     bool.  A type test, not ``numbers.Integral``, which is several times
-    slower: the nerm phi profile checks every group size at each evaluation."""
+    slower: a nerm spec checks every group size each time it is built."""
     return type(value) is int or isinstance(value, np.integer)
 
 
@@ -287,20 +288,39 @@ class _Ar1Whitener:
 
 
 class _CholeskyWhitener:
+    """V = L L^t by dpotrf (on a copy of ``v``) and L^{-1} b by dtrtrs: the
+    routines of ``scipy.linalg.cholesky``/``solve_triangular``, minus their checks."""
+
     def __init__(self, v: np.ndarray):
-        try:
-            self.l = scipy.linalg.cholesky(v, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise CovarianceError("covariance not PD") from exc
+        self.l, info = scipy.linalg.lapack.dpotrf(v, lower=1, clean=1)
+        if info:
+            raise CovarianceError("covariance not PD")
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.l))))
 
     def whiten(self, b):
-        return scipy.linalg.solve_triangular(
-            self.l, np.asarray(b, dtype=float), lower=True, check_finite=False
-        )
+        return scipy.linalg.lapack.dtrtrs(self.l, np.asarray(b, dtype=float), lower=1)[0]
 
     def color(self, w):
         return self.l @ np.asarray(w, dtype=float)
+
+
+def _whitener_family(spec: CovarianceSpec, n: int):
+    """phi -> whitening operator for V(phi) of size n.  The kind dispatch, the
+    size check and the nerm same-group mask run once, when the family is built."""
+    spec.check_size(n)
+    if spec.kind in ("identity", "ar1"):  # V = I is the AR(1) matrix at phi = 0
+        return lambda phi: _Ar1Whitener(0.0 if phi is None else phi, n)
+    if spec.kind == "custom":
+        return lambda phi: _CholeskyWhitener(spec.matrix)
+    group = np.repeat(np.arange(len(spec.group_sizes)), spec.group_sizes)
+    same, diag = group[:, None] == group[None, :], np.diag_indices(n)
+
+    def nerm(phi):
+        v = phi * same
+        v[diag] += 1.0
+        return _CholeskyWhitener(v)
+
+    return nerm
 
 
 def make_whitener(spec: CovarianceSpec, n: int):
@@ -314,15 +334,7 @@ def make_whitener(spec: CovarianceSpec, n: int):
         raise CovarianceError(
             f"{spec.kind} covariance has phi unknown; run estimate_phi_full_model first"
         )
-    spec.check_size(n)
-    if spec.kind in ("identity", "ar1"):  # V = I is the AR(1) matrix at phi = 0
-        return _Ar1Whitener(0.0 if spec.phi is None else spec.phi, n)
-    if spec.kind == "custom":
-        return _CholeskyWhitener(spec.matrix)
-    group = np.repeat(np.arange(len(spec.group_sizes)), spec.group_sizes)
-    v = spec.phi * (group[:, None] == group[None, :])
-    v[np.diag_indices(n)] += 1.0
-    return _CholeskyWhitener(v)
+    return _whitener_family(spec, n)(spec.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +342,10 @@ def make_whitener(spec: CovarianceSpec, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(f, a, b, rtol=GOLDEN_RTOL):
-    """Golden-section minimum on [a, b], returning the best point evaluated."""
-    best = [a, f(a)]
+def _golden_min(f, a, b, fa, fb, rtol=GOLDEN_RTOL):
+    """Golden-section minimum on [a, b], given fa = f(a) and fb = f(b),
+    returning the best point evaluated."""
+    best = [b, fb] if fb < fa else [a, fa]
 
     def ev(x):
         fx = f(x)
@@ -340,7 +353,6 @@ def _golden_min(f, a, b, rtol=GOLDEN_RTOL):
             best[0], best[1] = x, fx
         return fx
 
-    ev(b)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = ev(c), ev(d)
@@ -375,9 +387,10 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     if not spec.has_unknown_phi:
         return None
     y, x, n = dataset.y, dataset.x_full, dataset.n
+    family = _whitener_family(spec, n)
 
     def objective(phi: float) -> float:
-        wh = make_whitener(spec.with_phi(phi), n)
+        wh = family(phi)
         yt = wh.whiten(y)
         xt = wh.whiten(x)
         q = np.linalg.qr(xt, mode="reduced")[0]
@@ -399,7 +412,8 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     if not finite.any():
         raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
     k = int(np.argmin(np.where(finite, vals, np.inf)))
-    phi_hat, f_hat = _golden_min(objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+    lo_k, hi_k = max(k - 1, 0), min(k + 1, len(grid) - 1)
+    phi_hat, f_hat = _golden_min(objective, grid[lo_k], grid[hi_k], vals[lo_k], vals[hi_k])
     if vals[k] <= f_hat:
         phi_hat = grid[k]
     if spec.kind == "ar1":

@@ -18,7 +18,15 @@ from bmlselect import (
     ml,
     whiten,
 )
-from bmlselect.covariance import LAMBDA_BOUNDS, LAMBDA_GRID_POINTS, make_whitener
+from bmlselect.covariance import (
+    GRID_POINTS,
+    LAMBDA_BOUNDS,
+    LAMBDA_GRID_POINTS,
+    PHI_AR1_BOUNDS,
+    PHI_NERM_BOUNDS,
+    _golden_min,
+    make_whitener,
+)
 from bmlselect.selection import enumerate_candidates
 from dense_oracle import dense_v, proj_p, random_spd
 
@@ -167,6 +175,34 @@ def test_nerm_whitener_is_bit_equal_to_the_dense_cholesky(sizes, phi):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        CovarianceSpec.nerm((4,) * 20, 0.7),
+        CovarianceSpec.nerm((4,) * 40, 1e4),
+        CovarianceSpec.nerm((1, 7, 2, 2, 5), 3.0),
+        CovarianceSpec.custom(random_spd(np.random.default_rng(6), 9)),
+    ],
+    ids=["nerm_4x20", "nerm_4x40", "nerm_unequal", "custom"],
+)
+def test_cholesky_whitener_is_bit_equal_to_the_scipy_wrappers(spec):
+    # The whitener calls dpotrf and dtrtrs directly; every byte must match
+    # scipy.linalg.cholesky and solve_triangular, or phi_hat can move.
+    n = spec.matrix.shape[0] if spec.kind == "custom" else sum(spec.group_sizes)
+    v = dense_v(spec, n)
+    given = None if spec.matrix is None else spec.matrix.copy()
+    wh = make_whitener(spec, n)
+    l = scipy.linalg.cholesky(v, lower=True)
+    assert wh.l.tobytes() == l.tobytes()
+    rng = np.random.default_rng(n)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        assert wh.whiten(b).tobytes() == scipy.linalg.solve_triangular(l, b, lower=True).tobytes()
+        assert wh.color(b).tobytes() == (l @ b).tobytes()
+    assert wh.logdet == 2.0 * float(np.sum(np.log(np.diag(l))))
+    if given is not None:  # dpotrf factors a copy of a custom matrix
+        assert spec.matrix.tobytes() == given.tobytes()
+
+
+@pytest.mark.parametrize(
     "fields, message",
     [
         (dict(kind="identity", phi=0.5), "identity covariance takes no phi"),
@@ -231,6 +267,58 @@ def _ar1_dataset(rng, n, phi, snr=5.0, p=4):
     return Dataset(y=x @ beta + eps, x_full=x, cov=CovarianceSpec.ar1(None))
 
 
+def _reference_phi(dataset):
+    """phi_hat and its flag from a profile that builds V(phi) through
+    ``make_whitener(spec.with_phi(phi), n)`` at every evaluation, on the
+    production grid and golden search, with both bracket ends re-evaluated."""
+    obj = _profile_objective(dataset, dataset.cov)
+    if dataset.cov.kind == "ar1":
+        lo, hi = PHI_AR1_BOUNDS
+        grid = np.linspace(lo, hi, GRID_POINTS)
+    else:
+        lo, hi = PHI_NERM_BOUNDS
+        grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, GRID_POINTS - 1)))
+    vals = np.array([obj(phi) for phi in grid])
+    k = int(np.argmin(vals))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, GRID_POINTS - 1)]
+    phi_hat, f_hat = _golden_min(obj, a, b, obj(a), obj(b))
+    if vals[k] <= f_hat:
+        phi_hat = grid[k]
+    if dataset.cov.kind == "ar1":
+        return phi_hat, min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
+    return phi_hat, phi_hat < grid[1] or math.log(hi / phi_hat) <= 1e-6 * math.log(hi / grid[1])
+
+
+def _nerm_dataset(rng, sizes, phi, p=7):
+    n = sum(sizes)
+    x = rng.standard_normal((n, p))
+    noise = rng.standard_normal(n) + math.sqrt(phi) * np.repeat(rng.standard_normal(len(sizes)), sizes)
+    return Dataset(y=x @ rng.standard_normal(p) + noise, x_full=x,
+                   cov=CovarianceSpec.nerm(sizes, None))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _nerm_dataset(rng, (4,) * 20, 0.5),
+        lambda rng: _nerm_dataset(rng, (4,) * 40, 0.5),
+        lambda rng: _nerm_dataset(rng, (4,) * 40, 0.0),
+        lambda rng: _nerm_dataset(rng, (1, 7, 2, 2, 5, 3, 6, 4, 1, 9), 1.5),
+        lambda rng: _ar1_dataset(rng, 80, 0.5, p=7),
+    ],
+    ids=["nerm_n80", "nerm_n160", "nerm_n160_no_group_effect", "nerm_unequal", "ar1"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_estimate_phi_is_bit_equal_to_the_per_evaluation_reference(make, seed):
+    # The profile builds its operator family once and takes the bracket
+    # ends' values from the grid scan; neither may move a bit of phi_hat.
+    ds = make(np.random.default_rng(seed))
+    want, want_flag = _reference_phi(ds)
+    est = estimate_phi_full_model(ds)
+    assert np.float64(est.value).tobytes() == np.float64(want).tobytes()
+    assert est.at_boundary == bool(want_flag)
+
+
 def test_estimate_phi_identity_is_none():
     ds = Dataset(y=np.arange(4.0), x_full=np.arange(8.0).reshape(4, 2) + 0.1,
                  cov=CovarianceSpec.identity())
@@ -276,6 +364,20 @@ def test_estimate_phi_nerm_boundary_flag():
     est = estimate_phi_full_model(ds)
     assert est.at_boundary
     assert est.value <= 1e-4
+
+
+def test_estimate_phi_nerm_upper_boundary_flag():
+    # A strong group effect over within-group noise of 1e-4 puts the profile
+    # minimum near phi = 1e8, far past the search's upper bound 1e4.
+    rng = np.random.default_rng(4)
+    n, k = 40, 4
+    x = rng.standard_normal((n, 2))
+    noise = np.repeat(rng.standard_normal(n // k), k) + 1e-4 * rng.standard_normal(n)
+    ds = Dataset(y=x @ np.array([1.0, 0.5]) + noise, x_full=x,
+                 cov=CovarianceSpec.nerm((k,) * (n // k), None))
+    est = estimate_phi_full_model(ds)
+    assert est.at_boundary
+    assert est.value == pytest.approx(PHI_NERM_BOUNDS[1], rel=1e-6)
 
 
 def test_estimate_phi_nerm_small_interior_estimate_not_flagged():
