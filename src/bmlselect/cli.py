@@ -44,6 +44,8 @@ from .simulation import BETA_PATTERNS, ExperimentSpec, resolve_workers, run_expe
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+# Ranked positions the `select` writer formats at a time.
+_WRITE_CHUNK = 512
 
 
 def _fmt(x) -> str:
@@ -306,11 +308,16 @@ def _writable(path: str) -> str:
 
 def _write_csv(fh, meta: dict, head, rows) -> None:
     """Write the ``# key = value`` lines of ``meta``, then a CSV table, to
-    the open text stream ``fh``.  Every command's output goes through here."""
+    the open text stream ``fh``.  A row is a list of cells, or a str of CSV
+    lines already formatted.  Every command's output goes through here."""
     fh.writelines(f"# {key} = {value}\n" for key, value in meta.items())
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(head)
-    writer.writerows(rows)
+    for row in rows:
+        if isinstance(row, str):
+            fh.write(row)
+        else:
+            writer.writerow(row)
 
 
 def _resolve_data_run(s: dict):
@@ -347,23 +354,46 @@ def _cmd_select(s: dict) -> int:
         "include_null": str(options.include_null).lower(),
         "ranked_by": criteria[0],
     }
-    labels, sizes = table.labels(), table.members.sum(axis=1).tolist()
-    flagged, lam_hat = table.exclusion.any(axis=1).tolist(), table.lambda_hat.tolist()
+    labels = table.labels()
+    estimated = with_lambda and options.lam is None
 
-    def record(rank, i):
-        excluded_by = table.excluded(i) if flagged[i] else {}
-        lam = ["" if math.isnan(lam_hat[i]) else _fmt(lam_hat[i])] if with_lambda else []
+    def record(rank, i, size):
+        excluded_by, lam_hat = table.excluded(i), table.lambda_hat[i]
+        lam = ["" if math.isnan(lam_hat) else _fmt(lam_hat)] if with_lambda else []
         scores = ["" if name in excluded_by else _fmt(value)
                   for name, value in zip(criteria, table.scores[i].tolist())]
         reasons = "; ".join(f"{name}: {why}" for name, why in sorted(excluded_by.items()))
-        return [rank, labels[i], sizes[i], *lam, *scores, reasons]
+        return [rank, labels[i], size, *lam, *scores, reasons]
+
+    # A row that no criterion excludes, with a lambda_hat if the column holds
+    # estimates, is one % operation ("%.17g" % x is _fmt(x)); record builds the rest.
+    template = ("%d,%s,%d," + ("%.17g," if estimated else "," if with_lambda else "")
+                + "%.17g," * len(criteria) + "\n")
+
+    def body():
+        positions = np.concatenate((ranked, excluded))
+        for lo in range(0, len(positions), _WRITE_CHUNK):
+            part = positions[lo:lo + _WRITE_CHUNK]
+            plain, values = ~table.exclusion[part].any(axis=1), table.scores[part]
+            if estimated:
+                plain &= ~np.isnan(table.lambda_hat[part])
+                values = np.column_stack((table.lambda_hat[part], values))
+            text = []
+            for rank, i, size, ok, row in zip(itertools.count(lo + 1), part.tolist(),
+                                              table.members[part].sum(axis=1).tolist(),
+                                              plain.tolist(), values.tolist()):
+                if ok:
+                    text.append(template % (rank, labels[i], size, *row))
+                else:
+                    yield "".join(text)
+                    text = []
+                    yield record(rank if rank <= len(ranked) else "", i, size)
+            yield "".join(text)
 
     head = ["rank", "candidate", "p", *(["lambda_hat"] if with_lambda else []), *criteria,
             "excluded"]
-    positions = itertools.chain(enumerate(ranked.tolist(), start=1),
-                                (("", i) for i in excluded.tolist()))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, meta, head, itertools.starmap(record, positions))
+        _write_csv(fh, meta, head, body())
     for name in criteria:
         print(f"selected[{name}] = {selected[name].label()}")
     print(f"wrote {out_path}")

@@ -26,8 +26,8 @@ prior terms and the lambda search take a batch fit as they take a single
 candidate: every formula is an array expression over the batch, and the
 ridge search scans the grid and runs its safeguarded Newton steps for the
 whole batch at once, masking each candidate out as it converges.  The grid
-scan holds one (candidates x grid points x p) array per step, so it runs
-over the batch in chunks of at most ``BATCH_ELEMENTS`` doubles.
+scan, exact but pruned (:func:`_grid_argmin`), runs over the batch in
+chunks of at most ``BATCH_ELEMENTS`` doubles.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LAMBDA_GRID = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
 _LOG_LAMBDA_GRID = np.log(_LAMBDA_GRID)
 _INV_LAMBDA_GRID = 1.0 / _LAMBDA_GRID
+# The grid scan's probes, every 8th point and the last, and the blocks between
+# them (the short last block repeats its last index).
+_PROBES = np.append(np.arange(0, LAMBDA_GRID_POINTS, 8), LAMBDA_GRID_POINTS - 1)
+_BLOCKS = np.minimum(_PROBES[:-1, None] + np.arange(1, 8), _PROBES[1:, None] - 1)
 
 
 def is_int(value) -> bool:
@@ -423,13 +427,51 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     return ScalarEstimate(float(phi_hat), bool(at_boundary))
 
 
+def _f_terms(d: np.ndarray, c: np.ndarray, idx: np.ndarray):
+    """The two parts of each term of f, log1p(d / lambda) and c / (1 + d / lambda),
+    at the grid points ``idx`` (shape (k,) or (rows, k)) for each row of d and c."""
+    ratio = d[:, None, :] * _INV_LAMBDA_GRID[idx][..., None]
+    pen = np.log1p(ratio)
+    ratio += 1.0
+    return pen, np.divide(c[:, None, :], ratio, out=ratio)
+
+
+def _grid_argmin(d: np.ndarray, w2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Each row's first grid index of the minimum of f, as a full scan finds it
+    (d, w2 >= 0 are rows x p, s2 rows x 1).  A term's log1p part falls in
+    lambda and its other part rises, so the log1p parts at a block's right
+    probe plus the other parts at its left probe bound f on the block from
+    below.  Only the probes and the blocks whose bound is within a relative
+    1e-12 (far above the (p + 5) eps rounding of these non-negative sums) of
+    the probes' minimum are evaluated, with the full scan's expression and
+    sum.  A non-finite probe minimum prunes nothing, and raises as a full
+    scan does."""
+    best = np.empty(d.shape[0], dtype=np.intp)
+    chunk = max(1, BATCH_ELEMENTS // (LAMBDA_GRID_POINTS * d.shape[1]))
+    for start in range(0, d.shape[0], chunk):
+        part = slice(start, start + chunk)
+        dp, c = d[part], w2[part] / s2[part]
+        pen, fit = _f_terms(dp, c, _PROBES)
+        vals = np.full((len(dp), LAMBDA_GRID_POINTS), np.inf)
+        vals[:, _PROBES] = np.add.reduce(pen + fit, axis=2)
+        low = np.add.reduce(pen[:, 1:] + fit[:, :-1], axis=2)
+        rows, blocks = np.nonzero(~(low * (1.0 - 1e-12) > vals.min(axis=1)[:, None]))
+        idx = _BLOCKS[blocks]
+        vals[rows[:, None], idx] = np.add.reduce(np.add(*_f_terms(dp[rows], c[rows], idx)), axis=2)
+        best[part] = np.argmin(vals, axis=1)
+        if not np.all(np.isfinite(vals[np.arange(len(dp)), best[part]])):
+            raise LambdaEstimationError("lambda estimation failed: objective non-finite on the grid")
+    return best
+
+
 def _ridge_lambda(d: np.ndarray, w2: np.ndarray, sigma2: float | np.ndarray) -> ScalarEstimate:
     """Minimizer of f(t) = sum log1p(d / lambda) + lambda sum w2 / (d + lambda) / s2,
     for one candidate or for each of a batch (leading axes of ``d``, ``w2``
     and ``sigma2``).
 
-    The grid argmin in t = log lambda picks the basin (a grid end whose
-    slope points outward is the flagged bound), then a Newton step on f'(t)
+    The grid argmin in t = log lambda (:func:`_grid_argmin`, exact and
+    pruned) picks the basin (a grid end whose slope points outward is the
+    flagged bound), then a Newton step on f'(t)
     within the neighbouring cells, safeguarded by bisection, finds the root.
     It stops on the step size or a rounding-level f', never on rounded f.
     Each candidate of a batch takes exactly the steps it would take alone.
@@ -437,18 +479,7 @@ def _ridge_lambda(d: np.ndarray, w2: np.ndarray, sigma2: float | np.ndarray) -> 
     shape, p = np.shape(sigma2), d.shape[-1]
     d, w2 = d.reshape(-1, p), w2.reshape(-1, p)
     s2 = np.reshape(sigma2, (-1, 1))
-    best = np.empty(d.shape[0], dtype=np.intp)
-    chunk = max(1, BATCH_ELEMENTS // (LAMBDA_GRID_POINTS * p))
-    for start in range(0, d.shape[0], chunk):
-        part = slice(start, start + chunk)
-        ratio = d[part, None, :] * _INV_LAMBDA_GRID[:, None]
-        terms = np.log1p(ratio)
-        ratio += 1.0
-        terms += np.divide((w2[part] / s2[part])[:, None, :], ratio, out=ratio)
-        vals = np.add.reduce(terms, axis=2)
-        best[part] = np.argmin(vals, axis=1)
-        if not np.all(np.isfinite(vals[np.arange(vals.shape[0]), best[part]])):
-            raise LambdaEstimationError("lambda estimation failed: objective non-finite on the grid")
+    best = _grid_argmin(d, w2, s2)
 
     def slope(t, rows):
         # f'(t), f''(t) and the sum of |terms of f'| for the candidates in rows.

@@ -20,8 +20,10 @@ files; the ``# data =`` line, which echoes the input path, is left out of
 the comparison all the same.  The runs cover the identity, ar1 and nerm
 covariances, the ridge and zellner priors with estimated and fixed lambda
 in `select`, and both priors in `criteria`, on designs of at most five
-columns and at most five replications per cell, and one `select` run on a
-10-column design, whose candidate labels carry two-digit indices.  A 7 x 5 design, where
+columns and at most five replications per cell, and two `select` runs on a
+10-column design, whose candidate labels carry two-digit indices: identity
+with two criteria, and ar1 with every criterion and a ridge lambda_hat for
+each of its 1,024 candidates.  A 7 x 5 design, where
 n - p - 2 = 0 for the full model, takes the exclusion path: the
 ``excluded`` column of `select` and the ``undefined (...)`` values of
 `criteria`.  ``tests/test_golden.py`` regenerates them into a temporary directory and compares byte for byte;
@@ -96,6 +98,8 @@ def _runs() -> list[list[str]]:
          "--criterion", "all", "--prior", "zellner"],
         ["select", "--data", "data_wide.csv", "--out", "select_wide_identity.csv",
          "--criterion", "ic_r,bic"],
+        ["select", "--data", "data_wide.csv", "--out", "select_wide_ar1_ridge.csv",
+         "--covariance", "ar1", "--criterion", "all", "--prior", "ridge", "--estimate-lambda"],
         ["simulate", "--out", "simulate_constant_variance.csv", "--seed", "5",
          "--model", "constant_variance", "--n-grid", "20,30", "--snr-grid", "1,3",
          "--replications", "2", "--criterion", "all"],

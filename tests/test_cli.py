@@ -725,3 +725,87 @@ def test_select_csv_ranks_an_exact_tie_in_candidate_order(tmp_path, name):
     assert two == one + 1
     assert rows[one][header.index(name)] == rows[two][header.index(name)]
     assert [row[0] for row in rows] == [str(k) for k in range(1, len(rows) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# select writer
+# ---------------------------------------------------------------------------
+
+
+def test_percent_17g_prints_every_double_as_format_17g():
+    # The select writer prints a plain row with one "%.17g" template where
+    # every other output cell is format(x, ".17g"): the two must agree on
+    # every double, random bit patterns included (NaN payloads, subnormals).
+    rng = np.random.default_rng(17)
+    specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
+                1.7976931348623157e308, 0.1, 1.0, 1e16, 123456789012345678.0]
+    values = np.concatenate([
+        np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64),
+        rng.standard_normal(100_000) * 10.0 ** rng.uniform(-300.0, 300.0, 100_000),
+        specials,
+    ])
+    bad = [x for x in values.tolist() if "%.17g" % x != format(x, ".17g")]
+    assert not bad
+
+
+def _cell_by_cell(table, criteria):
+    """Reference writer: every cell of every row made by its own
+    format(x, ".17g") call, and the rows written by csv.writer."""
+    with_lambda = cli.needs_prior(criteria)
+    ranked, excluded = table.rank(criteria[0])
+    labels = table.labels()
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for rank, i in [*enumerate(ranked.tolist(), start=1), *(("", i) for i in excluded.tolist())]:
+        excluded_by = table.excluded(i)
+        lam = float(table.lambda_hat[i])
+        writer.writerow([
+            rank, labels[i], int(table.members[i].sum()),
+            *(["" if math.isnan(lam) else format(lam, ".17g")] if with_lambda else []),
+            *("" if name in excluded_by else format(value, ".17g")
+              for name, value in zip(criteria, table.scores[i].tolist())),
+            "; ".join(f"{name}: {why}" for name, why in sorted(excluded_by.items())),
+        ])
+    return text.getvalue()
+
+
+GOLDEN_DATA = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("chunk", [5, cli._WRITE_CHUNK])
+@pytest.mark.parametrize("case, argv", [
+    ("fixed_lambda", ["--data", str(GOLDEN_DATA / "data_ar1.csv"), "--covariance", "ar1",
+                      "--lambda", "2.5", "--criterion", "all"]),
+    ("excluded", ["--data", str(TIGHT_DATA), "--criterion", "all", "--prior", "zellner"]),
+    ("estimated", ["--data", str(GOLDEN_DATA / "data_iid.csv"), "--criterion", "all"]),
+    ("no_prior", ["--data", str(GOLDEN_DATA / "data_ar1.csv"), "--criterion", "bic,ic_r"]),
+])
+def test_select_rows_equal_the_cell_by_cell_writer(tmp_path, monkeypatch, chunk, case, argv):
+    # Plain rows take one % operation and the others the cell-by-cell path;
+    # in any chunking, the file must be what the cell-by-cell writer makes.
+    tables = []
+
+    def score(dataset, criteria, options):
+        tables.append(selection.score_candidates(dataset, criteria, options))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "score_candidates", score)
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+    out = tmp_path / "o.csv"
+    assert main(["select", "--out", str(out), *argv]) == 0
+    (table,) = tables
+    text = out.read_text(encoding="utf-8")
+    body = text[text.index("\nrank,") + 1:].split("\n", 1)[1]
+    assert body == _cell_by_cell(table, table.criteria)
+    _, header, rows = read_csv_table(out)
+    null = [row for row in rows if row[1] == "(null)"]
+    assert len(null) == 1
+    if case == "fixed_lambda":
+        assert {row[header.index("lambda_hat")] for row in rows} == {""}
+    if case == "excluded":
+        assert any(row[0] == "" and row[-1] for row in rows)
+    if case == "estimated":
+        assert all(row[3] for row in rows if row is not null[0]) and null[0][3] == ""
+    if case == "no_prior":
+        assert "lambda_hat" not in header

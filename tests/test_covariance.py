@@ -11,6 +11,7 @@ from bmlselect import (
     CovarianceError,
     CovarianceSpec,
     Dataset,
+    LambdaEstimationError,
     PriorScale,
     estimate_lambda,
     estimate_phi_full_model,
@@ -18,6 +19,7 @@ from bmlselect import (
     ml,
     whiten,
 )
+from bmlselect import covariance
 from bmlselect.covariance import (
     GRID_POINTS,
     LAMBDA_BOUNDS,
@@ -513,6 +515,121 @@ def test_ridge_lambda_matches_the_scalar_loop_reference():
         est = estimate_lambda(fit, "ridge")
         assert bool(est.at_boundary) == want_flag
         assert est.value == pytest.approx(want, rel=4 * 1e-12)
+
+
+def _full_grid_argmin(d, w2, s2):
+    """Reference: f at all LAMBDA_GRID_POINTS points of every row in one
+    array, with the same elementwise expression and last-axis sum as the
+    pruned scan, its first argmin, and the raise on a non-finite minimum."""
+    inv = 1.0 / np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
+    ratio = d[:, None, :] * inv[:, None]
+    terms = np.log1p(ratio)
+    ratio += 1.0
+    terms += (w2 / s2)[:, None, :] / ratio
+    vals = np.add.reduce(terms, axis=2)
+    best = np.argmin(vals, axis=1)
+    if not np.all(np.isfinite(vals[np.arange(len(vals)), best])):
+        raise LambdaEstimationError("non-finite")
+    return best, vals
+
+
+def _assert_pruned_scan_is_exact(d, w2, s2):
+    """The pruned scan returns the reference's index, or raises as it does."""
+    with np.errstate(all="ignore"):
+        try:
+            want, vals = _full_grid_argmin(d, w2, s2)
+        except LambdaEstimationError:
+            with pytest.raises(LambdaEstimationError, match="non-finite on the grid"):
+                covariance._grid_argmin(d, w2, s2)
+            return None
+        got = covariance._grid_argmin(d, w2, s2)
+    np.testing.assert_array_equal(got, want)
+    return vals
+
+
+def _random_spectra(rng, rows, p):
+    """(d, w2, s2) spanning many decades, so the minimum lands all over the grid."""
+    d = 10.0 ** rng.uniform(-10.0, 8.0, (rows, p))
+    d[rng.random((rows, p)) < 0.1] = 0.0
+    w2 = 10.0 ** rng.uniform(-12.0, 12.0, (rows, p)) * rng.random((rows, 1))
+    return d, w2, 10.0 ** rng.uniform(-4.0, 4.0, (rows, 1))
+
+
+@pytest.mark.parametrize("p", range(1, 21))
+def test_pruned_lambda_scan_matches_the_full_scan_on_random_spectra(monkeypatch, p):
+    # p >= 8 takes numpy's unrolled pairwise sum; the pruned scan must sum
+    # each evaluated point exactly as the full scan does, and skip only
+    # points that cannot be the first minimum.  It must also skip most of
+    # the grid, or it is no cheaper than the full scan.
+    evaluated = []
+
+    def counted(d, c, idx):
+        evaluated.append(len(d) * idx.shape[-1])
+        return f_terms(d, c, idx)
+
+    f_terms = covariance._f_terms
+    monkeypatch.setattr(covariance, "_f_terms", counted)
+    rng = np.random.default_rng([p, 21])
+    d, w2, s2 = _random_spectra(rng, 400, p)
+    vals = _assert_pruned_scan_is_exact(d, w2, s2)
+    best = np.argmin(vals, axis=1)
+    assert len(np.unique(best)) >= 20, "the minima should spread over the grid"
+    assert sum(evaluated) < 0.5 * 400 * LAMBDA_GRID_POINTS
+
+
+@pytest.mark.parametrize("p", [1, 3, 8, 13, 20])
+def test_pruned_lambda_scan_is_exact_one_row_per_chunk(monkeypatch, p):
+    # A 64-element budget gives one row per chunk.
+    monkeypatch.setattr(covariance, "BATCH_ELEMENTS", 64)
+    d, w2, s2 = _random_spectra(np.random.default_rng([p, 64]), 40, p)
+    _assert_pruned_scan_is_exact(d, w2, s2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+def test_pruned_lambda_scan_edge_rows(p):
+    one = np.ones((1, p))
+    rows = [
+        # d = 0: f is sum(c) at every point, an all-tie that index 0 wins.
+        (0.0 * one, one, 1.0, 0),
+        (0.0 * one, 0.0 * one, 1.0, 0),
+        # w2 = 0: f = sum log1p(d / lambda) falls to the last grid point.
+        (one, 0.0 * one, 1.0, LAMBDA_GRID_POINTS - 1),
+        # c = d / 1e-20: the minimum lies below the grid, at index 0.
+        (one, 1e20 * one, 1.0, 0),
+        # d / lambda overflows at the low end: inf there, a finite minimum above.
+        (1e300 * one, one, 1.0, None),
+    ]
+    # f ~ sum(c) + (d / lambda)^2 / 2 for small d / lambda: values equal to
+    # sum(c) or within a few eps of it run across many blocks, and the first
+    # of the equal minima moves through every offset within a block as d does.
+    rows += [(dk * one, one, 1.0, None) for dk in np.geomspace(1e-9, 1e3, 97)]
+    d = np.concatenate([r[0] for r in rows])
+    w2 = np.concatenate([r[1] for r in rows])
+    s2 = np.array([[r[2]] for r in rows])
+    vals = _assert_pruned_scan_is_exact(d, w2, s2)
+    best = np.argmin(vals, axis=1)
+    for k, (_, _, _, want) in enumerate(rows):
+        if want is not None:
+            assert best[k] == want
+    tied = vals[5:] == vals[5:].min(axis=1)[:, None]
+    assert (tied.sum(axis=1) > 8).sum() >= 50
+    assert len(np.unique(best[5:] % 8)) == 8
+
+
+@pytest.mark.parametrize("p", [1, 4, 11])
+def test_pruned_lambda_scan_raises_as_the_full_scan_does(p):
+    d, w2, s2 = _random_spectra(np.random.default_rng([p, 3]), 6, p)
+    assert _assert_pruned_scan_is_exact(d, w2, s2) is not None
+    # w2 / s2 overflows: f is inf everywhere, alone or in a batch.
+    w2[2], s2[2] = 1e300, 1e-300
+    assert _assert_pruned_scan_is_exact(d[2:3], w2[2:3], s2[2:3]) is None
+    assert _assert_pruned_scan_is_exact(d, w2, s2) is None
+    # d / lambda overflows as well: NaN at the low end of the grid.
+    d[2] = 1e300
+    assert _assert_pruned_scan_is_exact(d[2:3], w2[2:3], s2[2:3]) is None
+    # A NaN in the spectrum.
+    d[0, 0] = np.nan
+    assert _assert_pruned_scan_is_exact(d[:1], w2[:1], s2[:1]) is None
 
 
 def test_zellner_lambda_is_the_closed_form():
