@@ -445,9 +445,14 @@ def _grid_argmin(d: np.ndarray, w2: np.ndarray, s2: np.ndarray) -> np.ndarray:
     1e-12 (far above the (p + 5) eps rounding of these non-negative sums) of
     the probes' minimum are evaluated, with the full scan's expression and
     sum.  A non-finite probe minimum prunes nothing, and raises as a full
-    scan does."""
+    scan does.  A chunk of rows holds their probes' terms and their values
+    on the whole grid, and the kept blocks of a chunk are evaluated in
+    chunks of their own, so no temporary exceeds ``BATCH_ELEMENTS`` doubles
+    (or one row's probe terms, if those are more)."""
     best = np.empty(d.shape[0], dtype=np.intp)
-    chunk = max(1, BATCH_ELEMENTS // (LAMBDA_GRID_POINTS * d.shape[1]))
+    p = d.shape[1]
+    chunk = max(1, BATCH_ELEMENTS // max(LAMBDA_GRID_POINTS, len(_PROBES) * p))
+    kept_chunk = max(1, BATCH_ELEMENTS // (_BLOCKS.shape[1] * p))
     for start in range(0, d.shape[0], chunk):
         part = slice(start, start + chunk)
         dp, c = d[part], w2[part] / s2[part]
@@ -456,8 +461,9 @@ def _grid_argmin(d: np.ndarray, w2: np.ndarray, s2: np.ndarray) -> np.ndarray:
         vals[:, _PROBES] = np.add.reduce(pen + fit, axis=2)
         low = np.add.reduce(pen[:, 1:] + fit[:, :-1], axis=2)
         rows, blocks = np.nonzero(~(low * (1.0 - 1e-12) > vals.min(axis=1)[:, None]))
-        idx = _BLOCKS[blocks]
-        vals[rows[:, None], idx] = np.add.reduce(np.add(*_f_terms(dp[rows], c[rows], idx)), axis=2)
+        for lo in range(0, len(rows), kept_chunk):
+            r, idx = rows[lo : lo + kept_chunk], _BLOCKS[blocks[lo : lo + kept_chunk]]
+            vals[r[:, None], idx] = np.add.reduce(np.add(*_f_terms(dp[r], c[r], idx)), axis=2)
         best[part] = np.argmin(vals, axis=1)
         if not np.all(np.isfinite(vals[np.arange(len(dp)), best[part]])):
             raise LambdaEstimationError("lambda estimation failed: objective non-finite on the grid")

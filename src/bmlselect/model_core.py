@@ -10,9 +10,12 @@ step reads the n rows again.  A candidate with columns S is one small QR of
 R0[:, S + [y]], which yields its R factor, Q'y and y'Py (Furnival & Wilson
 1974); :func:`gls_fit` stacks a batch of same-size candidates (one row of
 column indices each) into one such call, and the SVD of R
-(:attr:`WhitenedFit.spectrum`) is one batched call too.  Every field of a
-fit is then an array over the batch, and a single candidate is the batch
-of one with the batch axis dropped, so one set of formulas serves both.
+(:attr:`WhitenedFit.spectrum`) is one batched call too.  The rows of a
+batch may read different datasets of one n: a :class:`WhitenedStack`
+stacks their R0 factors, and each row names its dataset, whose y'V^{-1}y
+and log|V| it carries.  Every field of a fit is then an array over the
+batch, and a single candidate is the batch of one with the batch axis
+dropped, so one set of formulas serves both.
 The prior terms read only these (:class:`~bmlselect.covariance.PriorScale`
 holds their formulas), so the lambda search, the prior step
 (:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the
@@ -136,6 +139,31 @@ class WhitenedData:
 
 
 @dataclass(frozen=True, eq=False)
+class WhitenedStack:
+    """A block of whitened datasets of one n, as :func:`gls_fit` reads them:
+    their R factors stacked along the first axis of ``r0`` (datasets x
+    (p_omega + 1) x (p_omega + 1)), and each one's y'V^{-1}y (``yty``) and
+    log|V| (``logdet_v``)."""
+
+    r0: np.ndarray
+    yty: np.ndarray
+    logdet_v: np.ndarray
+    n: int
+
+    @classmethod
+    def of(cls, block) -> "WhitenedStack":
+        """The stack of a sequence of :class:`WhitenedData` of one n and p_omega."""
+        if len({w.n for w in block}) != 1:
+            raise ValueError("a stack holds datasets of one n")
+        return cls(r0=np.stack([w.r0 for w in block]), yty=np.array([w.y @ w.y for w in block]),
+                   logdet_v=np.array([w.logdet_v for w in block], dtype=float), n=block[0].n)
+
+    @property
+    def p_omega(self) -> int:
+        return self.r0.shape[-1] - 1
+
+
+@dataclass(frozen=True, eq=False)
 class WhitenedFit:
     """GLS computation cache of one candidate, or of a batch of candidates
     with the same number of columns ``p``.
@@ -148,8 +176,9 @@ class WhitenedFit:
     and Q'y, kept so that later steps never factor the columns again.
     ``prior`` is the scale that :meth:`with_prior` applied; ``beta_hat``
     is solved from ``r`` and ``qty`` only when read.  In a batch,
-    every per-candidate field has a leading batch axis (``yty``,
-    ``logdet_v``, ``p`` and ``n`` are shared), and ``kept`` holds the
+    every per-candidate field has a leading batch axis, ``yty`` and
+    ``logdet_v`` too (rows of a :class:`WhitenedStack` read their own
+    dataset's), while ``p`` and ``n`` are shared; ``kept`` holds the
     positions, in the batch :func:`gls_fit` was given, of the candidates
     the fit holds.
     """
@@ -157,8 +186,8 @@ class WhitenedFit:
     p: int
     n: int
     ypy: float | np.ndarray
-    yty: float
-    logdet_v: float
+    yty: float | np.ndarray
+    logdet_v: float | np.ndarray
     logdet_xvx: float | np.ndarray
     yay: float | np.ndarray | None = None
     logdet_wxvx_plus_i: float | np.ndarray | None = None
@@ -227,7 +256,8 @@ def whiten(dataset: Dataset) -> WhitenedData:
     )
 
 
-def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray) -> WhitenedFit:
+def gls_fit(whitened: WhitenedData | WhitenedStack, model: CandidateModel | np.ndarray,
+            rep: np.ndarray | None = None) -> WhitenedFit:
     """GLS fit of one candidate, or of a batch of same-size candidates.
 
     ``model`` is a :class:`CandidateModel`, or a (batch x p) integer array
@@ -235,7 +265,10 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray) -> White
     1..p_omega (else ``ValueError``, naming the dtype or the first bad
     row).  For the columns S of each, one QR of R0[:, S + [y]]
     (``whitened.r0``) gives R, Q'y and y'Py, the square of its last pivot;
-    a batch stacks all of them into one call.
+    a batch stacks all of them into one call.  On a :class:`WhitenedStack`,
+    ``rep`` gives the position in the stack of each row's dataset (by
+    default the first), and the row reads that dataset's R0, y'V^{-1}y and
+    log|V|.
     A single rank-deficient candidate raises ``SingularDesignError``; a
     batch fit drops such candidates and records the positions of those it
     holds in ``kept``.  :meth:`WhitenedFit.with_prior` adds the
@@ -254,22 +287,27 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray) -> White
         raise ValueError(f"candidate {' '.join(map(str, row))} uses column "
                          f"{row[min(int(np.argmax(steps[bad[0]])), k - 1)]}, but its "
                          f"columns must increase strictly within 1..{p_omega}")
-    stacked = whitened.r0[:, np.column_stack([cols - 1, np.full(b, p_omega)])]
-    rf = np.linalg.qr(stacked.transpose(1, 0, 2), mode="r")
+    if isinstance(whitened, WhitenedData):
+        whitened = WhitenedStack.of((whitened,))
+    rep = np.zeros(b, dtype=np.intp) if rep is None else rep
+    # Row i stacks R0[:, j] of its own dataset for its columns j and y: the
+    # advanced indices go first, so the result is (batch, k + 1, rows of R0).
+    picked = whitened.r0[rep[:, None], :, np.column_stack([cols - 1, np.full(b, p_omega)])]
+    rf = np.linalg.qr(picked.transpose(0, 2, 1), mode="r")
     # Each R here is square whatever n is, so more columns than rows is k > n.
     full = _full_rank(rf[:, :k, :k]) & (k <= whitened.n)
     if single and not full[0]:
         raise SingularDesignError(f"singular design for candidate {model.label()}")
     take = 0 if single else np.flatnonzero(full)
-    rf = rf[take]
+    rf, rows = rf[take], rep[take]
     r, qty = rf[..., :k, :k], rf[..., :k, k]
     rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     return WhitenedFit(
         p=k,
         n=whitened.n,
         ypy=rf[..., k, k] ** 2,
-        yty=float(whitened.y @ whitened.y),
-        logdet_v=whitened.logdet_v,
+        yty=whitened.yty[rows],
+        logdet_v=whitened.logdet_v[rows],
         logdet_xvx=2.0 * np.sum(np.log(rd), axis=-1),
         r=r,
         qty=qty,

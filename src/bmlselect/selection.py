@@ -2,12 +2,14 @@
 
 The candidates are the rows of one boolean membership array: every subset
 (:func:`enumerate_candidates`), or any rows a caller passes, such as the
-full model alone that ``bmlselect criteria`` scores.  :func:`score_candidates`
-estimates phi, whitens the data and reduces it to one R factor once, then
-fits, estimates lambda for and scores each run of same-size rows as stacked
-batches, writing straight into the (candidates x criteria) arrays of a
-:class:`ScoreTable`, the one record of a selection.  This is the one
-scoring path.  :meth:`ScoreTable.rank` is the one ranking and
+full model alone that ``bmlselect criteria`` scores.  :func:`_score_block`
+estimates phi, whitens the data and reduces it to one R factor once per
+dataset of a block (one dataset for :func:`score_candidates`, a cell's
+replications for the simulation), stacks the factors, then fits, estimates
+lambda for and scores each run of same-size rows across the block as
+stacked batches, writing straight into the (candidates x criteria) arrays
+of one :class:`ScoreTable` per dataset, the one record of a selection.
+This is the one scoring path.  :meth:`ScoreTable.rank` is the one ranking and
 :meth:`ScoreTable.excluded` the one decoder of the exclusion codes.  One
 decoder turns a run of same-size membership rows into their column
 indices; the engine, :meth:`ScoreTable.candidate` and
@@ -38,7 +40,15 @@ from .exceptions import (
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
 )
-from .model_core import CandidateModel, Dataset, WhitenedData, candidate_label, gls_fit, whiten
+from .model_core import (
+    CandidateModel,
+    Dataset,
+    WhitenedData,
+    WhitenedStack,
+    candidate_label,
+    gls_fit,
+    whiten,
+)
 
 MAX_P_OMEGA = 20
 
@@ -71,7 +81,9 @@ class ScoreTable:
     marks its columns (:func:`enumerate_candidates` order, decoded by
     :meth:`candidate`), and ``scores[i, j]`` is its ``criteria[j]`` where the
     code ``exclusion[i, j]`` is 0; :meth:`excluded` decodes any other code.
-    ``lambda_hat`` is NaN where no scale was estimated."""
+    ``lambda_hat`` is NaN where no scale was estimated.  The block table of
+    :func:`_score_block` holds the rows of several datasets, one after
+    another, and their :class:`~bmlselect.model_core.WhitenedStack`."""
 
     members: np.ndarray
     criteria: tuple[str, ...]
@@ -81,7 +93,7 @@ class ScoreTable:
     lambda_at_boundary: np.ndarray
     phi_hat: float | None = None
     phi_at_boundary: bool = False
-    whitened: WhitenedData | None = None
+    whitened: WhitenedData | WhitenedStack | None = None
 
     def rank(self, criterion: str) -> tuple[np.ndarray, np.ndarray]:
         """(ranked, excluded) positions for ``criterion``: the admissible ones
@@ -141,28 +153,30 @@ def _columns(members: np.ndarray) -> np.ndarray:
     return members.nonzero()[1].reshape(len(members), -1) + 1
 
 
-def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> None:
-    """Score one batch of same-size candidates from ``table.whitened`` into
-    ``table`` at the batch's positions: fit them, then give the fit its
-    prior scale (:func:`~bmlselect.covariance.known_scale`, else the
-    estimate), then score it.
+def _score_batch(table: ScoreTable, pos: np.ndarray, options: SelectionOptions) -> None:
+    """Score one batch of same-size candidates into the rows ``pos`` of a
+    block table (:func:`_score_block`), whose row r m + i holds candidate i
+    of its m ``members`` on dataset r of its whitened stack: fit them, then
+    give the fit its prior scale (:func:`~bmlselect.covariance.known_scale`,
+    else the estimate), then score it.
 
     Rank-deficient candidates keep the "singular design" code the table
     starts with; a penalty that is undefined at this size excludes its
     criterion for the whole batch.  A degenerate fit or a failed lambda
-    search raises; the batch is then scored again one position at a time,
+    search raises; the batch is then scored again one row at a time,
     so that the error names the first candidate that fails.
     """
-    cols = _columns(table.members[batch])
+    rep, cand = np.divmod(pos, len(table.members))
+    cols = _columns(table.members[cand])
     try:
-        fit, lam_est = gls_fit(table.whitened, cols), None
+        fit, lam_est = gls_fit(table.whitened, cols, rep), None
         if _criteria.needs_prior(table.criteria):
             prior = known_scale(fit, options.prior_kind, options.lam)
             if prior is None:
                 lam_est = _covariance.estimate_lambda(fit, options.prior_kind)
                 prior = PriorScale(options.prior_kind, lam_est.value)
             fit = fit.with_prior(prior)
-        held = batch.start + fit.kept
+        held = pos[fit.kept]
         table.exclusion[held] = 0
         for j, name in enumerate(table.criteria):
             try:
@@ -171,13 +185,82 @@ def _score_batch(table: ScoreTable, batch: slice, options: SelectionOptions) -> 
                 table.exclusion[held, j] = _UNDEFINED
     except (DegenerateVarianceError, LambdaEstimationError) as exc:
         if len(cols) == 1:
-            raise type(exc)(f"candidate {table.candidate(batch.start).label()}: {exc}") from exc
-        for i in range(batch.start, batch.stop):
-            _score_batch(table, slice(i, i + 1), options)
+            raise type(exc)(f"candidate {table.candidate(int(cand[0])).label()}: {exc}") from exc
+        for i in range(len(pos)):
+            _score_batch(table, pos[i : i + 1], options)
         raise
     if lam_est is not None:
         table.lambda_hat[held] = lam_est.value
         table.lambda_at_boundary[held] = lam_est.at_boundary
+
+
+def _score_block(
+    datasets: tuple[Dataset, ...] | list[Dataset],
+    criteria: tuple[str, ...] | list[str],
+    options: SelectionOptions | None = None,
+    members: np.ndarray | None = None,
+) -> list[ScoreTable]:
+    """:func:`score_candidates` for each of a block of datasets of one n and
+    p_omega, such as the replications of one simulation cell, in one pass.
+
+    Each dataset gets its own phi estimate, whitening and R factor; the
+    factors are stacked (:class:`~bmlselect.model_core.WhitenedStack`), and
+    the arrays of the block table hold every dataset's rows one after
+    another, the same ``members`` for each.  Each candidate size is then
+    fitted, given its lambda and scored as one run of rows across the block.
+    Every step acts row by row, so each dataset's table, a view of its rows,
+    is the one :func:`score_candidates` gives it alone, bit for bit.
+    """
+    criteria = _criteria.check_names(criteria)
+    opts = options or SelectionOptions()
+    p_omega = datasets[0].p_omega
+    if members is None:
+        members = enumerate_candidates(p_omega, opts.include_null)
+    members = np.asarray(members)
+    if members.dtype != bool or members.ndim != 2 or members.shape[1] != p_omega:
+        raise ValueError(f"members must be a 2-D boolean array with {p_omega} "
+                         f"columns, not {members.dtype} of shape {members.shape}")
+    sizes = members.sum(axis=1)
+    if not sizes.size or np.any(np.diff(sizes) < 0):
+        raise ValueError("members must hold at least one row, with sizes that never decrease")
+    phi_ests, whitened = [], []
+    for dataset in datasets:
+        phi_ests.append(estimate_phi_full_model(dataset))
+        if phi_ests[-1] is not None:
+            dataset = replace(dataset, cov=dataset.cov.with_phi(phi_ests[-1].value))
+        whitened.append(whiten(dataset))
+    reps, m, c = len(datasets), len(members), len(criteria)
+    block = ScoreTable(
+        members=members,
+        criteria=criteria,
+        scores=np.full((reps * m, c), np.nan),
+        exclusion=np.full((reps * m, c), _SINGULAR, dtype=np.int8),
+        lambda_hat=np.full(reps * m, np.nan),
+        lambda_at_boundary=np.zeros(reps * m, dtype=bool),
+        whitened=WhitenedStack.of(whitened),
+    )
+    # Each size is a run of rows per dataset, scored across the block in
+    # batches whose stacked (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
+    sizes, starts, counts = np.unique(sizes, return_index=True, return_counts=True)
+    for size, start, count in zip(sizes.tolist(), starts.tolist(), counts.tolist()):
+        pos = (np.arange(reps)[:, None] * m + np.arange(start, start + count)).ravel()
+        step = max(1, BATCH_ELEMENTS // ((p_omega + 1) * (size + 1)))
+        for lo in range(0, len(pos), step):
+            _score_batch(block, pos[lo : lo + step], opts)
+    return [
+        ScoreTable(
+            members=members,
+            criteria=criteria,
+            scores=block.scores[r * m : (r + 1) * m],
+            exclusion=block.exclusion[r * m : (r + 1) * m],
+            lambda_hat=block.lambda_hat[r * m : (r + 1) * m],
+            lambda_at_boundary=block.lambda_at_boundary[r * m : (r + 1) * m],
+            phi_hat=None if est is None else est.value,
+            phi_at_boundary=False if est is None else est.at_boundary,
+            whitened=wd,
+        )
+        for r, (est, wd) in enumerate(zip(phi_ests, whitened))
+    ]
 
 
 def score_candidates(
@@ -196,42 +279,10 @@ def score_candidates(
     rows; else ``ValueError``.  Rank-deficient candidates are excluded for
     all criteria; candidates with n - p - 2 <= 0 are excluded for the
     criteria whose penalty is undefined there.  Degenerate (interpolating)
-    fits raise, naming the candidate.
+    fits raise, naming the candidate.  This is the block of one dataset of
+    :func:`_score_block`.
     """
-    criteria = _criteria.check_names(criteria)
-    opts = options or SelectionOptions()
-    if members is None:
-        members = enumerate_candidates(dataset.p_omega, opts.include_null)
-    members = np.asarray(members)
-    if members.dtype != bool or members.ndim != 2 or members.shape[1] != dataset.p_omega:
-        raise ValueError(f"members must be a 2-D boolean array with {dataset.p_omega} "
-                         f"columns, not {members.dtype} of shape {members.shape}")
-    sizes = members.sum(axis=1)
-    if not sizes.size or np.any(np.diff(sizes) < 0):
-        raise ValueError("members must hold at least one row, with sizes that never decrease")
-    phi_est = estimate_phi_full_model(dataset)
-    if phi_est is not None:
-        dataset = replace(dataset, cov=dataset.cov.with_phi(phi_est.value))
-    m = len(members)
-    table = ScoreTable(
-        members=members,
-        criteria=criteria,
-        scores=np.full((m, len(criteria)), np.nan),
-        exclusion=np.full((m, len(criteria)), _SINGULAR, dtype=np.int8),
-        lambda_hat=np.full(m, np.nan),
-        lambda_at_boundary=np.zeros(m, dtype=bool),
-        phi_hat=None if phi_est is None else phi_est.value,
-        phi_at_boundary=False if phi_est is None else phi_est.at_boundary,
-        whitened=whiten(dataset),
-    )
-    # Each size is a run of rows, scored in batches whose stacked
-    # (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
-    sizes, starts, counts = np.unique(sizes, return_index=True, return_counts=True)
-    for size, start, count in zip(sizes.tolist(), starts.tolist(), counts.tolist()):
-        step = max(1, BATCH_ELEMENTS // ((dataset.p_omega + 1) * (size + 1)))
-        for lo in range(start, start + count, step):
-            _score_batch(table, slice(lo, min(lo + step, start + count)), opts)
-    return table
+    return _score_block((dataset,), criteria, options, members)[0]
 
 
 def report_from_table(table: ScoreTable, criterion: str) -> CandidateModel:

@@ -3,11 +3,16 @@ true-model selection counts, and mean prediction error per criterion.
 
 Determinism contract: the RNG stream of every replication is derived from
 (master_seed, cell_index, replication_index) through ``numpy``'s
-SeedSequence, so results are bit-identical for any worker count.  Worker
+SeedSequence.  Consecutive replications of one cell are scored as a block
+(at most ``REPLICATION_BLOCK``, fewer with a pool) with one engine call per
+candidate size (:func:`~bmlselect.selection._score_block`), whose every
+step acts row by row; so a replication's outcome is bit-identical whatever
+block holds it, and results are bit-identical for any worker count.  Worker
 processes are capped by the BMLSELECT_THREADS environment variable; one pool
-serves every (cell, replication) task of a grid.  A package error raised in
-a replication is re-raised as the same type with (master_seed, cell,
-replication) prepended, so a single ``_run_replication`` call reproduces it.
+serves every block of a grid.  If a package error stops a block, its
+replications run again one at a time, and the first that fails raises the
+same type with (master_seed, cell, replication) prepended, so a single
+``_run_replication`` call reproduces it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from .covariance import CovarianceSpec, check_prior, is_int, make_whitener
 from .criteria import check_names
 from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
-from .selection import SelectionOptions, prediction_error, report_from_table, score_candidates
+from .selection import (
+    SelectionOptions,
+    _score_block,
+    prediction_error,
+    report_from_table,
+    score_candidates,
+)
 
 MODEL_KINDS = ("constant_variance", "ar1", "nerm")
 
@@ -32,6 +43,9 @@ BETA_PATTERNS = {
     "four_ones": (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
     "two_ones": (1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
 }
+
+# Most replications of one cell that run_experiment scores as one block.
+REPLICATION_BLOCK = 64
 
 # The comparison set used by the experiment defaults.
 DEFAULT_CRITERIA = ("ic_pi1", "ic_r", "aic", "bic", "dic", "ml")
@@ -182,26 +196,45 @@ def generate_dataset(spec: ExperimentSpec, cell: Cell, replication_index: int):
     return dataset, truth
 
 
+def _options(spec: ExperimentSpec) -> SelectionOptions:
+    return SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null)
+
+
+def _outcome(spec: ExperimentSpec, table, dataset: Dataset, truth: SimTruth):
+    """{criterion: (selected_is_true, prediction_error)} of one replication's table."""
+    mu_true = truth.x_true @ truth.beta_true
+    best = {name: report_from_table(table, name) for name in spec.criteria}
+    # The loss refits each selected model once, from the table's whitened data.
+    loss = {m: prediction_error(table.whitened, dataset.x_full, m, mu_true)
+            for m in set(best.values())}
+    return {name: (m == truth.j_star, loss[m]) for name, m in best.items()}
+
+
 def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
     """One replication: returns {criterion: (selected_is_true, prediction_error)}."""
     try:
         dataset, truth = generate_dataset(spec, cell, replication_index)
-        table = score_candidates(
-            dataset,
-            spec.criteria,
-            SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null),
-        )
-        mu_true = truth.x_true @ truth.beta_true
-        best = {name: report_from_table(table, name) for name in spec.criteria}
-        # The loss refits each selected model once, from the table's whitened data.
-        loss = {m: prediction_error(table.whitened, dataset.x_full, m, mu_true)
-                for m in set(best.values())}
-        return {name: (m == truth.j_star, loss[m]) for name, m in best.items()}
+        table = score_candidates(dataset, spec.criteria, _options(spec))
+        return _outcome(spec, table, dataset, truth)
     except BmlselectError as exc:
         raise type(exc)(
             f"seed {spec.master_seed}, cell {cell.index} (n={cell.n}, snr={cell.snr}), "
             f"replication {replication_index}: {exc}"
         ) from exc
+
+
+def _run_block(spec: ExperimentSpec, cell: Cell, replications: range):
+    """The outcomes of consecutive replications of one cell, scored as one
+    block (:func:`~bmlselect.selection._score_block`).  If a package error
+    stops the block, its replications run again one at a time, so that the
+    first failing one raises as :func:`_run_replication` does."""
+    try:
+        drawn = [generate_dataset(spec, cell, rep) for rep in replications]
+        tables = _score_block([dataset for dataset, _ in drawn], spec.criteria, _options(spec))
+        return [_outcome(spec, table, dataset, truth)
+                for table, (dataset, truth) in zip(tables, drawn)]
+    except BmlselectError:
+        return [_run_replication(spec, cell, rep) for rep in replications]
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -220,13 +253,19 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Exp
     """Run the full grid; aggregation is independent of worker scheduling."""
     workers = resolve_workers(workers)
     cells = spec.cells()
-    tasks = [(spec, cell, rep) for cell in cells for rep in range(spec.replications)]
+    # Blocks of at most REPLICATION_BLOCK replications of one cell; with a
+    # pool, small enough that every worker gets about four.
+    size = REPLICATION_BLOCK
+    if workers > 1:
+        size = min(size, math.ceil(len(cells) * spec.replications / (4 * workers)))
+    tasks = [(spec, cell, range(lo, min(lo + size, spec.replications)))
+             for cell in cells for lo in range(0, spec.replications, size)]
     if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
         with get_context("fork").Pool(processes=workers) as pool:
-            outcomes = pool.starmap(_run_replication, tasks, chunksize=chunk)
+            blocks = pool.starmap(_run_block, tasks, chunksize=1)
     else:
-        outcomes = [_run_replication(*task) for task in tasks]
+        blocks = [_run_block(*task) for task in tasks]
+    outcomes = [outcome for block in blocks for outcome in block]
     results = []
     for i, cell in enumerate(cells):
         rows = outcomes[i * spec.replications : (i + 1) * spec.replications]

@@ -291,14 +291,15 @@ def test_criteria_writes_valid_csv_where_penalties_are_undefined(tmp_path, capsy
 def test_criteria_full_model_singular_after_whitening_exits_3(tmp_path, capsys, monkeypatch):
     # Dataset's rank check passes on the raw columns; here the whitened
     # first column is zero, so the engine's rank rule drops the full model.
-    real = selection.gls_fit
+    real = selection.whiten
 
-    def rank_deficient(wd, cols):
+    def rank_deficient(dataset):
+        wd = real(dataset)
         x = wd.x.copy()
         x[:, 0] = 0.0
-        return real(replace(wd, x=x), cols)
+        return replace(wd, x=x)
 
-    monkeypatch.setattr(selection, "gls_fit", rank_deficient)
+    monkeypatch.setattr(selection, "whiten", rank_deficient)
     data = write_signal_fixture(tmp_path / "sig.csv")
     out = tmp_path / "c.csv"
     assert main(["criteria", "--data", data, "--out", str(out), "--criterion", "all"]) == 3

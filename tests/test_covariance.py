@@ -579,10 +579,29 @@ def test_pruned_lambda_scan_matches_the_full_scan_on_random_spectra(monkeypatch,
 
 @pytest.mark.parametrize("p", [1, 3, 8, 13, 20])
 def test_pruned_lambda_scan_is_exact_one_row_per_chunk(monkeypatch, p):
-    # A 64-element budget gives one row per chunk.
-    monkeypatch.setattr(covariance, "BATCH_ELEMENTS", 64)
+    # A 64-element budget gives one row per chunk and splits its kept blocks
+    # into chunks of 64 // (7 p) blocks; larger budgets give chunks of many
+    # rows.  Every budget must give the full scan's index, and no terms
+    # array may exceed the budget, or one row's probe terms if those are more.
+    calls = []  # (grid points per row, elements) of each evaluation
+
+    def counted(d, c, idx):
+        calls.append((idx.shape[-1], d.size * idx.shape[-1]))
+        return f_terms(d, c, idx)
+
+    f_terms = covariance._f_terms
+    monkeypatch.setattr(covariance, "_f_terms", counted)
     d, w2, s2 = _random_spectra(np.random.default_rng([p, 64]), 40, p)
-    _assert_pruned_scan_is_exact(d, w2, s2)
+    probes = (LAMBDA_GRID_POINTS - 1) // 8 + 2
+    for budget in (64, 2048, 1 << 15):
+        monkeypatch.setattr(covariance, "BATCH_ELEMENTS", budget)
+        calls.clear()
+        _assert_pruned_scan_is_exact(d, w2, s2)
+        assert max(size for _, size in calls) <= max(budget, probes * p)
+        chunks = sum(points == probes for points, _ in calls)
+        assert chunks == -(-40 // max(1, budget // max(LAMBDA_GRID_POINTS, probes * p)))
+        if budget == 64:
+            assert len(calls) - chunks > chunks, "the kept blocks should split"
 
 
 @pytest.mark.parametrize("p", [1, 2, 9])

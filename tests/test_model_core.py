@@ -223,6 +223,36 @@ def test_batch_fit_is_the_stack_of_single_fits(prior_kind):
                 assert score(name, batch)[j] == want, name
 
 
+def test_stack_fit_reads_each_row_from_its_own_dataset():
+    # Rows of a WhitenedStack batch read their own dataset's R0, y'V^-1y and
+    # log|V|: each row equals that dataset's own fit bit for bit, and a
+    # rank-deficient row is dropped whichever dataset it reads.
+    from bmlselect import WhitenedData
+    from bmlselect.model_core import WhitenedStack
+
+    rng = np.random.default_rng(23)
+    block = []
+    for scale, logdet in ((1.0, 0.0), (1e-3, -2.5), (40.0, 7.0)):
+        x = rng.standard_normal((12, 4))
+        block.append(WhitenedData(x=x, y=scale * rng.standard_normal(12), logdet_v=logdet))
+    x = block[1].x.copy()
+    x[:, 3] = x[:, 0] + x[:, 1]
+    block[1] = WhitenedData(x=x, y=block[1].y, logdet_v=block[1].logdet_v)
+    stack = WhitenedStack.of(block)
+    assert stack.r0.shape == (3, 5, 5) and stack.p_omega == 4 and stack.n == 12
+    cols = np.array([[1, 2, 4], [2, 3, 4], [1, 2, 4], [1, 2, 4], [1, 3, 4]])
+    rep = np.array([0, 2, 1, 2, 1])
+    fit = gls_fit(stack, cols, rep)
+    assert fit.kept.tolist() == [0, 1, 3, 4]
+    for j, i in enumerate(fit.kept.tolist()):
+        alone = gls_fit(block[rep[i]], CandidateModel(tuple(cols[i])))
+        for name in ("ypy", "yty", "logdet_v", "logdet_xvx", "r", "qty"):
+            assert np.asarray(getattr(fit, name))[j].tobytes() == \
+                np.asarray(getattr(alone, name)).tobytes(), (i, name)
+    with pytest.raises(ValueError, match="one n"):
+        WhitenedStack.of([block[0], WhitenedData(x=x[:8], y=block[1].y[:8], logdet_v=0.0)])
+
+
 def test_gls_fit_rejects_out_of_range_column():
     wd = whiten(ones_dataset())
     with pytest.raises(ValueError, match="column 2"):

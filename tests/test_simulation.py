@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bmlselect import (
     score_candidates,
     whiten,
 )
+from bmlselect import simulation
 from bmlselect.simulation import _run_replication, resolve_workers
 
 
@@ -120,6 +122,46 @@ def test_determinism_across_worker_counts():
             assert sa.true_model_count == sb.true_model_count
             assert sa.mean_prediction_error == sb.mean_prediction_error
             assert sa.standard_error == sb.standard_error
+
+
+@pytest.mark.parametrize("replications, n_grid", [(5, (20, 30)), (70, (20,))])
+def test_results_do_not_depend_on_how_replications_are_blocked(replications, n_grid):
+    # One worker scores each cell as blocks of up to REPLICATION_BLOCK
+    # replications (70 = 64 + 6); two and three workers cut smaller blocks
+    # that do not divide the count either.  Every outcome of a block is the
+    # one its replication gives alone.
+    spec = small_spec(replications=replications, n_grid=n_grid)
+    serial, *pooled = (run_experiment(spec, workers=w) for w in (1, 2, 3))
+    assert all(run == serial for run in pooled)
+    cell = spec.cells()[0]
+    assert simulation._run_block(spec, cell, range(replications)) == [
+        _run_replication(spec, cell, rep) for rep in range(replications)
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_replication_in_a_block_is_named_as_when_run_alone(monkeypatch, workers):
+    # 24 replications make one block with one worker and blocks of three
+    # with two: either way replications 0 and 1 pass, and 2, drawn without
+    # noise, fails inside its block.
+    spec = small_spec(replications=24, criteria=("bic",), master_seed=8)
+    real = simulation.generate_dataset
+
+    def noiseless_at_2(spec, cell, rep):
+        dataset, truth = real(spec, cell, rep)
+        if rep == 2:
+            dataset = replace(dataset, y=truth.x_true @ truth.beta_true)
+        return dataset, truth
+
+    monkeypatch.setattr(simulation, "generate_dataset", noiseless_at_2)
+    cell = spec.cells()[0]
+    assert _run_replication(spec, cell, 0).keys() == {"bic"}
+    with pytest.raises(DegenerateVarianceError) as alone:
+        _run_replication(spec, cell, 2)
+    assert str(alone.value).startswith("seed 8, cell 0 (n=20, snr=3.0), replication 2: candidate")
+    with pytest.raises(DegenerateVarianceError) as info:
+        run_experiment(spec, workers=workers)
+    assert str(info.value) == str(alone.value)
 
 
 def test_master_seed_controls_results():

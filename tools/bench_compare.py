@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Before/after benchmark of two checkouts of bmlselect, written as one JSON file.
+
+    python3 tools/bench_compare.py --before OLD_CHECKOUT --after NEW_CHECKOUT \\
+        --topic "what changed" --out BENCH_topic.json [--pairs 10] [--seconds 30]
+
+End to end: each checkout's ``perfbench/run.py --trace 0`` runs once per
+seed and workload, seeds ``--first-seed`` onwards; on even pair indices the
+new checkout runs first, on odd ones the old.  A pair is "better" when the
+new checkout's value is better in the direction ``BENCHMARK.json`` gives.
+Per layer: one ``--trace 1`` run per workload and checkout, seed 1.
+Profile: cProfile of ``--profile-passes`` single-worker simulate_iid passes
+(``run_experiment`` on the benchmark's grid, seed 1) per checkout, split by
+function: the package's own functions and the numpy linear algebra they call.
+Every run uses one BLAS thread; the file records the core count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROFILE = r"""
+import cProfile, pstats, sys
+sys.path.insert(0, "perfbench")
+from workloads import SimulateIid
+from bmlselect.simulation import ExperimentSpec, run_experiment
+spec = ExperimentSpec(master_seed=1, **SimulateIid.GRID, **SimulateIid.FULL)
+run_experiment(spec, workers=1)
+prof = cProfile.Profile()
+prof.enable()
+for _ in range(PASSES):
+    run_experiment(spec, workers=1)
+prof.disable()
+stats = pstats.Stats(prof).stats
+total = max(ct for _, _, _, ct, _ in stats.values())
+rows = []
+for (path, line, name), (_, calls, tt, ct, _) in stats.items():
+    if "bmlselect" in path or (name in ("qr", "svd") and "linalg" in path):
+        rows.append({"function": path.rsplit("/", 2)[-1] + ":" + name, "calls": calls // PASSES,
+                     "self_ms": 1e3 * tt / PASSES, "cum_ms": 1e3 * ct / PASSES})
+rows.sort(key=lambda r: -r["cum_ms"])
+print(json.dumps({"pass_ms": 1e3 * total / PASSES, "functions": rows[:24]}))
+"""
+
+
+def _run(checkout: Path, argv: list[str]) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, *argv], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    out = _run(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds), "--trace", str(trace)])
+    if not out["correct"] or out["failed"]:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} trace {trace} failed: {out}")
+    return {name: m["value"] for name, m in out["metrics"].items()}
+
+
+def end_to_end(args, declared: dict) -> dict:
+    result = {}
+    for workload in args.workloads:
+        runs = {"before": [], "after": []}
+        for k in range(args.pairs):
+            seed = args.first_seed + k
+            order = ("after", "before") if k % 2 == 0 else ("before", "after")
+            for side in order:
+                runs[side].append(_bench(getattr(args, side), workload, seed,
+                                         args.seconds, 0))
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{side} {runs[side][-1]['norm_wall_s']:.4g} s" for side in order), flush=True)
+        metrics = {}
+        for name, better in declared.items():
+            before = [r[name] for r in runs["before"]]
+            after = [r[name] for r in runs["after"]]
+            q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive")
+            wins = sum((a < b) if better == "lower" else (a > b) for a, b in zip(after, before))
+            metrics[name] = {
+                "before": before, "after": after,
+                "before_median": statistics.median(before),
+                "after_median": statistics.median(after),
+                "before_iqr": q3 - q1,
+                "change": statistics.median(after) / statistics.median(before) - 1.0,
+                "pairs_better": f"{wins} of {len(before)}",
+            }
+        result[workload] = {"seeds": [args.first_seed, args.first_seed + args.pairs - 1],
+                            "metrics": metrics}
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    parser.add_argument("--topic", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workloads", nargs="+",
+                        default=["simulate_iid", "select_wide", "simulate_nerm"])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--first-seed", type=int, default=501)
+    parser.add_argument("--profile-passes", type=int, default=20)
+    args = parser.parse_args(argv)
+    args.before, args.after = args.before.resolve(), args.after.resolve()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    import numpy
+    import scipy
+
+    report = {
+        "topic": args.topic,
+        "command": (f"python3 tools/bench_compare.py --before PARENT --after CHANGE "
+                    f"--pairs {args.pairs} --seconds {args.seconds} "
+                    f"--first-seed {args.first_seed} --profile-passes {args.profile_passes} "
+                    f"--workloads {' '.join(args.workloads)}"),
+        "machine": {
+            "cores": os.cpu_count(),
+            "usable_cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": 1,
+            "workers": 1,
+        },
+        "end_to_end": end_to_end(args, declared),
+        "per_layer": {
+            workload: {side: _bench(getattr(args, side), workload, 1, args.seconds, 1)
+                       for side in ("before", "after")}
+            for workload in args.workloads
+        },
+        "profile_simulate_iid": {
+            side: _run(getattr(args, side), ["-c", "import json\nPASSES = "
+                                             f"{args.profile_passes}\n" + PROFILE])
+            for side in ("before", "after")
+        },
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
