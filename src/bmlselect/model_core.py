@@ -5,17 +5,18 @@ the quadratic forms y'Py and y'Ay, the log-determinants of V, of X'V^{-1}X
 and of W X'V^{-1}X + I, and the two variance estimates computed here.  The
 production path whitens the data once per error covariance (a Cholesky
 factor, or an O(n) recursion for AR(1)) and reduces the whitened [X y] to
-one (p_omega + 1) x (p_omega + 1) R factor, ``WhitenedData.r0``; no later
-step reads the n rows again.  A candidate with columns S is one small QR of
+one (p_omega + 1) x (p_omega + 1) R factor, R0, kept with y'V^{-1}y and
+log|V| in a :class:`WhitenedData`, the one reduced form; no later step
+reads the n rows again.  A candidate with columns S is one small QR of
 R0[:, S + [y]], which yields its R factor, Q'y and y'Py (Furnival & Wilson
 1974); :func:`gls_fit` stacks a batch of same-size candidates (one row of
 column indices each) into one such call, and the SVD of R
 (:attr:`WhitenedFit.spectrum`) is one batched call too.  The rows of a
-batch may read different datasets of one n: a :class:`WhitenedStack`
-stacks their R0 factors, and each row names its dataset, whose y'V^{-1}y
-and log|V| it carries.  Every field of a fit is then an array over the
-batch, and a single candidate is the batch of one with the batch axis
-dropped, so one set of formulas serves both.
+batch may read different datasets of one n: the record of a block stacks
+their R0 factors, y'V^{-1}y and log|V|, and each row names its dataset.
+Every field of a fit is then an array over the batch, and a single
+candidate is the batch of one with the batch axis dropped, so one set of
+formulas serves both.
 The prior terms read only these (:class:`~bmlselect.covariance.PriorScale`
 holds their formulas), so the lambda search, the prior step
 (:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the
@@ -29,7 +30,7 @@ marks the design as rank deficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,35 +116,10 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class WhitenedData:
-    """Design and response premultiplied by L^{-1} for V = L L^t, and ``r0``,
-    the square R factor of the whitened [X y] that every candidate fit reads."""
-
-    x: np.ndarray
-    y: np.ndarray
-    logdet_v: float
-    r0: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # Zero rows leave R0'R0 = [X y]'[X y] as it is and make R0 square for any n.
-        width = self.x.shape[1] + 1
-        xy = np.vstack([np.column_stack([self.x, self.y]), np.zeros((width, width))])
-        object.__setattr__(self, "r0", np.linalg.qr(xy, mode="r"))
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def p_omega(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class WhitenedStack:
-    """A block of whitened datasets of one n, as :func:`gls_fit` reads them:
-    their R factors stacked along the first axis of ``r0`` (datasets x
-    (p_omega + 1) x (p_omega + 1)), and each one's y'V^{-1}y (``yty``) and
-    log|V| (``logdet_v``)."""
+    """The reduced form of whitened datasets of one n, all that a candidate
+    fit reads: ``r0`` stacks, one per dataset, the square R factor of the
+    whitened [X y] (datasets x (p_omega + 1) x (p_omega + 1)), and ``yty``
+    and ``logdet_v`` hold each one's y'V^{-1}y and log|V|."""
 
     r0: np.ndarray
     yty: np.ndarray
@@ -151,12 +127,23 @@ class WhitenedStack:
     n: int
 
     @classmethod
-    def of(cls, block) -> "WhitenedStack":
-        """The stack of a sequence of :class:`WhitenedData` of one n and p_omega."""
+    def from_whitened(cls, x: np.ndarray, y: np.ndarray, logdet_v: float) -> "WhitenedData":
+        """The record of one dataset whose design ``x`` and response ``y``
+        were premultiplied by L^{-1} for V = L L^t."""
+        # Zero rows leave R0'R0 = [X y]'[X y] as it is and make R0 square for any n.
+        width = x.shape[1] + 1
+        xy = np.vstack([np.column_stack([x, y]), np.zeros((width, width))])
+        return cls(r0=np.linalg.qr(xy, mode="r")[None], yty=np.array([y @ y]),
+                   logdet_v=np.array([logdet_v], dtype=float), n=y.shape[0])
+
+    @classmethod
+    def stack(cls, block) -> "WhitenedData":
+        """One record of the datasets of a sequence of records of one n and p_omega."""
         if len({w.n for w in block}) != 1:
             raise ValueError("a stack holds datasets of one n")
-        return cls(r0=np.stack([w.r0 for w in block]), yty=np.array([w.y @ w.y for w in block]),
-                   logdet_v=np.array([w.logdet_v for w in block], dtype=float), n=block[0].n)
+        return cls(r0=np.concatenate([w.r0 for w in block]),
+                   yty=np.concatenate([w.yty for w in block]),
+                   logdet_v=np.concatenate([w.logdet_v for w in block]), n=block[0].n)
 
     @property
     def p_omega(self) -> int:
@@ -177,10 +164,9 @@ class WhitenedFit:
     ``prior`` is the scale that :meth:`with_prior` applied; ``beta_hat``
     is solved from ``r`` and ``qty`` only when read.  In a batch,
     every per-candidate field has a leading batch axis, ``yty`` and
-    ``logdet_v`` too (rows of a :class:`WhitenedStack` read their own
-    dataset's), while ``p`` and ``n`` are shared; ``kept`` holds the
-    positions, in the batch :func:`gls_fit` was given, of the candidates
-    the fit holds.
+    ``logdet_v`` too (each row reads its own dataset's), while ``p`` and
+    ``n`` are shared; ``kept`` holds the positions, in the batch
+    :func:`gls_fit` was given, of the candidates the fit holds.
     """
 
     p: int
@@ -247,16 +233,14 @@ def _full_rank(r: np.ndarray) -> np.ndarray:
 def whiten(dataset: Dataset) -> WhitenedData:
     """Apply the lower-triangular whitening factor of V to y and X.
 
-    Returns the transformed data together with log|V|; y'V^{-1}y equals the
-    squared norm of the whitened response.
+    Returns the one-dataset :class:`WhitenedData` of the transformed data:
+    its R0, y'V^{-1}y (the squared norm of the whitened response) and log|V|.
     """
     wh = make_whitener(dataset.cov, dataset.n)
-    return WhitenedData(
-        x=wh.whiten(dataset.x_full), y=wh.whiten(dataset.y), logdet_v=float(wh.logdet)
-    )
+    return WhitenedData.from_whitened(wh.whiten(dataset.x_full), wh.whiten(dataset.y), wh.logdet)
 
 
-def gls_fit(whitened: WhitenedData | WhitenedStack, model: CandidateModel | np.ndarray,
+def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray,
             rep: np.ndarray | None = None) -> WhitenedFit:
     """GLS fit of one candidate, or of a batch of same-size candidates.
 
@@ -265,10 +249,9 @@ def gls_fit(whitened: WhitenedData | WhitenedStack, model: CandidateModel | np.n
     1..p_omega (else ``ValueError``, naming the dtype or the first bad
     row).  For the columns S of each, one QR of R0[:, S + [y]]
     (``whitened.r0``) gives R, Q'y and y'Py, the square of its last pivot;
-    a batch stacks all of them into one call.  On a :class:`WhitenedStack`,
-    ``rep`` gives the position in the stack of each row's dataset (by
-    default the first), and the row reads that dataset's R0, y'V^{-1}y and
-    log|V|.
+    a batch stacks all of them into one call.  ``rep`` gives the position
+    in ``whitened`` of each row's dataset (by default the first), and the
+    row reads that dataset's R0, y'V^{-1}y and log|V|.
     A single rank-deficient candidate raises ``SingularDesignError``; a
     batch fit drops such candidates and records the positions of those it
     holds in ``kept``.  :meth:`WhitenedFit.with_prior` adds the
@@ -287,8 +270,6 @@ def gls_fit(whitened: WhitenedData | WhitenedStack, model: CandidateModel | np.n
         raise ValueError(f"candidate {' '.join(map(str, row))} uses column "
                          f"{row[min(int(np.argmax(steps[bad[0]])), k - 1)]}, but its "
                          f"columns must increase strictly within 1..{p_omega}")
-    if isinstance(whitened, WhitenedData):
-        whitened = WhitenedStack.of((whitened,))
     rep = np.zeros(b, dtype=np.intp) if rep is None else rep
     # Row i stacks R0[:, j] of its own dataset for its columns j and y: the
     # advanced indices go first, so the result is (batch, k + 1, rows of R0).

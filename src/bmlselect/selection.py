@@ -5,7 +5,8 @@ The candidates are the rows of one boolean membership array: every subset
 full model alone that ``bmlselect criteria`` scores.  :func:`_score_block`
 estimates phi, whitens the data and reduces it to one R factor once per
 dataset of a block (one dataset for :func:`score_candidates`, a cell's
-replications for the simulation), stacks the factors, then fits, estimates
+replications for the simulation), stacks the factors into one
+:class:`~bmlselect.model_core.WhitenedData`, then fits, estimates
 lambda for and scores each run of same-size rows across the block as
 stacked batches, writing straight into the (candidates x criteria) arrays
 of one :class:`ScoreTable` per dataset, the one record of a selection.
@@ -14,7 +15,7 @@ This is the one scoring path.  :meth:`ScoreTable.rank` is the one ranking and
 decoder turns a run of same-size membership rows into their column
 indices; the engine, :meth:`ScoreTable.candidate` and
 :meth:`ScoreTable.labels` all read rows through it.  :func:`prediction_error`
-is the one loss, read from the table's whitened data.
+is the one loss, read from the table's one-dataset whitened data.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .model_core import (
     CandidateModel,
     Dataset,
     WhitenedData,
-    WhitenedStack,
     candidate_label,
     gls_fit,
     whiten,
@@ -83,7 +83,7 @@ class ScoreTable:
     code ``exclusion[i, j]`` is 0; :meth:`excluded` decodes any other code.
     ``lambda_hat`` is NaN where no scale was estimated.  The block table of
     :func:`_score_block` holds the rows of several datasets, one after
-    another, and their :class:`~bmlselect.model_core.WhitenedStack`."""
+    another, and their stacked :class:`~bmlselect.model_core.WhitenedData`."""
 
     members: np.ndarray
     criteria: tuple[str, ...]
@@ -93,7 +93,7 @@ class ScoreTable:
     lambda_at_boundary: np.ndarray
     phi_hat: float | None = None
     phi_at_boundary: bool = False
-    whitened: WhitenedData | WhitenedStack | None = None
+    whitened: WhitenedData | None = None
 
     def rank(self, criterion: str) -> tuple[np.ndarray, np.ndarray]:
         """(ranked, excluded) positions for ``criterion``: the admissible ones
@@ -156,7 +156,7 @@ def _columns(members: np.ndarray) -> np.ndarray:
 def _score_batch(table: ScoreTable, pos: np.ndarray, options: SelectionOptions) -> None:
     """Score one batch of same-size candidates into the rows ``pos`` of a
     block table (:func:`_score_block`), whose row r m + i holds candidate i
-    of its m ``members`` on dataset r of its whitened stack: fit them, then
+    of its m ``members`` on dataset r of its ``whitened`` record: fit them, then
     give the fit its prior scale (:func:`~bmlselect.covariance.known_scale`,
     else the estimate), then score it.
 
@@ -204,7 +204,7 @@ def _score_block(
     p_omega, such as the replications of one simulation cell, in one pass.
 
     Each dataset gets its own phi estimate, whitening and R factor; the
-    factors are stacked (:class:`~bmlselect.model_core.WhitenedStack`), and
+    factors are stacked (:meth:`~bmlselect.model_core.WhitenedData.stack`), and
     the arrays of the block table hold every dataset's rows one after
     another, the same ``members`` for each.  Each candidate size is then
     fitted, given its lambda and scored as one run of rows across the block.
@@ -237,7 +237,7 @@ def _score_block(
         exclusion=np.full((reps * m, c), _SINGULAR, dtype=np.int8),
         lambda_hat=np.full(reps * m, np.nan),
         lambda_at_boundary=np.zeros(reps * m, dtype=bool),
-        whitened=WhitenedStack.of(whitened),
+        whitened=WhitenedData.stack(whitened),
     )
     # Each size is a run of rows per dataset, scored across the block in
     # batches whose stacked (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
@@ -307,7 +307,11 @@ def prediction_error(whitened: WhitenedData, x_full: np.ndarray, selected: Candi
                      mu_true: np.ndarray) -> float:
     """Quadratic loss ||X_j beta_hat_j - mu*||^2 / n of candidate j on the original
     scale: X_j is its columns of ``x_full``, beta_hat_j its GLS fit on
-    ``whitened``, the data whitened at phi_hat (a table's ``whitened``)."""
+    ``whitened``, the data whitened at phi_hat (a table's ``whitened``).
+    The loss reads one dataset, so a record of more than one is refused."""
+    if len(whitened.r0) != 1:
+        raise ValueError(f"the loss reads one dataset, but the whitened record holds "
+                         f"{len(whitened.r0)}")
     x_full = np.asarray(x_full, dtype=float)
     mu_true = np.asarray(mu_true, dtype=float).reshape(-1)
     if x_full.shape != (whitened.n, whitened.p_omega) or mu_true.shape != (whitened.n,):

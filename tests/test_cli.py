@@ -290,14 +290,15 @@ def test_criteria_writes_valid_csv_where_penalties_are_undefined(tmp_path, capsy
 
 def test_criteria_full_model_singular_after_whitening_exits_3(tmp_path, capsys, monkeypatch):
     # Dataset's rank check passes on the raw columns; here the whitened
-    # first column is zero, so the engine's rank rule drops the full model.
+    # first column is zero (so is column 0 of its R0), and the engine's rank
+    # rule drops the full model.
     real = selection.whiten
 
     def rank_deficient(dataset):
         wd = real(dataset)
-        x = wd.x.copy()
-        x[:, 0] = 0.0
-        return replace(wd, x=x)
+        r0 = wd.r0.copy()
+        r0[:, :, 0] = 0.0
+        return replace(wd, r0=r0)
 
     monkeypatch.setattr(selection, "whiten", rank_deficient)
     data = write_signal_fixture(tmp_path / "sig.csv")

@@ -244,20 +244,21 @@ def test_dic_matches_dense_formula():
 
 
 def test_dic_matches_posterior_sampling_oracle():
+    # V = I, so the whitened data are the raw ones.
     ds, wd, model, prior, fit = fitted(seed=22, n=12, p=2, lam=0.8)
     closed = dic(fit)
     s2 = fit.sigma2_hat
-    xj = wd.x
+    xj = ds.x_full
     g = xj.T @ xj
     m_inv = np.linalg.inv(g + prior.lam * np.eye(2))
-    beta_post = m_inv @ xj.T @ wd.y
+    beta_post = m_inv @ xj.T @ ds.y
     rng = np.random.default_rng(99)
     draws = 200_000
     l = np.linalg.cholesky(s2 * m_inv)
     betas = beta_post[None, :] + rng.standard_normal((draws, 2)) @ l.T
-    resid = wd.y[None, :] - betas @ xj.T
+    resid = ds.y[None, :] - betas @ xj.T
     dev = fit.n * (LOG_2PI + math.log(s2)) + (resid ** 2).sum(axis=1) / s2
-    resid_post = wd.y - xj @ beta_post
+    resid_post = ds.y - xj @ beta_post
     d_post = fit.n * (LOG_2PI + math.log(s2)) + float(resid_post @ resid_post) / s2
     mc = 2.0 * dev.mean() - d_post
     se = 2.0 * dev.std(ddof=1) / math.sqrt(draws)
@@ -267,11 +268,11 @@ def test_dic_matches_posterior_sampling_oracle():
 def test_dic_flat_prior_limit_has_effective_dimension_p():
     ds, wd, model, prior, fit = fitted(seed=23, n=15, p=3, lam=1e-8)
     value = dic(fit)
-    xj = wd.x
+    xj = ds.x_full  # V = I, so the whitened data are the raw ones
     g = xj.T @ xj
     m_inv = np.linalg.inv(g + prior.lam * np.eye(3))
-    beta_post = m_inv @ xj.T @ wd.y
-    resid = wd.y - xj @ beta_post
+    beta_post = m_inv @ xj.T @ ds.y
+    resid = ds.y - xj @ beta_post
     d_post = fit.n * (LOG_2PI + math.log(fit.sigma2_hat)) + float(resid @ resid) / fit.sigma2_hat
     p_d = (value - d_post) / 2.0
     assert abs(p_d - model.p) < 1e-3
@@ -280,10 +281,10 @@ def test_dic_flat_prior_limit_has_effective_dimension_p():
 def test_dic_posterior_mean_shrinks_to_zero():
     ds, wd, model, _, _ = fitted(seed=24, n=15, p=3)
     fit = gls_fit(wd, model)
-    xj = wd.x
+    xj = ds.x_full  # V = I, so the whitened data are the raw ones
     g = xj.T @ xj
-    beta_big_lam = np.linalg.solve(g + 1e8 * np.eye(3), xj.T @ wd.y)
-    beta_gls = gls_beta(wd.y, xj, np.eye(15))
+    beta_big_lam = np.linalg.solve(g + 1e8 * np.eye(3), xj.T @ ds.y)
+    beta_gls = gls_beta(ds.y, xj, np.eye(15))
     assert np.linalg.norm(beta_big_lam) < 1e-6 * np.linalg.norm(beta_gls)
 
 

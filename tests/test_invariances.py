@@ -189,7 +189,7 @@ def test_rank_pivot_just_below_the_threshold_is_singular():
     x, y = _near_dependent_design(1.0 / 3.0)
     with pytest.raises(SingularDesignError, match="rank deficient"):
         Dataset(y=y, x_full=x, cov=CovarianceSpec.identity())
-    wd = WhitenedData(x=x, y=y, logdet_v=0.0)
+    wd = WhitenedData.from_whitened(x, y, 0.0)
     with pytest.raises(SingularDesignError, match="candidate 1 2 3$"):
         gls_fit(wd, CandidateModel((1, 2, 3)))
     with pytest.raises(SingularDesignError, match="candidate 1 2 3 4$"):

@@ -62,10 +62,10 @@ def random_dataset(seed, n=12, p=4, cov=None):
 
 def test_whiten_identity_is_noop():
     ds = ones_dataset()
-    wd = whiten(ds)
-    assert wd.logdet_v == 0.0
-    np.testing.assert_array_equal(wd.y, ds.y)
-    np.testing.assert_array_equal(wd.x, ds.x_full)
+    wh = make_whitener(ds.cov, ds.n)
+    assert whiten(ds).logdet_v[0] == 0.0
+    np.testing.assert_array_equal(wh.whiten(ds.y), ds.y)
+    np.testing.assert_array_equal(wh.whiten(ds.x_full), ds.x_full)
 
 
 def test_whiten_ar1_2x2_logdet():
@@ -84,11 +84,30 @@ def test_whiten_matches_dense_solve_oracle():
     y = rng.standard_normal(6)
     x = rng.standard_normal((6, 2))
     ds = Dataset(y=y, x_full=x, cov=CovarianceSpec.custom(v))
-    wd = whiten(ds)
+    wd, wy = whiten(ds), make_whitener(ds.cov, ds.n).whiten(y)
     expect = float(y @ np.linalg.solve(v, y))
-    got = float(wd.y @ wd.y)
+    got = float(wy @ wy)
     assert abs(got - expect) < 1e-10 * abs(expect)
-    assert wd.logdet_v == pytest.approx(np.linalg.slogdet(v)[1], rel=1e-12)
+    assert wd.yty[0] == got
+    assert wd.logdet_v[0] == pytest.approx(np.linalg.slogdet(v)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("cov", [
+    CovarianceSpec.identity(),
+    CovarianceSpec.ar1(0.6),
+    CovarianceSpec.nerm((3, 4, 5), 0.7),
+    CovarianceSpec.custom(random_spd(np.random.default_rng(43), 12)),
+], ids=["identity", "ar1", "nerm", "custom"])
+def test_reduced_form_is_the_whitened_cross_product(cov):
+    # The record holds all that a candidate fit reads: R0'R0 is
+    # [X y]'V^-1[X y], with y'V^-1y and log|V| beside it.
+    ds = random_dataset(44, n=12, p=4, cov=cov)
+    wd, v = whiten(ds), dense_v(cov, ds.n)
+    xy = np.column_stack([ds.x_full, ds.y])
+    assert wd.r0.shape == (1, 5, 5) and wd.n == 12 and wd.p_omega == 4
+    np.testing.assert_allclose(wd.r0[0].T @ wd.r0[0], xy.T @ np.linalg.solve(v, xy), rtol=1e-10)
+    assert wd.yty[0] == pytest.approx(float(ds.y @ np.linalg.solve(v, ds.y)), rel=1e-10)
+    assert wd.logdet_v[0] == pytest.approx(np.linalg.slogdet(v)[1], rel=1e-10, abs=1e-12)
 
 
 def test_whiten_rejects_non_pd_covariance():
@@ -118,11 +137,11 @@ def test_gls_fit_sample_mean_regression():
 
 
 def test_gls_fit_null_model():
-    wd = whiten(ones_dataset())
-    fit = gls_fit(wd, CandidateModel(()))
+    ds = ones_dataset()
+    fit = gls_fit(whiten(ds), CandidateModel(()))
     assert fit.p == 0
     assert fit.beta_hat.size == 0
-    assert fit.ypy == pytest.approx(float(wd.y @ wd.y))
+    assert fit.ypy == pytest.approx(float(ds.y @ ds.y))  # V = I: the raw y is the whitened one
     assert fit.logdet_xvx == 0.0
 
 
@@ -158,7 +177,7 @@ def test_gls_fit_singular_design_names_candidate():
     # skip Dataset (full design is singular too); construct whitened data directly
     from bmlselect import WhitenedData
 
-    wd = WhitenedData(x=x, y=rng.standard_normal(8), logdet_v=0.0)
+    wd = WhitenedData.from_whitened(x, rng.standard_normal(8), 0.0)
     with pytest.raises(SingularDesignError, match="1 3"):
         gls_fit(wd, CandidateModel((1, 3)))
 
@@ -176,7 +195,7 @@ def test_gls_fit_wide_candidate_is_singular_design():
     from bmlselect import WhitenedData
 
     rng = np.random.default_rng(9)
-    wd = WhitenedData(x=rng.standard_normal((5, 7)), y=rng.standard_normal(5), logdet_v=0.0)
+    wd = WhitenedData.from_whitened(rng.standard_normal((5, 7)), rng.standard_normal(5), 0.0)
     with pytest.raises(SingularDesignError, match="1 2 3 4 5 6"):
         gls_fit(wd, CandidateModel((1, 2, 3, 4, 5, 6)))
     # as tall as wide is still a proper (saturated) fit
@@ -195,7 +214,7 @@ def test_batch_fit_is_the_stack_of_single_fits(prior_kind):
     x = rng.standard_normal((25, 5))
     x[:, 4] = x[:, 0] - x[:, 2]
     y = x[:, :2] @ np.array([1.0, -0.5]) + rng.standard_normal(25)
-    wd = WhitenedData(x=x, y=y, logdet_v=0.0)
+    wd = WhitenedData.from_whitened(x, y, 0.0)
     for size in range(4):
         combos = list(itertools.combinations(range(1, 6), size))
         models = [CandidateModel(c) for c in combos]
@@ -224,21 +243,20 @@ def test_batch_fit_is_the_stack_of_single_fits(prior_kind):
 
 
 def test_stack_fit_reads_each_row_from_its_own_dataset():
-    # Rows of a WhitenedStack batch read their own dataset's R0, y'V^-1y and
-    # log|V|: each row equals that dataset's own fit bit for bit, and a
-    # rank-deficient row is dropped whichever dataset it reads.
+    # Rows of a batch on a stacked record read their own dataset's R0,
+    # y'V^-1y and log|V|: each row equals that dataset's own fit bit for bit,
+    # and a rank-deficient row is dropped whichever dataset it reads.
     from bmlselect import WhitenedData
-    from bmlselect.model_core import WhitenedStack
 
     rng = np.random.default_rng(23)
     block = []
-    for scale, logdet in ((1.0, 0.0), (1e-3, -2.5), (40.0, 7.0)):
+    for i, (scale, logdet) in enumerate(((1.0, 0.0), (1e-3, -2.5), (40.0, 7.0))):
         x = rng.standard_normal((12, 4))
-        block.append(WhitenedData(x=x, y=scale * rng.standard_normal(12), logdet_v=logdet))
-    x = block[1].x.copy()
-    x[:, 3] = x[:, 0] + x[:, 1]
-    block[1] = WhitenedData(x=x, y=block[1].y, logdet_v=block[1].logdet_v)
-    stack = WhitenedStack.of(block)
+        y = scale * rng.standard_normal(12)
+        if i == 1:
+            x[:, 3] = x[:, 0] + x[:, 1]
+        block.append(WhitenedData.from_whitened(x, y, logdet))
+    stack = WhitenedData.stack(block)
     assert stack.r0.shape == (3, 5, 5) and stack.p_omega == 4 and stack.n == 12
     cols = np.array([[1, 2, 4], [2, 3, 4], [1, 2, 4], [1, 2, 4], [1, 3, 4]])
     rep = np.array([0, 2, 1, 2, 1])
@@ -250,7 +268,7 @@ def test_stack_fit_reads_each_row_from_its_own_dataset():
             assert np.asarray(getattr(fit, name))[j].tobytes() == \
                 np.asarray(getattr(alone, name)).tobytes(), (i, name)
     with pytest.raises(ValueError, match="one n"):
-        WhitenedStack.of([block[0], WhitenedData(x=x[:8], y=block[1].y[:8], logdet_v=0.0)])
+        WhitenedData.stack([block[0], WhitenedData.from_whitened(x[:8], y[:8], 0.0)])
 
 
 def test_gls_fit_rejects_out_of_range_column():
@@ -363,9 +381,8 @@ def test_neg2_log_residual_last_term_is_exact_integer():
 
 def test_neg2_log_residual_null_model():
     ds = random_dataset(22, n=9, p=2)
-    wd = whiten(ds)
-    fit = gls_fit(wd, CandidateModel(()))
-    s2 = float(wd.y @ wd.y) / 9
+    fit = gls_fit(whiten(ds), CandidateModel(()))
+    s2 = float(ds.y @ ds.y) / 9  # V = I, so the whitened response is the raw one
     expect = 9 * (LOG_2PI + math.log(s2)) + 9
     assert neg2_log_residual(fit) == pytest.approx(expect, rel=1e-12)
 

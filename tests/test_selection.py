@@ -185,7 +185,7 @@ def test_duplicate_column_exclusion_preserves_selection():
     from bmlselect.exceptions import SingularDesignError
     from bmlselect.model_core import WhitenedData
 
-    wd = WhitenedData(x=x_dup, y=base.y, logdet_v=0.0)
+    wd = WhitenedData.from_whitened(x_dup, base.y, 0.0)
     candidates = enumerate_candidates(4)
     entries = []
     for model in models_of(candidates):
@@ -330,6 +330,18 @@ def test_prediction_error_rejects_nonconforming_truth():
     for x_full, mu_true in ((x, np.ones(5)), (x[:5], np.ones(12)), (x[:, :1], np.ones(12))):
         with pytest.raises(ValueError, match="conform"):
             prediction_error(wd, x_full, CandidateModel((1,)), mu_true)
+
+
+def test_prediction_error_refuses_a_record_of_several_datasets():
+    # The loss reads one dataset; a block's stacked record holds several.
+    from bmlselect.model_core import WhitenedData
+
+    ds = signal_dataset(10, n=12, p_omega=2, true=(1,), sigma=0.1)
+    wd = whiten(ds)
+    block = WhitenedData.stack([wd, wd, wd])
+    with pytest.raises(ValueError, match="one dataset, but the whitened record holds 3"):
+        prediction_error(block, ds.x_full, CandidateModel((1,)), ds.x_full[:, 0])
+    assert prediction_error(wd, ds.x_full, CandidateModel((1,)), ds.x_full[:, 0]) >= 0.0
 
 
 # ---------------------------------------------------------------------------
