@@ -3,16 +3,18 @@ true-model selection counts, and mean prediction error per criterion.
 
 Determinism contract: the RNG stream of every replication is derived from
 (master_seed, cell_index, replication_index) through ``numpy``'s
-SeedSequence.  Consecutive replications of one cell are scored as a block
-(at most ``REPLICATION_BLOCK``, fewer with a pool) with one engine call per
+SeedSequence.  ``_run_block`` is the one path from a draw to an outcome: it
+scores consecutive replications of one cell as a block (at most
+``REPLICATION_BLOCK``, fewer with a pool) with one engine call per
 candidate size (:func:`~bmlselect.selection._score_block`), whose every
 step acts row by row; so a replication's outcome is bit-identical whatever
-block holds it, and results are bit-identical for any worker count.  Worker
-processes are capped by the BMLSELECT_THREADS environment variable; one pool
-serves every block of a grid.  If a package error stops a block, its
-replications run again one at a time, and the first that fails raises the
-same type with (master_seed, cell, replication) prepended, so a single
-``_run_replication`` call reproduces it.
+block holds it, and results are bit-identical for any worker count.  A
+single replication is the block of one (``_run_replication``).  Worker
+processes are capped by the BMLSELECT_THREADS environment variable and by
+the number of blocks; one pool serves every block of a grid.  If a package
+error stops a block, its replications run again as blocks of one, and the
+first that fails raises the same type with (master_seed, cell, replication)
+prepended, so a single ``_run_replication`` call reproduces it.
 """
 
 from __future__ import annotations
@@ -29,13 +31,9 @@ from .covariance import CovarianceSpec, check_prior, is_int, make_whitener
 from .criteria import check_names
 from .exceptions import BmlselectError
 from .model_core import CandidateModel, Dataset
-from .selection import (
-    SelectionOptions,
-    _score_block,
-    prediction_error,
-    report_from_table,
-    score_candidates,
-)
+from .selection import SelectionOptions, _score_block, prediction_error, report_from_table
+# Kept importable from here because perfbench/spans.py wraps this name.
+from .selection import score_candidates  # noqa: F401
 
 MODEL_KINDS = ("constant_variance", "ar1", "nerm")
 
@@ -196,49 +194,45 @@ def generate_dataset(spec: ExperimentSpec, cell: Cell, replication_index: int):
     return dataset, truth
 
 
-def _options(spec: ExperimentSpec) -> SelectionOptions:
-    return SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null)
-
-
-def _outcome(spec: ExperimentSpec, table, dataset: Dataset, truth: SimTruth):
-    """{criterion: (selected_is_true, prediction_error)} of one replication's table."""
-    mu_true = truth.x_true @ truth.beta_true
-    best = {name: report_from_table(table, name) for name in spec.criteria}
-    # The loss refits each selected model once, from the table's whitened data.
-    loss = {m: prediction_error(table.whitened, dataset.x_full, m, mu_true)
-            for m in set(best.values())}
-    return {name: (m == truth.j_star, loss[m]) for name, m in best.items()}
-
-
 def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
     """One replication: returns {criterion: (selected_is_true, prediction_error)}."""
-    try:
-        dataset, truth = generate_dataset(spec, cell, replication_index)
-        table = score_candidates(dataset, spec.criteria, _options(spec))
-        return _outcome(spec, table, dataset, truth)
-    except BmlselectError as exc:
-        raise type(exc)(
-            f"seed {spec.master_seed}, cell {cell.index} (n={cell.n}, snr={cell.snr}), "
-            f"replication {replication_index}: {exc}"
-        ) from exc
+    return _run_block(spec, cell, range(replication_index, replication_index + 1))[0]
 
 
 def _run_block(spec: ExperimentSpec, cell: Cell, replications: range):
-    """The outcomes of consecutive replications of one cell, scored as one
-    block (:func:`~bmlselect.selection._score_block`).  If a package error
-    stops the block, its replications run again one at a time, so that the
-    first failing one raises as :func:`_run_replication` does."""
+    """{criterion: (selected_is_true, prediction_error)} for each of
+    consecutive replications of one cell, drawn and then scored as one block
+    (:func:`~bmlselect.selection._score_block`); each selected model's loss
+    is refitted once from its table's whitened data.  If a package error
+    stops a block of several, each replication runs again as a block of one
+    (:func:`_run_replication`), and a block of one re-raises the error with
+    (master_seed, cell, replication) prepended."""
     try:
         drawn = [generate_dataset(spec, cell, rep) for rep in replications]
-        tables = _score_block([dataset for dataset, _ in drawn], spec.criteria, _options(spec))
-        return [_outcome(spec, table, dataset, truth)
-                for table, (dataset, truth) in zip(tables, drawn)]
-    except BmlselectError:
-        return [_run_replication(spec, cell, rep) for rep in replications]
+        options = SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null)
+        tables = _score_block([dataset for dataset, _ in drawn], spec.criteria, options)
+        outcomes = []
+        for table, (dataset, truth) in zip(tables, drawn):
+            mu_true = truth.x_true @ truth.beta_true
+            best = {name: report_from_table(table, name) for name in spec.criteria}
+            loss = {m: prediction_error(table.whitened, dataset.x_full, m, mu_true)
+                    for m in set(best.values())}
+            outcomes.append({name: (m == truth.j_star, loss[m]) for name, m in best.items()})
+        return outcomes
+    except BmlselectError as exc:
+        if len(replications) > 1:
+            return [_run_replication(spec, cell, rep) for rep in replications]
+        raise type(exc)(
+            f"seed {spec.master_seed}, cell {cell.index} (n={cell.n}, snr={cell.snr}), "
+            f"replication {replications[0]}: {exc}"
+        ) from exc
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: requested or cpu_count, capped by BMLSELECT_THREADS."""
+    """Worker count: requested (an integer >= 1) or cpu_count, capped by
+    BMLSELECT_THREADS."""
+    if requested is not None and not (is_int(requested) and requested >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {requested!r}")
     workers = requested if requested is not None else (os.cpu_count() or 1)
     cap_env = os.environ.get("BMLSELECT_THREADS", "").strip()
     if cap_env:
@@ -246,7 +240,7 @@ def resolve_workers(requested: int | None = None) -> int:
             workers = min(workers, max(1, int(cap_env)))
         except ValueError:
             raise ValueError(f"BMLSELECT_THREADS must be an integer, got {cap_env!r}") from None
-    return max(1, int(workers))
+    return int(workers)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ExperimentResult]:
@@ -261,7 +255,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Exp
     tasks = [(spec, cell, range(lo, min(lo + size, spec.replications)))
              for cell in cells for lo in range(0, spec.replications, size)]
     if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(processes=workers) as pool:
+        with get_context("fork").Pool(processes=min(workers, len(tasks))) as pool:
             blocks = pool.starmap(_run_block, tasks, chunksize=1)
     else:
         blocks = [_run_block(*task) for task in tasks]

@@ -9,6 +9,8 @@ every file with the committed copy byte for byte, apart from the
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -19,7 +21,14 @@ def _load_generator():
     return module
 
 
-def test_golden_outputs_regenerate_byte_for_byte(tmp_path):
+@pytest.mark.parametrize("threads", [None, "1"], ids=["default_workers", "one_worker"])
+def test_golden_outputs_regenerate_byte_for_byte(tmp_path, monkeypatch, threads):
+    # With a pool each simulate block holds a replication or two; one worker
+    # scores each cell's replications as one block.
+    if threads is None:
+        monkeypatch.delenv("BMLSELECT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BMLSELECT_THREADS", threads)
     gen = _load_generator()
     fresh = gen.generate(tmp_path)
     committed = sorted(p for p in GOLDEN.iterdir() if p.suffix in (".csv", ".cfg"))
@@ -29,7 +38,8 @@ def test_golden_outputs_regenerate_byte_for_byte(tmp_path):
         for p, q in zip(fresh, committed)
         if gen.comparable_bytes(p) != gen.comparable_bytes(q)
     ]
-    assert not changed, f"golden outputs changed: {changed}"
+    report = "\n".join(gen.compare(GOLDEN, tmp_path))
+    assert not changed, f"golden outputs changed: {changed}\n{report}"
 
 
 def test_compare_reports_moved_columns_order_and_selection(tmp_path):

@@ -1,8 +1,9 @@
 """Invariances the model implies, and the behaviour on each side of every threshold.
 
 Rows of the data carry no order under V = I, the column order of the design
-carries no meaning, and the RSS-based criteria and the Zellner prior do not
-see a column's scale.  The rank rule (``RANK_PIVOT_RTOL``) and the
+carries no meaning, the RSS-based criteria and the Zellner prior do not
+see a column's scale, and rescaling y or V shifts each score by a known
+law.  The rank rule (``RANK_PIVOT_RTOL``) and the
 degeneracy rule (``DEGENERATE_RTOL``) are each probed a factor of three
 either side of their threshold, far outside the rounding with which
 different factorization routes compute a pivot or y'Py, and lambda-hat is
@@ -152,6 +153,82 @@ def test_column_rescaling_keeps_rss_and_zellner_selections(seed, n, p, snr, colu
     identity = {j: j for j in range(1, p + 1)}
     for name in RSS_FAMILY + ("ic_pi1", "ic_pi1_star", "dic", "ml"):
         _assert_same_selection(table, other, name, identity)
+
+
+# ---------------------------------------------------------------------------
+# Units of y and V
+# ---------------------------------------------------------------------------
+
+# The laws below hold to rounding: the same factorizations run on rescaled
+# numbers.  Ridge lambda-hat is the search's root to its stopping rule, not
+# exactly lambda-hat / c, so the criteria that read it get SCORE_RTOL under
+# a rescaled V.
+UNITS_RTOL = 1e-13
+RIDGE_LAMBDA_CRITERIA = ("ic_pi1", "ic_pi1_star", "ml", "dic")
+
+
+def _units_data():
+    """n = 40, p_omega = 5, an AR(1)-like custom V, every lambda-hat off its bounds."""
+    n = 40
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((n, 5))
+    y = x @ np.array([1.0, 1.0, 1.0, 0.5, 0.5]) + rng.standard_normal(n)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return x, y, 0.5**lag + 0.2 * np.eye(n)
+
+
+def _assert_shifted(base, other, shift, rtol):
+    """``other``'s scores are ``base``'s plus ``shift[name]`` (one entry per
+    row), with the same exclusions and no lambda-hat on a bound."""
+    assert not base.lambda_at_boundary.any() and not other.lambda_at_boundary.any()
+    np.testing.assert_array_equal(other.exclusion, base.exclusion)
+    for j, name in enumerate(base.criteria):
+        want = base.scores[:, j] + shift[name]
+        tol = rtol.get(name, UNITS_RTOL) * np.maximum(1.0, np.abs(want))
+        kept = ~base.exclusion[:, j].astype(bool)
+        assert kept.any(), name
+        gap = np.abs(other.scores[kept, j] - want[kept])
+        assert np.all(gap <= tol[kept]), (name, gap.max())
+
+
+@pytest.mark.parametrize("prior_kind", ["ridge", "zellner"])
+@pytest.mark.parametrize("cov_kind", ["identity", "custom"])
+def test_scaling_y_shifts_every_score_by_n_log_a_squared(cov_kind, prior_kind):
+    # y -> a y multiplies y'Py by a^2, so each n log(y'Py) term shifts by
+    # n log a^2; ic_r and ic_r_star take (n - p) log of a variance instead.
+    # README's "scaling y by c shifts ic_r by (n-p) log c^2" is the law that
+    # acceptance checks 6 and 7 build their targets on.
+    x, y, v = _units_data()
+    a, n = 7.0, len(y)
+    cov = CovarianceSpec.identity() if cov_kind == "identity" else CovarianceSpec.custom(v)
+    options = SelectionOptions(prior_kind=prior_kind)
+    base, scaled = (score_candidates(Dataset(y=yy, x_full=x, cov=cov), CRITERION_NAMES, options)
+                    for yy in (y, a * y))
+    p = base.members.sum(axis=1)
+    shift = {name: (n - p if name in ("ic_r", "ic_r_star") else n) * math.log(a * a)
+             for name in CRITERION_NAMES}
+    _assert_shifted(base, scaled, shift, {})
+
+
+@pytest.mark.parametrize("prior_kind", ["ridge", "zellner"])
+def test_scaling_a_custom_v_shifts_only_ic_r_star(prior_kind):
+    # V -> c V with sigma^2 -> sigma^2 / c is the same model, since the two
+    # enter only as the product sigma^2 V, and every criterion but ic_r_star
+    # scores it the same.  ic_r_star takes (n - p) log of the REML variance
+    # but all n of log|V|, so it shifts by p log c and its pick can change
+    # with the units of V (at this seed its pick moves from the full model
+    # to 1 2 3 4); ic_r and ric do not.  Whether that is the paper's intent
+    # is open: this pins today's formula, not the paper's.
+    x, y, v = _units_data()
+    c = 7.0
+    options = SelectionOptions(prior_kind=prior_kind)
+    base, scaled = (score_candidates(Dataset(y=y, x_full=x, cov=CovarianceSpec.custom(vv)),
+                                     CRITERION_NAMES, options)
+                    for vv in (v, c * v))
+    p = base.members.sum(axis=1)
+    shift = {name: p * math.log(c) if name == "ic_r_star" else 0.0 for name in CRITERION_NAMES}
+    rtol = dict.fromkeys(RIDGE_LAMBDA_CRITERIA, SCORE_RTOL) if prior_kind == "ridge" else {}
+    _assert_shifted(base, scaled, shift, rtol)
 
 
 # ---------------------------------------------------------------------------

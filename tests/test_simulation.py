@@ -208,6 +208,45 @@ def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.setenv("BMLSELECT_THREADS", "zero")
     with pytest.raises(ValueError):
         resolve_workers(2)
+    # A requested count follows the package's one integer rule, whatever the cap.
+    monkeypatch.setenv("BMLSELECT_THREADS", "2")
+    assert resolve_workers(np.int64(3)) == 2
+    assert type(resolve_workers(np.int64(1))) is int
+    for bad in (2.5, "3", True, 0, -4, 3.0):
+        message = f"workers must be an integer >= 1, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_workers(bad)
+
+
+def test_run_experiment_refuses_a_bad_worker_count_before_any_replication(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate_dataset", no_draw)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1, got 2.5"):
+        run_experiment(small_spec(), workers=2.5)
+
+
+def test_run_experiment_starts_at_most_one_process_per_block(monkeypatch):
+    # Two cells of one replication make two blocks, so eight workers start two processes.
+    monkeypatch.delenv("BMLSELECT_THREADS", raising=False)
+    real = simulation.get_context
+    started = []
+
+    class Recording:
+        def __init__(self, method):
+            self.context = real(method)
+
+        def Pool(self, processes):
+            started.append(processes)
+            return self.context.Pool(processes=processes)
+
+    monkeypatch.setattr(simulation, "get_context", Recording)
+    spec = small_spec(replications=1, n_grid=(20, 30))
+    pooled = run_experiment(spec, workers=8)
+    assert started == [2]
+    assert pooled == run_experiment(spec, workers=1)
+    assert started == [2]
 
 
 def test_spec_rejects_an_empty_criterion_list():
