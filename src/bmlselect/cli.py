@@ -39,7 +39,7 @@ from .exceptions import (
 )
 from .model_core import Dataset
 from .selection import SelectionOptions, report_from_table, score_candidates
-from .simulation import BETA_PATTERNS, ExperimentSpec, resolve_workers, run_experiment
+from .simulation import BETA_PATTERNS, ExperimentSpec, _plan_blocks, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -451,7 +451,7 @@ def _cmd_simulate(s: dict) -> int:
     cells = len(spec.cells())
     print(
         f"simulate: {cells} cells x {spec.replications} replications = "
-        f"{cells * spec.replications} replications on {resolve_workers()} workers",
+        f"{cells * spec.replications} replications on {_plan_blocks(spec)[1]} workers",
         file=sys.stderr,
     )
     results = run_experiment(spec)

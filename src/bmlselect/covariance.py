@@ -8,7 +8,8 @@ point from a :class:`CovarianceSpec` to an operator, the action of L^{-1}
 for the Cholesky factor V = L L^t, which is all the fitting layer needs.
 Its one dispatch on the kind builds a family phi -> operator, which the phi
 profile builds once per profile, not at each evaluation.  Dense V is
-factored by LAPACK's dpotrf, called directly; the AR(1) operator runs in
+factored by LAPACK's dpotrf, called directly (in place on the nerm V the
+family builds, on a copy of a custom matrix); the AR(1) operator runs in
 O(n) via the innovations recursion (its ``color`` runs x_1 = w_1, x_i =
 s w_i + phi x_{i-1} with s = sqrt(1 - phi^2)), and serves identity as the
 recursion at phi = 0; the nested-error V is built from the group labels.
@@ -18,16 +19,17 @@ Zellner, and only this module knows them: the prior check, the terms a
 scale adds to a fit (:class:`PriorScale`), the null-model rule and lambda.
 
 Hyperparameters are estimated by deterministic plug-in rules: phi by
-profile maximum likelihood on the full model (grid scan, then golden
+profile maximum likelihood on the full model (a grid scan, exact but
+pruned for nerm by the monotone parts of the profile, then golden
 section), lambda by maximizing each candidate's marginal likelihood with
 the variance estimate held fixed (Zellner in closed form, ridge by a grid
 scan, then a Newton root of the derivative from the fit's spectrum).  The
 prior terms and the lambda search take a batch fit as they take a single
 candidate: every formula is an array expression over the batch, and the
 ridge search scans the grid and runs its safeguarded Newton steps for the
-whole batch at once, masking each candidate out as it converges.  The grid
-scan, exact but pruned (:func:`_grid_argmin`), runs over the batch in
-chunks of at most ``BATCH_ELEMENTS`` doubles.
+whole batch at once, masking each candidate out as it converges.  The
+lambda grid scan, exact but pruned (:func:`_grid_argmin`), runs over the
+batch in chunks of at most ``BATCH_ELEMENTS`` doubles.
 """
 
 from __future__ import annotations
@@ -72,10 +74,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LAMBDA_GRID = np.geomspace(LAMBDA_BOUNDS[0], LAMBDA_BOUNDS[1], LAMBDA_GRID_POINTS)
 _LOG_LAMBDA_GRID = np.log(_LAMBDA_GRID)
 _INV_LAMBDA_GRID = 1.0 / _LAMBDA_GRID
-# The grid scan's probes, every 8th point and the last, and the blocks between
-# them (the short last block repeats its last index).
-_PROBES = np.append(np.arange(0, LAMBDA_GRID_POINTS, 8), LAMBDA_GRID_POINTS - 1)
+# The pruned grid scans' probes, every 8th point and the last; the lambda
+# scan also takes the blocks between them (the short last block repeats its
+# last index).
+_PROBES = np.append(np.arange(0, LAMBDA_GRID_POINTS - 1, 8), LAMBDA_GRID_POINTS - 1)
 _BLOCKS = np.minimum(_PROBES[:-1, None] + np.arange(1, 8), _PROBES[1:, None] - 1)
+_PHI_PROBES = np.append(np.arange(0, GRID_POINTS - 1, 8), GRID_POINTS - 1).tolist()
+_EPS = float(np.finfo(float).eps)
 
 
 def is_int(value) -> bool:
@@ -292,11 +297,14 @@ class _Ar1Whitener:
 
 
 class _CholeskyWhitener:
-    """V = L L^t by dpotrf (on a copy of ``v``) and L^{-1} b by dtrtrs: the
-    routines of ``scipy.linalg.cholesky``/``solve_triangular``, minus their checks."""
+    """V = L L^t by dpotrf and L^{-1} b by dtrtrs: the routines of
+    ``scipy.linalg.cholesky``/``solve_triangular``, minus their checks.
+    dpotrf factors ``v`` in place only when the caller hands it over
+    (``overwrite``, with ``v`` Fortran-ordered); otherwise it works on a copy,
+    so a caller's matrix, such as a custom spec's, keeps its bytes."""
 
-    def __init__(self, v: np.ndarray):
-        self.l, info = scipy.linalg.lapack.dpotrf(v, lower=1, clean=1)
+    def __init__(self, v: np.ndarray, overwrite: bool = False):
+        self.l, info = scipy.linalg.lapack.dpotrf(v, lower=1, clean=1, overwrite_a=overwrite)
         if info:
             raise CovarianceError("covariance not PD")
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.l))))
@@ -322,7 +330,8 @@ def _whitener_family(spec: CovarianceSpec, n: int):
     def nerm(phi):
         v = phi * same
         v[diag] += 1.0
-        return _CholeskyWhitener(v)
+        # V is symmetric, so v.T is V in Fortran order, factored in place.
+        return _CholeskyWhitener(v.T, overwrite=True)
 
     return nerm
 
@@ -383,9 +392,31 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     """Profile maximum-likelihood estimate of phi on the full model.
 
     The GLS coefficients and the variance are profiled out, leaving
-    ``n log(y' P(phi) y) + log|V(phi)|`` to minimize over the admissible
-    range: a grid scan, then golden section over the neighbouring cells of
-    the grid argmin.  Returns ``None`` when the covariance has no free parameter.
+    f(phi) = A(phi) + B(phi), A = ``n log(y' P(phi) y)`` and B = ``log|V(phi)|``
+    (f = inf where the computed y'Py is not positive), to minimize over
+    the admissible range: a grid scan, then golden section over the
+    neighbouring cells of the grid argmin.  Returns ``None`` when the
+    covariance has no free parameter.
+
+    The grid scan is exact but pruned: it finds the full scan's first
+    argmin and values without evaluating every point.  It evaluates every
+    8th grid point and the last (the probes), then each block of points
+    between probes phi_a < phi_b unless a lower bound on f over the block
+    clears the probes' minimum f_m (at probe m) by more than a rounding
+    margin.  For nerm, V(phi) = I + phi blockdiag(J_k) grows with phi in
+    the Loewner order, so y'V^{-1}y and y'Py = min_beta (y - X beta)'
+    V^{-1} (y - X beta) fall and log|V| rises: on the block, f >= A(phi_b) +
+    B(phi_a).  The margin covers the rounding of both sides.  y'Py is
+    computed as yt.yt - c.c, whose relative error is about (n + p) eps
+    times the cancellation factor y'V^{-1}y / y'Py; inside the block that
+    factor is at most y'V^{-1}y(phi_a) / y'Py(phi_b), as both fall with
+    phi, and n log turns it into an absolute error of n times as much.
+    The margin is 4 (n + p) eps n (yty_a / ypy_b + yty_m / ypy_m) +
+    1e-12 (n + |B_a| + |B_m|), the last term for the factorizations and
+    the logarithms.  A non-finite bound or probe minimum prunes nothing,
+    so a grid with no finite value raises as the full scan does.  AR(1)'s
+    V is not monotone in phi, so its scan has no bound and evaluates every
+    block.  The golden bracket's ends are evaluated on demand.
     """
     spec = dataset.cov
     if not spec.has_unknown_phi:
@@ -393,16 +424,22 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     y, x, n = dataset.y, dataset.x_full, dataset.n
     family = _whitener_family(spec, n)
 
-    def objective(phi: float) -> float:
+    def parts(phi: float):
+        # (A, B, y'V^{-1}y, y'Py) at phi.
         wh = family(phi)
         yt = wh.whiten(y)
-        xt = wh.whiten(x)
-        q = np.linalg.qr(xt, mode="reduced")[0]
-        c = q.T @ yt
-        ypy = float(yt @ yt - c @ c)
-        if not ypy > 0.0:
-            return math.inf
-        return n * math.log(ypy) + wh.logdet
+        # Q of the reduced QR of the whitened X by np.linalg.qr's routines,
+        # minus its checks, C-ordered as it returns Q, so that Q.T @ yt
+        # takes the same BLAS path and bits.
+        qr, tau = scipy.linalg.lapack.dgeqrf(wh.whiten(x), overwrite_a=1)[:2]
+        c = np.ascontiguousarray(scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)[0]).T @ yt
+        yty = float(yt @ yt)
+        ypy = yty - float(c @ c)
+        return (n * math.log(ypy) if ypy > 0.0 else math.inf), wh.logdet, yty, ypy
+
+    def objective(phi: float) -> float:
+        a, b = parts(phi)[:2]
+        return a + b
 
     if spec.kind == "ar1":
         lo, hi = PHI_AR1_BOUNDS
@@ -411,12 +448,36 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
         lo, hi = PHI_NERM_BOUNDS
         # phi >= 0 spans eight decades; log-spaced grid plus the zero endpoint.
         grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, GRID_POINTS - 1)))
-    vals = np.array([objective(x_) for x_ in grid])
-    finite = np.isfinite(vals)
-    if not finite.any():
+    vals = np.full(GRID_POINTS, np.inf)
+    terms = {}
+
+    def at(k: int):
+        if k not in terms:
+            terms[k] = parts(grid[k])
+            vals[k] = terms[k][0] + terms[k][1]
+
+    for k in _PHI_PROBES:
+        at(k)
+    m = int(np.argmin(vals))
+    f_m, (_, b_m, yty_m, ypy_m) = vals[m], terms[m]
+    prunes = spec.kind == "nerm" and math.isfinite(f_m)
+    rounding = 4.0 * (n + x.shape[1]) * _EPS * n
+    for a, b in zip(_PHI_PROBES[:-1], _PHI_PROBES[1:]):
+        (_, b_a, yty_a, _), (a_b, _, _, ypy_b) = terms[a], terms[b]
+        bound = a_b + b_a
+        if prunes and math.isfinite(bound):
+            margin = (rounding * (yty_a / ypy_b + yty_m / ypy_m)
+                      + 1e-12 * (n + abs(b_a) + abs(b_m)))
+            if bound - margin > f_m:
+                continue
+        for k in range(a + 1, b):
+            at(k)
+    if not np.isfinite(vals).any():
         raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
-    k = int(np.argmin(np.where(finite, vals, np.inf)))
+    k = int(np.argmin(vals))
     lo_k, hi_k = max(k - 1, 0), min(k + 1, len(grid) - 1)
+    for end in (lo_k, hi_k):
+        at(end)
     phi_hat, f_hat = _golden_min(objective, grid[lo_k], grid[hi_k], vals[lo_k], vals[hi_k])
     if vals[k] <= f_hat:
         phi_hat = grid[k]

@@ -243,8 +243,10 @@ def resolve_workers(requested: int | None = None) -> int:
     return int(workers)
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ExperimentResult]:
-    """Run the full grid; aggregation is independent of worker scheduling."""
+def _plan_blocks(spec: ExperimentSpec, workers: int | None = None):
+    """(tasks, processes): the ``_run_block`` arguments of each block that
+    :func:`run_experiment` runs for ``workers`` (:func:`resolve_workers`),
+    and the number of processes it runs them on, at most one per block."""
     workers = resolve_workers(workers)
     cells = spec.cells()
     # Blocks of at most REPLICATION_BLOCK replications of one cell; with a
@@ -254,8 +256,15 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Exp
         size = min(size, math.ceil(len(cells) * spec.replications / (4 * workers)))
     tasks = [(spec, cell, range(lo, min(lo + size, spec.replications)))
              for cell in cells for lo in range(0, spec.replications, size)]
-    if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(processes=min(workers, len(tasks))) as pool:
+    return tasks, min(workers, len(tasks))
+
+
+def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ExperimentResult]:
+    """Run the full grid; aggregation is independent of worker scheduling."""
+    cells = spec.cells()
+    tasks, processes = _plan_blocks(spec, workers)
+    if processes > 1:
+        with get_context("fork").Pool(processes=processes) as pool:
             blocks = pool.starmap(_run_block, tasks, chunksize=1)
     else:
         blocks = [_run_block(*task) for task in tasks]

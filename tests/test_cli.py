@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmlselect import CRITERION_NAMES, ExperimentSpec, SelectionOptions, cli, selection
+from bmlselect import CRITERION_NAMES, ExperimentSpec, SelectionOptions, cli, selection, simulation
 from bmlselect.cli import main
 
 
@@ -375,6 +375,18 @@ def test_simulate_announces_its_size_on_stderr(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "simulate: 2 cells x 2 replications = 4 replications on 1 workers\n"
     assert captured.out == f"wrote {out}\n"
+
+
+def test_simulate_announces_the_processes_it_runs_on(tmp_path, capsys, monkeypatch):
+    # One cell of one replication is one block, which runs in this process
+    # however many workers the machine offers.
+    monkeypatch.delenv("BMLSELECT_THREADS", raising=False)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    argv = ["simulate", "--out", str(tmp_path / "r.csv"), "--seed", "3", "--replications", "1",
+            "--n-grid", "20", "--snr-grid", "3", "--criterion", "bic"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "simulate: 1 cells x 1 replications = 1 replications on 1 workers\n")
 
 
 def test_simulate_seed_echoed_when_defaulted(tmp_path):

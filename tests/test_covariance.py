@@ -17,6 +17,7 @@ from bmlselect import (
     estimate_phi_full_model,
     gls_fit,
     ml,
+    select,
     whiten,
 )
 from bmlselect import covariance
@@ -204,6 +205,25 @@ def test_cholesky_whitener_is_bit_equal_to_the_scipy_wrappers(spec):
         assert spec.matrix.tobytes() == given.tobytes()
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_custom_matrix_keeps_its_bytes(order):
+    # The nerm family factors the V it builds in place; a custom spec holds
+    # the caller's own array (Fortran-ordered, dpotrf could use it as is),
+    # which no whitener, profile or selection may overwrite.
+    n = 12
+    matrix = np.array(random_spd(np.random.default_rng(7), n), order=order)
+    given = matrix.copy(order="K")
+    spec = CovarianceSpec.custom(matrix)
+    assert spec.matrix is matrix
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((n, 3))
+    ds = Dataset(y=x @ np.ones(3) + rng.standard_normal(n), x_full=x, cov=spec)
+    make_whitener(spec, n)
+    select(ds, "bic")
+    assert estimate_phi_full_model(ds) is None
+    assert matrix.tobytes(order="A") == given.tobytes(order="A")
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -319,6 +339,116 @@ def test_estimate_phi_is_bit_equal_to_the_per_evaluation_reference(make, seed):
     est = estimate_phi_full_model(ds)
     assert np.float64(est.value).tobytes() == np.float64(want).tobytes()
     assert est.at_boundary == bool(want_flag)
+
+
+def _count_phi_evaluations(monkeypatch):
+    """The phi at which each operator family built from now on is evaluated."""
+    called = []
+    build_family = covariance._whitener_family
+
+    def counted(spec, n):
+        family = build_family(spec, n)
+
+        def evaluate(phi):
+            called.append(phi)
+            return family(phi)
+
+        return evaluate
+
+    monkeypatch.setattr(covariance, "_whitener_family", counted)
+    return called
+
+
+def _nerm_grid():
+    return np.concatenate(([0.0], np.geomspace(1e-6, PHI_NERM_BOUNDS[1], GRID_POINTS - 1)))
+
+
+def _scaled_nerm(rng, scale, phi):
+    ds = _nerm_dataset(rng, (4,) * 20, phi)
+    return Dataset(y=scale * ds.y, x_full=ds.x_full, cov=ds.cov)
+
+
+def _nerm_noise(rng, sizes, noise, group, p=5):
+    """y = X beta + noise * (e + group * u): a signal of about p per row over
+    white noise e and a group effect u, both scaled by ``noise``."""
+    n = sum(sizes)
+    x = rng.standard_normal((n, p))
+    e = rng.standard_normal(n) + group * np.repeat(rng.standard_normal(len(sizes)), sizes)
+    return Dataset(y=x @ rng.standard_normal(p) + noise * e, x_full=x,
+                   cov=CovarianceSpec.nerm(sizes, None))
+
+
+def _within_group_anticorrelated(rng, sizes=(4,) * 20, p=5):
+    # Noise minus half its group mean is negatively correlated within a
+    # group, so the profile minimum lies below phi = 0.
+    ds = _nerm_noise(rng, sizes, 1.0, 0.0, p)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    e = ds.y - ds.x_full @ np.linalg.lstsq(ds.x_full, ds.y, rcond=None)[0]
+    means = np.bincount(group, e) / np.asarray(sizes)
+    return Dataset(y=ds.y - 0.5 * means[group], x_full=ds.x_full, cov=ds.cov)
+
+
+_PHI_SPREAD = (0.0, 0.01, 0.5, 3.0, 30.0, 300.0)
+# (noise, group effect) of each near-noiseless case.
+_NEAR_NOISELESS = ((1e-2, 1.0), (1e-6, 0.0), (1e-5, 0.0), (1e-4, 1.0), (1e-6, 0.1), (1e-6, 1.0))
+# name: (spread, make(rng, i)) for i < len(_PHI_SPREAD); in the spread cases
+# phi_hat lands all over the grid.
+_PRUNED_PHI_CASES = {
+    "equal_groups": (True, lambda rng, i: _nerm_dataset(rng, (4,) * 20, _PHI_SPREAD[i])),
+    "unequal_groups": (True, lambda rng, i: _nerm_dataset(
+        rng, tuple(rng.integers(1, 9, 16).tolist()), _PHI_SPREAD[i])),
+    "y_times_1e8": (True, lambda rng, i: _scaled_nerm(rng, 1e8, _PHI_SPREAD[i])),
+    "y_times_1e-8": (True, lambda rng, i: _scaled_nerm(rng, 1e-8, _PHI_SPREAD[i])),
+    "at_zero": (False, lambda rng, i: _within_group_anticorrelated(rng)),
+    # A unit group effect over within-group noise of 1e-4 puts the minimum
+    # past the upper bound, as in test_estimate_phi_nerm_upper_boundary_flag.
+    "at_upper_bound": (False, lambda rng, i: _nerm_noise(rng, (4,) * 10, 1e-4, 1e4, p=2)),
+    # Noise down to 1e-6 leaves a residual share of ~1e-13; the bound without
+    # its rounding margin skips the first minimum of the second and third.
+    "near_noiseless": (False, lambda rng, i: _nerm_noise(rng, (4,) * 20, *_NEAR_NOISELESS[i])),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRUNED_PHI_CASES))
+def test_pruned_phi_scan_is_bit_equal_to_the_full_scan(monkeypatch, case):
+    # The scan skips a block of the grid only where a bound proves it holds
+    # no minimum, so phi_hat and its flag are the full scan's, bit for bit,
+    # even where y'Py is a 1e-12 share of y'V^{-1}y; and where the minima
+    # spread over the grid it evaluates under half of it.
+    spread, make = _PRUNED_PHI_CASES[case]
+    called = _count_phi_evaluations(monkeypatch)
+    grid, evaluated, hats, flags = _nerm_grid(), [], [], []
+    for i in range(len(_PHI_SPREAD)):
+        ds = make(np.random.default_rng([i, 25]), i)
+        want, want_flag = _reference_phi(ds)
+        called.clear()
+        est = estimate_phi_full_model(ds)
+        assert np.float64(est.value).tobytes() == np.float64(want).tobytes()
+        assert est.at_boundary == bool(want_flag)
+        evaluated.append(np.count_nonzero(np.isin(called, grid)))
+        hats.append(est.value)
+        flags.append(est.at_boundary)
+    if spread:
+        assert len(np.unique(np.searchsorted(grid, hats))) >= 5
+        assert sum(evaluated) < 0.5 * len(hats) * GRID_POINTS
+    if case == "at_zero":
+        assert all(flags) and max(hats) < grid[1]
+    if case == "at_upper_bound":
+        assert all(flags) and hats == pytest.approx([PHI_NERM_BOUNDS[1]] * len(hats), rel=1e-6)
+    if case == "near_noiseless":
+        wh = make_whitener(ds.cov.with_phi(est.value), ds.n)
+        yt, xt = wh.whiten(ds.y), wh.whiten(ds.x_full)
+        resid = yt - xt @ np.linalg.lstsq(xt, yt, rcond=None)[0]
+        assert resid @ resid <= 1e-12 * (yt @ yt)
+
+
+def test_ar1_phi_scan_evaluates_every_grid_point(monkeypatch):
+    # AR(1)'s V is not monotone in phi, so no bound holds and no block is skipped.
+    called = _count_phi_evaluations(monkeypatch)
+    estimate_phi_full_model(_ar1_dataset(np.random.default_rng(5), 80, 0.5))
+    grid = np.linspace(*PHI_AR1_BOUNDS, GRID_POINTS)
+    assert np.count_nonzero(np.isin(called, grid)) == GRID_POINTS
+    assert np.isin(grid, called).all()
 
 
 def test_estimate_phi_identity_is_none():

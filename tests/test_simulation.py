@@ -243,6 +243,8 @@ def test_run_experiment_starts_at_most_one_process_per_block(monkeypatch):
 
     monkeypatch.setattr(simulation, "get_context", Recording)
     spec = small_spec(replications=1, n_grid=(20, 30))
+    assert simulation._plan_blocks(spec, 8)[1] == 2
+    assert simulation._plan_blocks(replace(spec, n_grid=(20,)), 8)[1] == 1
     pooled = run_experiment(spec, workers=8)
     assert started == [2]
     assert pooled == run_experiment(spec, workers=1)

@@ -9,9 +9,13 @@ seed and workload, seeds ``--first-seed`` onwards; on even pair indices the
 new checkout runs first, on odd ones the old.  A pair is "better" when the
 new checkout's value is better in the direction ``BENCHMARK.json`` gives.
 Per layer: one ``--trace 1`` run per workload and checkout, seed 1.
-Profile: cProfile of ``--profile-passes`` single-worker simulate_iid passes
-(``run_experiment`` on the benchmark's grid, seed 1) per checkout, split by
-function: the package's own functions and the numpy linear algebra they call.
+Profile: cProfile of ``--profile-passes`` single-worker passes of each
+workload (``perfbench/workloads.py``'s ``WORKLOADS``, full size, seed 1) per
+checkout, split by function: the package's own functions and the numpy
+linear algebra they call; the phi layer's functions apart (``covariance``
+and ``qr``); and the phi evaluations per profile, the calls of the
+functions ``covariance._whitener_family`` returns, less one per
+``make_whitener`` call, over the ``estimate_phi_full_model`` calls.
 Every run uses one BLAS thread; the file records the core count.
 """
 
@@ -29,26 +33,62 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 PROFILE = r"""
-import cProfile, pstats, sys
+import cProfile, inspect, pstats, sys, tempfile
+from pathlib import Path
 sys.path.insert(0, "perfbench")
-from workloads import SimulateIid
-from bmlselect.simulation import ExperimentSpec, run_experiment
-spec = ExperimentSpec(master_seed=1, **SimulateIid.GRID, **SimulateIid.FULL)
-run_experiment(spec, workers=1)
-prof = cProfile.Profile()
-prof.enable()
-for _ in range(PASSES):
-    run_experiment(spec, workers=1)
-prof.disable()
+from workloads import WORKLOADS
+from bmlselect import covariance
+workload = WORKLOADS[NAME]
+with tempfile.TemporaryDirectory() as tmp:
+    work = workload(1, workload.FULL, Path(tmp), None)
+    work.run_pass(1)
+    prof = cProfile.Profile()
+    prof.enable()
+    for _ in range(PASSES):
+        work.run_pass(1)
+    prof.disable()
 stats = pstats.Stats(prof).stats
 total = max(ct for _, _, _, ct, _ in stats.values())
-rows = []
-for (path, line, name), (_, calls, tt, ct, _) in stats.items():
+# The phi layer: estimate_phi_full_model and every function it calls, directly
+# or not (their totals over the pass, so a callee shared with scoring counts both).
+callees = {}
+for key, (*_, callers) in stats.items():
+    for caller in callers:
+        callees.setdefault(caller, []).append(key)
+layer = {key for key in stats if key[2] == "estimate_phi_full_model"}
+todo = list(layer)
+while todo:
+    for key in callees.get(todo.pop(), ()):
+        if key not in layer:
+            layer.add(key)
+            todo.append(key)
+rows, phi = [], []
+lines, first = inspect.getsourcelines(covariance._whitener_family)
+calls = {"family": 0, "make_whitener": 0, "estimate_phi_full_model": 0}
+for key, (_, ncalls, tt, ct, _) in stats.items():
+    path, line, name = key
+    row = {"function": path.rsplit("/", 2)[-1] + ":" + name, "calls": ncalls // PASSES,
+           "self_ms": 1e3 * tt / PASSES, "cum_ms": 1e3 * ct / PASSES}
     if "bmlselect" in path or (name in ("qr", "svd") and "linalg" in path):
-        rows.append({"function": path.rsplit("/", 2)[-1] + ":" + name, "calls": calls // PASSES,
-                     "self_ms": 1e3 * tt / PASSES, "cum_ms": 1e3 * ct / PASSES})
+        rows.append(row)
+    if key in layer:
+        phi.append(row)
+    if path == covariance.__file__:
+        if first < line < first + len(lines):  # a phi -> operator family
+            calls["family"] += ncalls
+        elif name in calls:
+            calls[name] += ncalls
 rows.sort(key=lambda r: -r["cum_ms"])
-print(json.dumps({"pass_ms": 1e3 * total / PASSES, "functions": rows[:24]}))
+phi.sort(key=lambda r: -r["cum_ms"])
+profiles = calls["estimate_phi_full_model"]
+print(json.dumps({
+    "pass_ms": 1e3 * total / PASSES,
+    "functions": rows[:24],
+    "phi_layer": phi[:16],
+    "phi_profiles_per_pass": profiles / PASSES,
+    "phi_evals_per_profile":
+        (calls["family"] - calls["make_whitener"]) / profiles if profiles else None,
+}))
 """
 
 
@@ -139,10 +179,12 @@ def main(argv=None) -> int:
                        for side in ("before", "after")}
             for workload in args.workloads
         },
-        "profile_simulate_iid": {
-            side: _run(getattr(args, side), ["-c", "import json\nPASSES = "
-                                             f"{args.profile_passes}\n" + PROFILE])
-            for side in ("before", "after")
+        "profile": {
+            workload: {side: _run(getattr(args, side),
+                                  ["-c", f"import json\nNAME = {workload!r}\n"
+                                   f"PASSES = {args.profile_passes}\n" + PROFILE])
+                       for side in ("before", "after")}
+            for workload in args.workloads
         },
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
