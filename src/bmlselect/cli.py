@@ -10,7 +10,8 @@ full model's row of the table `select` ranks, so a value it cannot give
 reads ``undefined (<reason>)`` in the words of `select`'s ``excluded``
 column.  Every output, a file or `criteria`'s stdout, is written by
 :func:`_write_csv`: plain CSV prefixed by ``# key = value`` comment lines
-that echo the fully resolved configuration (including any defaulted seed).
+that echo the fully resolved configuration (including any defaulted seed);
+`select` prints each row by one ``%`` template per pattern of blank cells.
 Numbers carry 17 significant digits, so a fixed seed yields byte-identical
 files regardless of worker count.
 """
@@ -38,7 +39,7 @@ from .exceptions import (
     SingularDesignError,
 )
 from .model_core import Dataset
-from .selection import SelectionOptions, report_from_table, score_candidates
+from .selection import EXCLUSION_REASONS, SelectionOptions, report_from_table, score_candidates
 from .simulation import BETA_PATTERNS, ExperimentSpec, _plan_blocks, run_experiment
 
 EXIT_OK = 0
@@ -306,18 +307,13 @@ def _writable(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(fh, meta: dict, head, rows) -> None:
-    """Write the ``# key = value`` lines of ``meta``, then a CSV table, to
-    the open text stream ``fh``.  A row is a list of cells, or a str of CSV
-    lines already formatted.  Every command's output goes through here."""
+def _write_csv(fh, meta: dict, head, lines) -> None:
+    """Write the ``# key = value`` lines of ``meta``, the header cells ``head``
+    and the CSV ``lines``, already formatted (no cell needs quoting), to the
+    open text stream ``fh``.  Every command's output goes through here."""
     fh.writelines(f"# {key} = {value}\n" for key, value in meta.items())
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(head)
-    for row in rows:
-        if isinstance(row, str):
-            fh.write(row)
-        else:
-            writer.writerow(row)
+    fh.write(",".join(head) + "\n")
+    fh.writelines(lines)
 
 
 def _resolve_data_run(s: dict):
@@ -355,40 +351,35 @@ def _cmd_select(s: dict) -> int:
         "ranked_by": criteria[0],
     }
     labels = table.labels()
-    estimated = with_lambda and options.lam is None
 
-    def record(rank, i, size):
-        excluded_by, lam_hat = table.excluded(i), table.lambda_hat[i]
-        lam = ["" if math.isnan(lam_hat) else _fmt(lam_hat)] if with_lambda else []
-        scores = ["" if name in excluded_by else _fmt(value)
-                  for name, value in zip(criteria, table.scores[i].tolist())]
+    def template(i):
+        """The row format of every candidate whose blank cells are row ``i``'s:
+        "%.17g" prints a value as _fmt does, "%.0s" takes one and prints nothing."""
+        excluded_by = table.excluded(i)
+        lam = ["%.0s," if math.isnan(table.lambda_hat[i]) else "%.17g,"] if with_lambda else []
+        scores = ["%.0s," if name in excluded_by else "%.17g," for name in criteria]
         reasons = "; ".join(f"{name}: {why}" for name, why in sorted(excluded_by.items()))
-        return [rank, labels[i], size, *lam, *scores, reasons]
+        return "".join(["%s,%s,%d,", *lam, *scores, reasons.replace("%", "%%"), "\n"])
 
-    # A row that no criterion excludes, with a lambda_hat if the column holds
-    # estimates, is one % operation ("%.17g" % x is _fmt(x)); record builds the rest.
-    template = ("%d,%s,%d," + ("%.17g," if estimated else "," if with_lambda else "")
-                + "%.17g," * len(criteria) + "\n")
+    # One template per pattern of blank cells (lambda_hat's NaN and the exclusion
+    # codes, as the digits of one integer), made from the pattern's first row.
+    blank = np.column_stack((np.isnan(table.lambda_hat), table.exclusion))
+    code = blank @ len(EXCLUSION_REASONS) ** np.arange(blank.shape[1])
+    _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
+    templates = [template(i) for i in first.tolist()]
 
     def body():
         positions = np.concatenate((ranked, excluded))
         for lo in range(0, len(positions), _WRITE_CHUNK):
             part = positions[lo:lo + _WRITE_CHUNK]
-            plain, values = ~table.exclusion[part].any(axis=1), table.scores[part]
-            if estimated:
-                plain &= ~np.isnan(table.lambda_hat[part])
+            values = table.scores[part]
+            if with_lambda:
                 values = np.column_stack((table.lambda_hat[part], values))
-            text = []
-            for rank, i, size, ok, row in zip(itertools.count(lo + 1), part.tolist(),
-                                              table.members[part].sum(axis=1).tolist(),
-                                              plain.tolist(), values.tolist()):
-                if ok:
-                    text.append(template % (rank, labels[i], size, *row))
-                else:
-                    yield "".join(text)
-                    text = []
-                    yield record(rank if rank <= len(ranked) else "", i, size)
-            yield "".join(text)
+            yield "".join(
+                templates[k] % (rank if rank <= len(ranked) else "", labels[i], size, *row)
+                for rank, i, k, size, row in zip(
+                    itertools.count(lo + 1), part.tolist(), pattern[part].tolist(),
+                    table.members[part].sum(axis=1).tolist(), values.tolist()))
 
     head = ["rank", "candidate", "p", *(["lambda_hat"] if with_lambda else []), *criteria,
             "excluded"]
@@ -424,10 +415,10 @@ def _cmd_criteria(s: dict) -> int:
             _fmt(options.lam) if options.lam is not None
             else _fmt(table.lambda_hat[0]) + " (estimated)"),
     }
-    rows = [(name, f"undefined ({excluded[name]})" if name in excluded else _fmt(value))
-            for name, value in zip(criteria, table.scores[0].tolist())]
+    lines = [f"{name},{f'undefined ({excluded[name]})' if name in excluded else _fmt(value)}\n"
+             for name, value in zip(criteria, table.scores[0].tolist())]
     text = io.StringIO()
-    _write_csv(text, meta, ("criterion", "value"), rows)
+    _write_csv(text, meta, ("criterion", "value"), lines)
     sys.stdout.write(text.getvalue())
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -473,12 +464,12 @@ def _cmd_simulate(s: dict) -> int:
         meta["nerm_group_size"] = spec.nerm_group_size
     head = ("model_kind", "n", "snr", "beta_pattern", "criterion", "replications",
             "true_model_count", "mean_prediction_error", "se_prediction_error")
-    rows = ([res.model_kind, res.n, _fmt(res.snr), res.beta_pattern, name, res.replications,
-             summary.true_model_count, _fmt(summary.mean_prediction_error),
-             _fmt(summary.standard_error)]
-            for res in results for name, summary in res.by_criterion.items())
+    lines = (f"{res.model_kind},{res.n},{_fmt(res.snr)},{res.beta_pattern},{name},"
+             f"{res.replications},{summary.true_model_count},"
+             f"{_fmt(summary.mean_prediction_error)},{_fmt(summary.standard_error)}\n"
+             for res in results for name, summary in res.by_criterion.items())
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, meta, head, rows)
+        _write_csv(fh, meta, head, lines)
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -355,10 +355,10 @@ def make_whitener(spec: CovarianceSpec, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(f, a, b, fa, fb, rtol=GOLDEN_RTOL):
-    """Golden-section minimum on [a, b], given fa = f(a) and fb = f(b),
-    returning the best point evaluated."""
-    best = [b, fb] if fb < fa else [a, fa]
+def _golden_min(f, a, b, x0, f0, rtol=GOLDEN_RTOL):
+    """Golden-section minimum on [a, b], returning (x, f(x)) of the first
+    point it evaluates below all others and below f0 = f(x0), else (x0, f0)."""
+    best = [x0, f0]
 
     def ev(x):
         fx = f(x)
@@ -395,8 +395,9 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     f(phi) = A(phi) + B(phi), A = ``n log(y' P(phi) y)`` and B = ``log|V(phi)|``
     (f = inf where the computed y'Py is not positive), to minimize over
     the admissible range: a grid scan, then golden section over the
-    neighbouring cells of the grid argmin.  Returns ``None`` when the
-    covariance has no free parameter.
+    neighbouring cells of the grid argmin, which stays phi_hat unless the
+    search finds a lower value.  Returns ``None`` when the covariance has
+    no free parameter.
 
     The grid scan is exact but pruned: it finds the full scan's first
     argmin and values without evaluating every point.  It evaluates every
@@ -416,7 +417,7 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     the logarithms.  A non-finite bound or probe minimum prunes nothing,
     so a grid with no finite value raises as the full scan does.  AR(1)'s
     V is not monotone in phi, so its scan has no bound and evaluates every
-    block.  The golden bracket's ends are evaluated on demand.
+    block.
     """
     spec = dataset.cov
     if not spec.has_unknown_phi:
@@ -475,12 +476,8 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     if not np.isfinite(vals).any():
         raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
     k = int(np.argmin(vals))
-    lo_k, hi_k = max(k - 1, 0), min(k + 1, len(grid) - 1)
-    for end in (lo_k, hi_k):
-        at(end)
-    phi_hat, f_hat = _golden_min(objective, grid[lo_k], grid[hi_k], vals[lo_k], vals[hi_k])
-    if vals[k] <= f_hat:
-        phi_hat = grid[k]
+    phi_hat = _golden_min(objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)],
+                          grid[k], vals[k])[0]
     if spec.kind == "ar1":
         at_boundary = min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
     else:  # log-spaced from grid[1]: below it phi_hat sits on 0

@@ -49,6 +49,13 @@ REPLICATION_BLOCK = 64
 DEFAULT_CRITERIA = ("ic_pi1", "ic_r", "aic", "bic", "dic", "ml")
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, refusing None and bools (as :func:`is_int` refuses bools)."""
+    if value is None or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Cell:
     n: int
@@ -90,7 +97,8 @@ class ExperimentSpec:
                 f"n_grid values must be integers greater than p_omega = {self.p_omega}, "
                 f"got {bad_n}"
             )
-        snr_grid = tuple(float(s) for s in self.snr_grid)
+        object.__setattr__(self, "phi_true", _real(self.phi_true, "phi_true"))
+        snr_grid = tuple(_real(s, "snr_grid") for s in self.snr_grid)
         bad_snr = [s for s in snr_grid if not (math.isfinite(s) and s > 0)]
         if bad_snr:
             raise ValueError(f"snr_grid values must be finite and positive, got {bad_snr}")

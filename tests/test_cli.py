@@ -747,9 +747,10 @@ def test_select_csv_ranks_an_exact_tie_in_candidate_order(tmp_path, name):
 
 
 def test_percent_17g_prints_every_double_as_format_17g():
-    # The select writer prints a plain row with one "%.17g" template where
-    # every other output cell is format(x, ".17g"): the two must agree on
-    # every double, random bit patterns included (NaN payloads, subnormals).
+    # The select writer prints a value with "%.17g" where every other output
+    # cell is format(x, ".17g"), and skips a blank cell's value with "%.0s":
+    # on every double, random bit patterns included (NaN payloads,
+    # subnormals), the first must agree and the second print nothing.
     rng = np.random.default_rng(17)
     specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
@@ -761,6 +762,7 @@ def test_percent_17g_prints_every_double_as_format_17g():
     ])
     bad = [x for x in values.tolist() if "%.17g" % x != format(x, ".17g")]
     assert not bad
+    assert not [x for x in values.tolist() if "%.0s" % x != ""]
 
 
 def _cell_by_cell(table, criteria):
@@ -794,10 +796,12 @@ GOLDEN_DATA = Path(__file__).parent / "golden"
     ("excluded", ["--data", str(TIGHT_DATA), "--criterion", "all", "--prior", "zellner"]),
     ("estimated", ["--data", str(GOLDEN_DATA / "data_iid.csv"), "--criterion", "all"]),
     ("no_prior", ["--data", str(GOLDEN_DATA / "data_ar1.csv"), "--criterion", "bic,ic_r"]),
+    ("excluded_fixed_lambda", ["--data", str(TIGHT_DATA), "--prior", "zellner",
+                               "--lambda", "2.5", "--criterion", "all"]),
 ])
 def test_select_rows_equal_the_cell_by_cell_writer(tmp_path, monkeypatch, chunk, case, argv):
-    # Plain rows take one % operation and the others the cell-by-cell path;
-    # in any chunking, the file must be what the cell-by-cell writer makes.
+    # Each row is one % operation on its blank-cell pattern's template; in
+    # any chunking, the file must be what the cell-by-cell writer makes.
     tables = []
 
     def score(dataset, criteria, options):
@@ -817,8 +821,10 @@ def test_select_rows_equal_the_cell_by_cell_writer(tmp_path, monkeypatch, chunk,
     assert len(null) == 1
     if case == "fixed_lambda":
         assert {row[header.index("lambda_hat")] for row in rows} == {""}
-    if case == "excluded":
+    if case.startswith("excluded"):
         assert any(row[0] == "" and row[-1] for row in rows)
+    if case == "excluded_fixed_lambda":  # a blank lambda_hat and excluded scores in one row
+        assert any(row[header.index("lambda_hat")] == "" and row[-1] for row in rows)
     if case == "estimated":
         assert all(row[3] for row in rows if row is not null[0]) and null[0][3] == ""
     if case == "no_prior":

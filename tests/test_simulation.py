@@ -274,9 +274,11 @@ def test_spec_takes_numpy_integers_and_stores_ints():
     assert all(type(value) is int for value in fields)
 
 
-@pytest.mark.parametrize("field", ["replications", "master_seed", "nerm_group_size", "n_grid"])
+@pytest.mark.parametrize("field", ["replications", "master_seed", "nerm_group_size", "n_grid",
+                                   "snr_grid", "phi_true"])
 def test_spec_refuses_true_for_every_integer_field(field):
-    value = (True,) if field == "n_grid" else True
+    # The real-valued fields refuse a bool too, rather than read it as 1.0.
+    value = (True,) if field.endswith("_grid") else True
     with pytest.raises(ValueError, match=field):
         small_spec(model_kind="nerm", **{field: value})
 
@@ -303,6 +305,15 @@ def test_spec_validation():
         small_spec(model_kind="nerm", phi_true=-0.5)
     with pytest.raises(CovarianceError, match="phi must be finite"):
         small_spec(model_kind="ar1", phi_true=math.nan)
+    # None would leave phi unknown in every draw; it fails here, whatever the model.
+    for kind in ("constant_variance", "ar1", "nerm"):
+        with pytest.raises(ValueError, match="phi_true"):
+            small_spec(model_kind=kind, phi_true=None)
+    with pytest.raises(ValueError, match="snr_grid"):
+        small_spec(snr_grid=(None, 3.0))
+    spec = small_spec(model_kind="ar1", phi_true=np.float32(0.25), snr_grid=(np.int64(3),))
+    assert type(spec.phi_true) is float and spec.phi_true == 0.25
+    assert type(spec.snr_grid[0]) is float
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,10 @@ End to end: each checkout's ``perfbench/run.py --trace 0`` runs once per
 seed and workload, seeds ``--first-seed`` onwards; on even pair indices the
 new checkout runs first, on odd ones the old.  A pair is "better" when the
 new checkout's value is better in the direction ``BENCHMARK.json`` gives.
-Per layer: one ``--trace 1`` run per workload and checkout, seed 1.
+Per layer: ``TRACED_RUNS`` ``--trace 1`` runs per workload and checkout,
+seed 1, alternating which checkout goes first as the pairs do; the file
+keeps every run and the median of each metric, so that host drift during
+one run does not read as a layer change.
 Profile: cProfile of ``--profile-passes`` single-worker passes of each
 workload (``perfbench/workloads.py``'s ``WORKLOADS``, full size, seed 1) per
 checkout, split by function: the package's own functions and the numpy
@@ -31,6 +34,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Traced runs per workload and checkout whose median gives the per-layer numbers.
+TRACED_RUNS = 3
 
 PROFILE = r"""
 import cProfile, inspect, pstats, sys, tempfile
@@ -107,18 +112,25 @@ def _bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -
     return {name: m["value"] for name, m in out["metrics"].items()}
 
 
+def _alternate(args, workload: str, seeds, trace: int) -> dict:
+    """{side: runs}, one run per seed and side; on even indices the new
+    checkout runs first, on odd ones the old."""
+    runs = {"before": [], "after": []}
+    for k, seed in enumerate(seeds):
+        order = ("after", "before") if k % 2 == 0 else ("before", "after")
+        for side in order:
+            runs[side].append(_bench(getattr(args, side), workload, seed, args.seconds, trace))
+        # A traced run reports no end-to-end metric, so only its order is shown.
+        shown = ", ".join(f"{side} {runs[side][-1]['norm_wall_s']:.4g} s" if trace == 0
+                          else side for side in order)
+        print(f"{workload} seed {seed} trace {trace}: {shown}", flush=True)
+    return runs
+
+
 def end_to_end(args, declared: dict) -> dict:
     result = {}
     for workload in args.workloads:
-        runs = {"before": [], "after": []}
-        for k in range(args.pairs):
-            seed = args.first_seed + k
-            order = ("after", "before") if k % 2 == 0 else ("before", "after")
-            for side in order:
-                runs[side].append(_bench(getattr(args, side), workload, seed,
-                                         args.seconds, 0))
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{side} {runs[side][-1]['norm_wall_s']:.4g} s" for side in order), flush=True)
+        runs = _alternate(args, workload, range(args.first_seed, args.first_seed + args.pairs), 0)
         metrics = {}
         for name, better in declared.items():
             before = [r[name] for r in runs["before"]]
@@ -135,6 +147,19 @@ def end_to_end(args, declared: dict) -> dict:
             }
         result[workload] = {"seeds": [args.first_seed, args.first_seed + args.pairs - 1],
                             "metrics": metrics}
+    return result
+
+
+def per_layer(args) -> dict:
+    result = {}
+    for workload in args.workloads:
+        runs = _alternate(args, workload, [1] * TRACED_RUNS, 1)
+        result[workload] = {
+            side: {"runs": side_runs,
+                   "median": {name: statistics.median(r[name] for r in side_runs)
+                              for name in side_runs[0]}}
+            for side, side_runs in runs.items()
+        }
     return result
 
 
@@ -174,11 +199,7 @@ def main(argv=None) -> int:
             "workers": 1,
         },
         "end_to_end": end_to_end(args, declared),
-        "per_layer": {
-            workload: {side: _bench(getattr(args, side), workload, 1, args.seconds, 1)
-                       for side in ("before", "after")}
-            for workload in args.workloads
-        },
+        "per_layer": per_layer(args),
         "profile": {
             workload: {side: _run(getattr(args, side),
                                   ["-c", f"import json\nNAME = {workload!r}\n"
