@@ -11,7 +11,10 @@ right, to one shared likelihood term: :func:`_ml_term` or its REML twin.
 The formulas are array expressions, so a batch fit of same-size candidates
 (:func:`~bmlselect.model_core.gls_fit`) gets an array of scores from the
 same code that gives one candidate its score.  Every candidate of a batch
-shares p and n, so a penalty is undefined for the whole batch or for none.
+shares p, while n is per row: each row reads its own dataset's.  A penalty
+undefined at a row's n raises for its batch, so the engine scores the rows
+of one size whose n leaves the penalty undefined as batches of their own
+(:func:`~bmlselect.selection._score_block`).
 """
 
 from __future__ import annotations
@@ -75,9 +78,11 @@ def _require_prior(fit: WhitenedFit) -> None:
 
 
 def _require_dof(fit: WhitenedFit) -> None:
-    if fit.n - fit.p - 2 <= 0:
+    """Raise when n - p - 2 <= 0 at any row (its own n), naming the smallest n."""
+    n = fit.least_n
+    if n - fit.p - 2 <= 0:
         raise PenaltyUndefinedError(
-            f"penalty undefined: n - p - 2 = {fit.n - fit.p - 2} (n = {fit.n}, p = {fit.p})"
+            f"penalty undefined: n - p - 2 = {n - fit.p - 2} (n = {n}, p = {fit.p})"
         )
 
 
@@ -100,7 +105,7 @@ def neg2_log_residual(fit: WhitenedFit) -> float:
     The final quadratic term y'Py / sigma2_tilde is n - p identically, so it
     is emitted as that exact integer.
     """
-    return _reml_term(fit) + fit.logdet_xvx + float(fit.n - fit.p)
+    return _reml_term(fit) + fit.logdet_xvx + (fit.n - fit.p)
 
 
 def ml(fit: WhitenedFit) -> float:

@@ -12,11 +12,12 @@ R0[:, S + [y]], which yields its R factor, Q'y and y'Py (Furnival & Wilson
 1974); :func:`gls_fit` stacks a batch of same-size candidates (one row of
 column indices each) into one such call, and the SVD of R
 (:attr:`WhitenedFit.spectrum`) is one batched call too.  The rows of a
-batch may read different datasets of one n: the record of a block stacks
-their R0 factors, y'V^{-1}y and log|V|, and each row names its dataset.
-Every field of a fit is then an array over the batch, and a single
+batch may read different datasets of one p_omega, whatever their n: the
+record of a block stacks their R0 factors, y'V^{-1}y, log|V| and n, and
+each row names its dataset.  Every field of a fit but p is then an array
+over the batch, n too unless the record holds one dataset, and a single
 candidate is the batch of one with the batch axis dropped, so one set of
-formulas serves both.
+formulas serves all three.
 The prior terms read only these (:class:`~bmlselect.covariance.PriorScale`
 holds their formulas), so the lambda search, the prior step
 (:meth:`WhitenedFit.with_prior`) and ``dic`` factor nothing more; the
@@ -116,15 +117,17 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class WhitenedData:
-    """The reduced form of whitened datasets of one n, all that a candidate
-    fit reads: ``r0`` stacks, one per dataset, the square R factor of the
-    whitened [X y] (datasets x (p_omega + 1) x (p_omega + 1)), and ``yty``
-    and ``logdet_v`` hold each one's y'V^{-1}y and log|V|."""
+    """The reduced form of whitened datasets of one p_omega, all that a
+    candidate fit reads: ``r0`` stacks, one per dataset, the square R factor
+    of the whitened [X y] (datasets x (p_omega + 1) x (p_omega + 1)), and
+    ``yty``, ``logdet_v`` and ``n`` hold each one's y'V^{-1}y, log|V| and
+    number of observations.  R0 is square whatever n is, so datasets of
+    different n stack."""
 
     r0: np.ndarray
     yty: np.ndarray
     logdet_v: np.ndarray
-    n: int
+    n: np.ndarray
 
     @classmethod
     def from_whitened(cls, x: np.ndarray, y: np.ndarray, logdet_v: float) -> "WhitenedData":
@@ -134,16 +137,16 @@ class WhitenedData:
         width = x.shape[1] + 1
         xy = np.vstack([np.column_stack([x, y]), np.zeros((width, width))])
         return cls(r0=np.linalg.qr(xy, mode="r")[None], yty=np.array([y @ y]),
-                   logdet_v=np.array([logdet_v], dtype=float), n=y.shape[0])
+                   logdet_v=np.array([logdet_v], dtype=float),
+                   n=np.array([y.shape[0]], dtype=np.intp))
 
     @classmethod
     def stack(cls, block) -> "WhitenedData":
-        """One record of the datasets of a sequence of records of one n and p_omega."""
-        if len({w.n for w in block}) != 1:
-            raise ValueError("a stack holds datasets of one n")
+        """One record of the datasets of a sequence of records of one p_omega."""
         return cls(r0=np.concatenate([w.r0 for w in block]),
                    yty=np.concatenate([w.yty for w in block]),
-                   logdet_v=np.concatenate([w.logdet_v for w in block]), n=block[0].n)
+                   logdet_v=np.concatenate([w.logdet_v for w in block]),
+                   n=np.concatenate([w.n for w in block]))
 
     @property
     def p_omega(self) -> int:
@@ -163,14 +166,15 @@ class WhitenedFit:
     and Q'y, kept so that later steps never factor the columns again.
     ``prior`` is the scale that :meth:`with_prior` applied; ``beta_hat``
     is solved from ``r`` and ``qty`` only when read.  In a batch,
-    every per-candidate field has a leading batch axis, ``yty`` and
-    ``logdet_v`` too (each row reads its own dataset's), while ``p`` and
-    ``n`` are shared; ``kept`` holds the positions, in the batch
+    every per-candidate field has a leading batch axis, ``yty``,
+    ``logdet_v`` and ``n`` too (each row reads its own dataset's), while
+    ``p`` is shared, and so is ``n`` on the record of one dataset;
+    ``kept`` holds the positions, in the batch
     :func:`gls_fit` was given, of the candidates the fit holds.
     """
 
     p: int
-    n: int
+    n: int | np.ndarray
     ypy: float | np.ndarray
     yty: float | np.ndarray
     logdet_v: float | np.ndarray
@@ -193,9 +197,17 @@ class WhitenedFit:
         return self.ypy / self.n
 
     @property
+    def least_n(self) -> int:
+        """The smallest n of the rows, which the rules on n - p read: a shared
+        n itself, and for a batch that holds no row one that breaks none."""
+        if isinstance(self.n, np.ndarray):
+            return int(self.n.min(initial=self.p + 3))
+        return self.n
+
+    @property
     def sigma2_tilde(self) -> float:
-        if self.n - self.p <= 0:
-            raise SaturatedModelError(f"saturated model: p = {self.p} >= n = {self.n}")
+        if self.least_n <= self.p:
+            raise SaturatedModelError(f"saturated model: p = {self.p} >= n = {self.least_n}")
         return self.ypy / (self.n - self.p)
 
     @property
@@ -251,7 +263,7 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray,
     (``whitened.r0``) gives R, Q'y and y'Py, the square of its last pivot;
     a batch stacks all of them into one call.  ``rep`` gives the position
     in ``whitened`` of each row's dataset (by default the first), and the
-    row reads that dataset's R0, y'V^{-1}y and log|V|.
+    row reads that dataset's R0, y'V^{-1}y, log|V| and n.
     A single rank-deficient candidate raises ``SingularDesignError``; a
     batch fit drops such candidates and records the positions of those it
     holds in ``kept``.  :meth:`WhitenedFit.with_prior` adds the
@@ -276,7 +288,7 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray,
     picked = whitened.r0[rep[:, None], :, np.column_stack([cols - 1, np.full(b, p_omega)])]
     rf = np.linalg.qr(picked.transpose(0, 2, 1), mode="r")
     # Each R here is square whatever n is, so more columns than rows is k > n.
-    full = _full_rank(rf[:, :k, :k]) & (k <= whitened.n)
+    full = _full_rank(rf[:, :k, :k]) & (k <= whitened.n[rep])
     if single and not full[0]:
         raise SingularDesignError(f"singular design for candidate {model.label()}")
     take = 0 if single else np.flatnonzero(full)
@@ -285,7 +297,8 @@ def gls_fit(whitened: WhitenedData, model: CandidateModel | np.ndarray,
     rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     return WhitenedFit(
         p=k,
-        n=whitened.n,
+        # One dataset's n is shared, so select's formulas pay nothing per row.
+        n=whitened.n[rows] if len(whitened.n) > 1 else int(whitened.n[0]),
         ypy=rf[..., k, k] ** 2,
         yty=whitened.yty[rows],
         logdet_v=whitened.logdet_v[rows],

@@ -4,8 +4,8 @@ The candidates are the rows of one boolean membership array: every subset
 (:func:`enumerate_candidates`), or any rows a caller passes, such as the
 full model alone that ``bmlselect criteria`` scores.  :func:`_score_block`
 estimates phi, whitens the data and reduces it to one R factor once per
-dataset of a block (one dataset for :func:`score_candidates`, a cell's
-replications for the simulation), stacks the factors into one
+dataset of a block (one dataset for :func:`score_candidates`, replications
+of one or more cells, of any n, for the simulation), stacks the factors into one
 :class:`~bmlselect.model_core.WhitenedData`, then fits, estimates
 lambda for and scores each run of same-size rows across the block as
 stacked batches, writing straight into the (candidates x criteria) arrays
@@ -15,7 +15,9 @@ This is the one scoring path.  :meth:`ScoreTable.rank` is the one ranking and
 decoder turns a run of same-size membership rows into their column
 indices; the engine, :meth:`ScoreTable.candidate` and
 :meth:`ScoreTable.labels` all read rows through it.  :func:`prediction_error`
-is the one loss, read from the table's one-dataset whitened data.
+is the one loss, read from the table's one-dataset whitened data;
+:func:`_prediction_errors` gives it for every selected model of a block
+with one refit per model size.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .exceptions import (
     LambdaEstimationError,
     NoAdmissibleCandidateError,
     PenaltyUndefinedError,
+    SingularDesignError,
 )
 from .model_core import (
     CandidateModel,
@@ -162,7 +165,8 @@ def _score_batch(table: ScoreTable, pos: np.ndarray, options: SelectionOptions) 
 
     Rank-deficient candidates keep the "singular design" code the table
     starts with; a penalty that is undefined at this size excludes its
-    criterion for the whole batch.  A degenerate fit or a failed lambda
+    criterion for the whole batch, which :func:`_score_block` makes hold
+    only rows whose n leaves it undefined.  A degenerate fit or a failed lambda
     search raises; the batch is then scored again one row at a time,
     so that the error names the first candidate that fails.
     """
@@ -200,20 +204,26 @@ def _score_block(
     options: SelectionOptions | None = None,
     members: np.ndarray | None = None,
 ) -> list[ScoreTable]:
-    """:func:`score_candidates` for each of a block of datasets of one n and
-    p_omega, such as the replications of one simulation cell, in one pass.
+    """:func:`score_candidates` for each of a block of datasets of one
+    p_omega and any n, such as the replications of the cells of a
+    simulation grid, in one pass.
 
     Each dataset gets its own phi estimate, whitening and R factor; the
     factors are stacked (:meth:`~bmlselect.model_core.WhitenedData.stack`), and
     the arrays of the block table hold every dataset's rows one after
     another, the same ``members`` for each.  Each candidate size is then
-    fitted, given its lambda and scored as one run of rows across the block.
-    Every step acts row by row, so each dataset's table, a view of its rows,
-    is the one :func:`score_candidates` gives it alone, bit for bit.
+    fitted, given its lambda and scored as one run of rows across the block,
+    or two where the penalties are undefined (n - p - 2 <= 0) at the n of
+    some datasets but not of others, so that they exclude exactly the rows
+    of those datasets.  Every step acts row by row, so each dataset's table,
+    a view of its rows, is the one :func:`score_candidates` gives it alone,
+    bit for bit.
     """
     criteria = _criteria.check_names(criteria)
     opts = options or SelectionOptions()
     p_omega = datasets[0].p_omega
+    if any(dataset.p_omega != p_omega for dataset in datasets):
+        raise ValueError("a block holds datasets of one p_omega")
     if members is None:
         members = enumerate_candidates(p_omega, opts.include_null)
     members = np.asarray(members)
@@ -240,13 +250,16 @@ def _score_block(
         whitened=WhitenedData.stack(whitened),
     )
     # Each size is a run of rows per dataset, scored across the block in
-    # batches whose stacked (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS.
+    # batches whose stacked (p_omega + 1) x (p + 1) QR inputs fit in BATCH_ELEMENTS;
+    # the rows of datasets whose n leaves the penalties undefined run apart.
     sizes, starts, counts = np.unique(sizes, return_index=True, return_counts=True)
     for size, start, count in zip(sizes.tolist(), starts.tolist(), counts.tolist()):
         pos = (np.arange(reps)[:, None] * m + np.arange(start, start + count)).ravel()
+        short = block.whitened.n[pos // m] - size - 2 <= 0
         step = max(1, BATCH_ELEMENTS // ((p_omega + 1) * (size + 1)))
-        for lo in range(0, len(pos), step):
-            _score_batch(block, pos[lo : lo + step], opts)
+        for run in (pos[~short], pos[short]):
+            for lo in range(0, len(run), step):
+                _score_batch(block, run[lo : lo + step], opts)
     return [
         ScoreTable(
             members=members,
@@ -314,8 +327,31 @@ def prediction_error(whitened: WhitenedData, x_full: np.ndarray, selected: Candi
                          f"{len(whitened.r0)}")
     x_full = np.asarray(x_full, dtype=float)
     mu_true = np.asarray(mu_true, dtype=float).reshape(-1)
-    if x_full.shape != (whitened.n, whitened.p_omega) or mu_true.shape != (whitened.n,):
+    n = int(whitened.n[0])
+    if x_full.shape != (n, whitened.p_omega) or mu_true.shape != (n,):
         raise ValueError(f"x_full {x_full.shape} and mu_true {mu_true.shape} do not conform "
-                         f"to the whitened data ({whitened.n} x {whitened.p_omega})")
-    diff = x_full[:, list(selected.zero_based)] @ gls_fit(whitened, selected).beta_hat - mu_true
-    return float(diff @ diff) / whitened.n
+                         f"to the whitened data ({n} x {whitened.p_omega})")
+    return _prediction_errors(whitened, [(0, selected)], [x_full], [mu_true])[0, selected]
+
+
+def _prediction_errors(whitened: WhitenedData, picks, x_full, mu_true) -> dict:
+    """{(r, candidate): loss} of :func:`prediction_error` for each pair of
+    ``picks`` on the record of a block: r is a dataset's position in
+    ``whitened``, ``x_full[r]`` and ``mu_true[r]`` its design and true mean.
+    The candidates of each size are refitted by one
+    :func:`~bmlselect.model_core.gls_fit` call, which acts row by row, and
+    each loss is then computed alone, so it is the loss of the dataset's
+    own record bit for bit."""
+    losses = {}
+    for size in sorted({model.p for _, model in picks}):
+        same = [(r, model) for r, model in picks if model.p == size]
+        cols = np.array([model.indices for _, model in same], dtype=np.intp)
+        fit = gls_fit(whitened, cols.reshape(len(same), size),
+                      np.array([r for r, _ in same], dtype=np.intp))
+        if len(fit.kept) < len(same):
+            dropped = np.setdiff1d(np.arange(len(same)), fit.kept)[0]
+            raise SingularDesignError(f"singular design for candidate {same[dropped][1].label()}")
+        for (r, model), beta_hat in zip(same, fit.beta_hat):
+            diff = x_full[r][:, list(model.zero_based)] @ beta_hat - mu_true[r]
+            losses[r, model] = float(diff @ diff) / len(diff)
+    return losses

@@ -4,16 +4,17 @@ true-model selection counts, and mean prediction error per criterion.
 Determinism contract: the RNG stream of every replication is derived from
 (master_seed, cell_index, replication_index) through ``numpy``'s
 SeedSequence.  ``_run_block`` is the one path from a draw to an outcome: it
-scores consecutive replications of one cell as a block (at most
-``REPLICATION_BLOCK``, fewer with a pool) with one engine call per
-candidate size (:func:`~bmlselect.selection._score_block`), whose every
-step acts row by row; so a replication's outcome is bit-identical whatever
-block holds it, and results are bit-identical for any worker count.  A
-single replication is the block of one (``_run_replication``).  Worker
-processes are capped by the BMLSELECT_THREADS environment variable and by
-the number of blocks; one pool serves every block of a grid.  If a package
-error stops a block, its replications run again as blocks of one, and the
-first that fails raises the same type with (master_seed, cell, replication)
+scores consecutive (cell, replication) pairs of the grid, cell by cell, as
+a block (at most ``REPLICATION_BLOCK``, fewer with a pool) with one engine
+call per candidate size (:func:`~bmlselect.selection._score_block`), which
+needs one p_omega and reads each dataset's own n, and whose every step acts
+row by row; so a replication's outcome is bit-identical whatever block
+holds it, and results are bit-identical for any worker count.  A single
+replication is the block of one (``_run_replication``).  Worker processes
+are capped by the BMLSELECT_THREADS environment variable and by the number
+of blocks; one pool serves every block of a grid.  If a package error
+stops a block, its replications run again as blocks of one, and the first
+that fails raises the same type with (master_seed, cell, replication)
 prepended, so a single ``_run_replication`` call reproduces it.
 """
 
@@ -30,8 +31,8 @@ import numpy as np
 from .covariance import CovarianceSpec, check_prior, is_int, make_whitener
 from .criteria import check_names
 from .exceptions import BmlselectError
-from .model_core import CandidateModel, Dataset
-from .selection import SelectionOptions, _score_block, prediction_error, report_from_table
+from .model_core import CandidateModel, Dataset, WhitenedData
+from .selection import SelectionOptions, _prediction_errors, _score_block, report_from_table
 # Kept importable from here because perfbench/spans.py wraps this name.
 from .selection import score_candidates  # noqa: F401
 
@@ -42,7 +43,7 @@ BETA_PATTERNS = {
     "two_ones": (1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
 }
 
-# Most replications of one cell that run_experiment scores as one block.
+# Most replications that run_experiment scores as one block.
 REPLICATION_BLOCK = 64
 
 # The comparison set used by the experiment defaults.
@@ -204,35 +205,39 @@ def generate_dataset(spec: ExperimentSpec, cell: Cell, replication_index: int):
 
 def _run_replication(spec: ExperimentSpec, cell: Cell, replication_index: int):
     """One replication: returns {criterion: (selected_is_true, prediction_error)}."""
-    return _run_block(spec, cell, range(replication_index, replication_index + 1))[0]
+    return _run_block(spec, [(cell, replication_index)])[0]
 
 
-def _run_block(spec: ExperimentSpec, cell: Cell, replications: range):
-    """{criterion: (selected_is_true, prediction_error)} for each of
-    consecutive replications of one cell, drawn and then scored as one block
-    (:func:`~bmlselect.selection._score_block`); each selected model's loss
-    is refitted once from its table's whitened data.  If a package error
+def _run_block(spec: ExperimentSpec, pairs):
+    """{criterion: (selected_is_true, prediction_error)} for each (cell,
+    replication) pair of ``pairs``, drawn and then scored as one block
+    (:func:`~bmlselect.selection._score_block`); the selected models of the
+    block are refitted for their losses with one fit per model size
+    (:func:`~bmlselect.selection._prediction_errors`).  If a package error
     stops a block of several, each replication runs again as a block of one
     (:func:`_run_replication`), and a block of one re-raises the error with
     (master_seed, cell, replication) prepended."""
     try:
-        drawn = [generate_dataset(spec, cell, rep) for rep in replications]
+        drawn = [generate_dataset(spec, cell, rep) for cell, rep in pairs]
         options = SelectionOptions(prior_kind=spec.prior_kind, include_null=spec.include_null)
         tables = _score_block([dataset for dataset, _ in drawn], spec.criteria, options)
-        outcomes = []
-        for table, (dataset, truth) in zip(tables, drawn):
-            mu_true = truth.x_true @ truth.beta_true
-            best = {name: report_from_table(table, name) for name in spec.criteria}
-            loss = {m: prediction_error(table.whitened, dataset.x_full, m, mu_true)
-                    for m in set(best.values())}
-            outcomes.append({name: (m == truth.j_star, loss[m]) for name, m in best.items()})
-        return outcomes
+        best = [{name: report_from_table(table, name) for name in spec.criteria}
+                for table in tables]
+        loss = _prediction_errors(
+            WhitenedData.stack([table.whitened for table in tables]),
+            [(r, m) for r, picks in enumerate(best) for m in set(picks.values())],
+            [dataset.x_full for dataset, _ in drawn],
+            [truth.x_true @ truth.beta_true for _, truth in drawn],
+        )
+        return [{name: (m == truth.j_star, loss[r, m]) for name, m in picks.items()}
+                for r, (picks, (_, truth)) in enumerate(zip(best, drawn))]
     except BmlselectError as exc:
-        if len(replications) > 1:
-            return [_run_replication(spec, cell, rep) for rep in replications]
+        if len(pairs) > 1:
+            return [_run_replication(spec, cell, rep) for cell, rep in pairs]
+        cell, rep = pairs[0]
         raise type(exc)(
             f"seed {spec.master_seed}, cell {cell.index} (n={cell.n}, snr={cell.snr}), "
-            f"replication {replications[0]}: {exc}"
+            f"replication {rep}: {exc}"
         ) from exc
 
 
@@ -256,14 +261,13 @@ def _plan_blocks(spec: ExperimentSpec, workers: int | None = None):
     :func:`run_experiment` runs for ``workers`` (:func:`resolve_workers`),
     and the number of processes it runs them on, at most one per block."""
     workers = resolve_workers(workers)
-    cells = spec.cells()
-    # Blocks of at most REPLICATION_BLOCK replications of one cell; with a
-    # pool, small enough that every worker gets about four.
+    pairs = [(cell, rep) for cell in spec.cells() for rep in range(spec.replications)]
+    # Blocks of at most REPLICATION_BLOCK consecutive pairs, which may span
+    # cells; with a pool, small enough that every worker gets about four.
     size = REPLICATION_BLOCK
     if workers > 1:
-        size = min(size, math.ceil(len(cells) * spec.replications / (4 * workers)))
-    tasks = [(spec, cell, range(lo, min(lo + size, spec.replications)))
-             for cell in cells for lo in range(0, spec.replications, size)]
+        size = min(size, math.ceil(len(pairs) / (4 * workers)))
+    tasks = [(spec, pairs[lo : lo + size]) for lo in range(0, len(pairs), size)]
     return tasks, min(workers, len(tasks))
 
 

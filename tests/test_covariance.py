@@ -291,8 +291,9 @@ def _ar1_dataset(rng, n, phi, snr=5.0, p=4):
 
 def _reference_phi(dataset):
     """phi_hat and its flag from a profile that builds V(phi) through
-    ``make_whitener(spec.with_phi(phi), n)`` at every evaluation, on the
-    production grid and golden search, with both bracket ends re-evaluated."""
+    ``make_whitener(spec.with_phi(phi), n)`` at every evaluation of the
+    whole production grid, then the production golden search, started from
+    the grid's minimum."""
     obj = _profile_objective(dataset, dataset.cov)
     if dataset.cov.kind == "ar1":
         lo, hi = PHI_AR1_BOUNDS
@@ -303,9 +304,7 @@ def _reference_phi(dataset):
     vals = np.array([obj(phi) for phi in grid])
     k = int(np.argmin(vals))
     a, b = grid[max(k - 1, 0)], grid[min(k + 1, GRID_POINTS - 1)]
-    phi_hat, f_hat = _golden_min(obj, a, b, obj(a), obj(b))
-    if vals[k] <= f_hat:
-        phi_hat = grid[k]
+    phi_hat = _golden_min(obj, a, b, grid[k], vals[k])[0]
     if dataset.cov.kind == "ar1":
         return phi_hat, min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
     return phi_hat, phi_hat < grid[1] or math.log(hi / phi_hat) <= 1e-6 * math.log(hi / grid[1])

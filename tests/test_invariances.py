@@ -385,25 +385,31 @@ def test_a_size_split_into_many_batches_scores_the_same_table(monkeypatch):
                          [("constant_variance", "ridge"), ("ar1", "ridge"), ("nerm", "zellner")])
 def test_a_stack_of_replications_scores_each_as_it_scores_alone(monkeypatch, kind, prior_kind,
                                                                 include_null):
-    # run_experiment scores the replications of a cell as one block: each
+    # run_experiment scores replications of several cells as one block: each
     # size is one run of rows across the block, which a 64-element budget
-    # splits into batches that straddle replications.  Each replication's
-    # table must be the one score_candidates gives it alone, bit for bit.
-    # n = 8 leaves the penalty undefined for p >= 6.
-    spec = ExperimentSpec(model_kind=kind, n_grid=(8,), snr_grid=(2.0,), replications=5,
+    # splits into batches that straddle replications and cells, and which
+    # the default budget keeps whole.  Each replication's table must be the
+    # one score_candidates gives it alone, bit for bit.  n = 8 leaves the
+    # penalty undefined for p >= 6, which must exclude the rows of the two
+    # n = 8 datasets only, although at the default budget they share a run
+    # with rows of n = 12 and 16.
+    spec = ExperimentSpec(model_kind=kind, n_grid=(12, 8, 16), snr_grid=(2.0,), replications=2,
                           master_seed=17, prior_kind=prior_kind, include_null=include_null)
-    cell = spec.cells()[0]
-    datasets = [generate_dataset(spec, cell, rep)[0] for rep in range(spec.replications)]
+    datasets = [generate_dataset(spec, cell, rep)[0]
+                for cell in spec.cells() for rep in range(spec.replications)]
     options = SelectionOptions(prior_kind=prior_kind, include_null=include_null)
     alone = [score_candidates(ds, CRITERION_NAMES, options) for ds in datasets]
-    monkeypatch.setattr(selection, "BATCH_ELEMENTS", 64)
-    monkeypatch.setattr(covariance, "BATCH_ELEMENTS", 64)
-    stacked = selection._score_block(datasets, CRITERION_NAMES, options)
-    assert len(stacked) == len(datasets)
-    for rep, (got, want) in enumerate(zip(stacked, alone)):
-        assert got.exclusion.any() and not np.isnan(got.lambda_hat).all()
-        assert (got.phi_hat, got.phi_at_boundary) == (want.phi_hat, want.phi_at_boundary)
-        assert got.whitened.r0.tobytes() == want.whitened.r0.tobytes()
-        for name in ("members", "scores", "exclusion", "lambda_hat", "lambda_at_boundary"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rep, name)
+    for budget in (64, selection.BATCH_ELEMENTS):
+        monkeypatch.setattr(selection, "BATCH_ELEMENTS", budget)
+        monkeypatch.setattr(covariance, "BATCH_ELEMENTS", budget)
+        stacked = selection._score_block(datasets, CRITERION_NAMES, options)
+        assert len(stacked) == len(datasets)
+        for rep, (got, want) in enumerate(zip(stacked, alone)):
+            assert got.exclusion.any() == (datasets[rep].n == 8)
+            assert not np.isnan(got.lambda_hat).all()
+            assert (got.phi_hat, got.phi_at_boundary) == (want.phi_hat, want.phi_at_boundary)
+            assert got.whitened.r0.tobytes() == want.whitened.r0.tobytes()
+            for name in ("members", "scores", "exclusion", "lambda_hat", "lambda_at_boundary"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+                    (budget, rep, name)
 

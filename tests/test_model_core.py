@@ -244,9 +244,13 @@ def test_batch_fit_is_the_stack_of_single_fits(prior_kind):
 
 def test_stack_fit_reads_each_row_from_its_own_dataset():
     # Rows of a batch on a stacked record read their own dataset's R0,
-    # y'V^-1y and log|V|: each row equals that dataset's own fit bit for bit,
-    # and a rank-deficient row is dropped whichever dataset it reads.
-    from bmlselect import WhitenedData
+    # y'V^-1y, log|V| and n: each row equals that dataset's own fit bit for
+    # bit, a rank-deficient row is dropped whichever dataset it reads, and
+    # so is a row with more columns than its own dataset has observations.
+    # The datasets differ in n, so every formula that reads n must read the
+    # row's: the criteria agree row by row, and a penalty undefined at one
+    # row's n raises for the batch, naming that n.
+    from bmlselect import WhitenedData, score
 
     rng = np.random.default_rng(23)
     block = []
@@ -256,19 +260,37 @@ def test_stack_fit_reads_each_row_from_its_own_dataset():
         if i == 1:
             x[:, 3] = x[:, 0] + x[:, 1]
         block.append(WhitenedData.from_whitened(x, y, logdet))
+    block += [WhitenedData.from_whitened(x[:5], y[:5], 1.5),
+              WhitenedData.from_whitened(x[:3], y[:3], -1.0)]
     stack = WhitenedData.stack(block)
-    assert stack.r0.shape == (3, 5, 5) and stack.p_omega == 4 and stack.n == 12
-    cols = np.array([[1, 2, 4], [2, 3, 4], [1, 2, 4], [1, 2, 4], [1, 3, 4]])
-    rep = np.array([0, 2, 1, 2, 1])
+    assert stack.r0.shape == (5, 5, 5) and stack.p_omega == 4
+    assert stack.n.tolist() == [12, 12, 12, 5, 3]
+    cols = np.array([[1, 2, 4], [1, 2, 3], [2, 3, 4], [1, 2, 4], [1, 2, 4], [1, 3, 4]])
+    rep = np.array([0, 3, 2, 1, 2, 1])
     fit = gls_fit(stack, cols, rep)
-    assert fit.kept.tolist() == [0, 1, 3, 4]
+    assert fit.kept.tolist() == [0, 1, 2, 4, 5]
+    alone = {i: gls_fit(block[rep[i]], CandidateModel(tuple(cols[i]))) for i in fit.kept.tolist()}
     for j, i in enumerate(fit.kept.tolist()):
-        alone = gls_fit(block[rep[i]], CandidateModel(tuple(cols[i])))
-        for name in ("ypy", "yty", "logdet_v", "logdet_xvx", "r", "qty"):
+        for name in ("n", "ypy", "yty", "logdet_v", "logdet_xvx", "r", "qty"):
             assert np.asarray(getattr(fit, name))[j].tobytes() == \
-                np.asarray(getattr(alone, name)).tobytes(), (i, name)
-    with pytest.raises(ValueError, match="one n"):
-        WhitenedData.stack([block[0], WhitenedData.from_whitened(x[:8], y[:8], 0.0)])
+                np.asarray(getattr(alone[i], name)).tobytes(), (i, name)
+        for name in ("aic", "bic", "ic_pi2"):
+            assert score(name, fit)[j].tobytes() == score(name, alone[i]).tobytes(), (i, name)
+    # n - p - 2 = 0 at dataset 3 alone, and at row 1, which reads it, of the
+    # batch; without it, the rows of n = 12 score ic_r as alone.
+    with pytest.raises(PenaltyUndefinedError, match=r"\(n = 5, p = 3\)"):
+        score("ic_r", alone[1])
+    with pytest.raises(PenaltyUndefinedError, match=r"\(n = 5, p = 3\)"):
+        score("ic_r", fit)
+    long = gls_fit(stack, cols[rep != 3], rep[rep != 3])
+    for j, i in enumerate(np.flatnonzero(rep != 3)[long.kept].tolist()):
+        assert score("ic_r", long)[j].tobytes() == score("ic_r", alone[i]).tobytes(), i
+    # Four columns: dataset 1 is rank deficient, dataset 4 holds three rows.
+    full = gls_fit(stack, np.tile(np.arange(1, 5), (5, 1)), np.arange(5))
+    assert full.kept.tolist() == [0, 2, 3] and full.n.tolist() == [12, 12, 5]
+    for i in (1, 4):
+        with pytest.raises(SingularDesignError):
+            gls_fit(block[i], CandidateModel((1, 2, 3, 4)))
 
 
 def test_gls_fit_rejects_out_of_range_column():

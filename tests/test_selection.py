@@ -344,6 +344,49 @@ def test_prediction_error_refuses_a_record_of_several_datasets():
     assert prediction_error(wd, ds.x_full, CandidateModel((1,)), ds.x_full[:, 0]) >= 0.0
 
 
+@pytest.mark.parametrize("kind", ["identity", "ar1", "nerm"])
+def test_the_loss_batch_is_bit_equal_to_each_loss_alone(kind):
+    # The simulation refits the selected models of a block with one fit per
+    # model size on the block's stacked record, whose datasets differ in n.
+    # Each loss must equal prediction_error on the dataset's own record, and
+    # the one-candidate arithmetic that the batch replaced, bit for bit.
+    from bmlselect import SingularDesignError, gls_fit
+    from bmlselect.model_core import WhitenedData
+    from bmlselect.selection import _prediction_errors
+
+    rng = np.random.default_rng(12)
+    records, xs, mus = [], [], []
+    for n in (8, 24, 16):
+        x = rng.standard_normal((n, 4)) * np.array([1.0, 1e-3, 40.0, 1.0])
+        mu = x @ np.array([1.0, -1.0, 0.0, 0.5])
+        cov = {"identity": CovarianceSpec.identity(), "ar1": CovarianceSpec.ar1(0.6),
+               "nerm": CovarianceSpec.nerm((4,) * (n // 4), 0.8)}[kind]
+        records.append(whiten(Dataset(y=mu + rng.standard_normal(n), x_full=x, cov=cov)))
+        xs.append(x)
+        mus.append(mu)
+    stack = WhitenedData.stack(records)
+    picks = [(r, CandidateModel(tuple(np.flatnonzero(row) + 1)))
+             for r in (2, 0, 1) for row in enumerate_candidates(4)]
+    got = _prediction_errors(stack, picks, xs, mus)
+    assert len(got) == len(picks) == 48
+    for r, model in picks:
+        alone = prediction_error(records[r], xs[r], model, mus[r])
+        diff = xs[r][:, list(model.zero_based)] @ gls_fit(records[r], model).beta_hat - mus[r]
+        reference = float(diff @ diff) / len(diff)
+        assert np.float64(got[r, model]).tobytes() == np.float64(alone).tobytes() \
+            == np.float64(reference).tobytes(), (r, model)
+    # A rank-deficient pick raises, naming it, as its loss alone does.
+    x = xs[1].copy()
+    x[:, 3] = x[:, 0] - x[:, 2]
+    deficient = WhitenedData.from_whitened(x, mus[1], 0.0)
+    model = CandidateModel((1, 3, 4))
+    with pytest.raises(SingularDesignError, match="candidate 1 3 4$"):
+        prediction_error(deficient, x, model, mus[1])
+    with pytest.raises(SingularDesignError, match="candidate 1 3 4$"):
+        _prediction_errors(WhitenedData.stack([records[0], deficient]),
+                           [(0, model), (1, model)], [xs[0], x], mus[:2])
+
+
 # ---------------------------------------------------------------------------
 # ScoreTable.labels
 # ---------------------------------------------------------------------------
@@ -490,6 +533,15 @@ P4_ROWS = "members must be a 2-D boolean array with 4 columns, not "
 def test_score_candidates_checks_the_members_it_is_given(members, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         score_candidates(signal_dataset(14), ("bic",), members=members)
+
+
+def test_a_block_holds_datasets_of_one_p_omega_and_any_n():
+    from bmlselect.selection import _score_block
+
+    tables = _score_block([signal_dataset(14), signal_dataset(14, n=9)], ("bic", "ic_r"))
+    assert [len(t.members) for t in tables] == [16, 16]
+    with pytest.raises(ValueError, match="^a block holds datasets of one p_omega$"):
+        _score_block([signal_dataset(14), signal_dataset(14, p_omega=3)], ("bic",))
 
 
 def test_score_candidates_on_some_rows_equals_those_rows_of_the_full_table():

@@ -124,41 +124,56 @@ def test_determinism_across_worker_counts():
             assert sa.standard_error == sb.standard_error
 
 
-@pytest.mark.parametrize("replications, n_grid", [(5, (20, 30)), (70, (20,))])
-def test_results_do_not_depend_on_how_replications_are_blocked(replications, n_grid):
-    # One worker scores each cell as blocks of up to REPLICATION_BLOCK
-    # replications (70 = 64 + 6); two and three workers cut smaller blocks
-    # that do not divide the count either.  Every outcome of a block is the
-    # one its replication gives alone.
+@pytest.mark.parametrize("replications, n_grid", [(5, (20, 8, 30)), (70, (20, 9))])
+def test_results_do_not_depend_on_how_replications_are_blocked(monkeypatch, replications,
+                                                               n_grid):
+    # A block holds consecutive (cell, replication) pairs of the grid, so it
+    # may span cells of different n; n = 8 and 9 leave ic_pi1's penalty
+    # undefined at the top sizes of their own rows only.
+    # Blocks of 1, 3 and 64 pairs (70 = 64 + 6 per cell; 64 spans the cells),
+    # and with two and three workers the smaller blocks a pool cuts, which
+    # divide the count neither, must give the same results: every outcome
+    # of a block is the one its replication gives alone.
     spec = small_spec(replications=replications, n_grid=n_grid)
-    serial, *pooled = (run_experiment(spec, workers=w) for w in (1, 2, 3))
-    assert all(run == serial for run in pooled)
-    cell = spec.cells()[0]
-    assert simulation._run_block(spec, cell, range(replications)) == [
-        _run_replication(spec, cell, rep) for rep in range(replications)
+    pairs = [(cell, rep) for cell in spec.cells() for rep in range(replications)]
+    runs = []
+    for block in (1, 3, 64):
+        monkeypatch.setattr(simulation, "REPLICATION_BLOCK", block)
+        tasks, _ = simulation._plan_blocks(spec, 1)
+        assert [pair for _, part in tasks for pair in part] == pairs
+        assert max(len(part) for _, part in tasks) == min(block, len(pairs))
+        runs += [run_experiment(spec, workers=w) for w in (1, 2, 3)]
+    assert all(run == runs[0] for run in runs[1:])
+    assert simulation._run_block(spec, pairs) == [
+        _run_replication(spec, cell, rep) for cell, rep in pairs
     ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_replication_in_a_block_is_named_as_when_run_alone(monkeypatch, workers):
-    # 24 replications make one block with one worker and blocks of three
-    # with two: either way replications 0 and 1 pass, and 2, drawn without
-    # noise, fails inside its block.
-    spec = small_spec(replications=24, criteria=("bic",), master_seed=8)
+    # Two cells of ten replications make one block of 20 pairs with one
+    # worker and blocks of three with two, one of which holds replication 9
+    # of cell 0 and replications 0 and 1 of cell 1.  Either way the other
+    # replications pass, and replication 1 of cell 1, drawn without noise,
+    # fails inside a block that spans both cells.
+    monkeypatch.delenv("BMLSELECT_THREADS", raising=False)
+    spec = small_spec(replications=10, n_grid=(20, 30), criteria=("bic",), master_seed=8)
+    assert [(cell.index, rep) for cell, rep in simulation._plan_blocks(spec, 2)[0][3][1]] == [
+        (0, 9), (1, 0), (1, 1)]
     real = simulation.generate_dataset
 
-    def noiseless_at_2(spec, cell, rep):
+    def noiseless_at_1_of_cell_1(spec, cell, rep):
         dataset, truth = real(spec, cell, rep)
-        if rep == 2:
+        if (cell.index, rep) == (1, 1):
             dataset = replace(dataset, y=truth.x_true @ truth.beta_true)
         return dataset, truth
 
-    monkeypatch.setattr(simulation, "generate_dataset", noiseless_at_2)
-    cell = spec.cells()[0]
-    assert _run_replication(spec, cell, 0).keys() == {"bic"}
+    monkeypatch.setattr(simulation, "generate_dataset", noiseless_at_1_of_cell_1)
+    cells = spec.cells()
+    assert _run_replication(spec, cells[1], 0).keys() == {"bic"}
     with pytest.raises(DegenerateVarianceError) as alone:
-        _run_replication(spec, cell, 2)
-    assert str(alone.value).startswith("seed 8, cell 0 (n=20, snr=3.0), replication 2: candidate")
+        _run_replication(spec, cells[1], 1)
+    assert str(alone.value).startswith("seed 8, cell 1 (n=30, snr=3.0), replication 1: candidate")
     with pytest.raises(DegenerateVarianceError) as info:
         run_experiment(spec, workers=workers)
     assert str(info.value) == str(alone.value)

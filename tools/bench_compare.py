@@ -12,13 +12,16 @@ Per layer: ``TRACED_RUNS`` ``--trace 1`` runs per workload and checkout,
 seed 1, alternating which checkout goes first as the pairs do; the file
 keeps every run and the median of each metric, so that host drift during
 one run does not read as a layer change.
-Profile: cProfile of ``--profile-passes`` single-worker passes of each
-workload (``perfbench/workloads.py``'s ``WORKLOADS``, full size, seed 1) per
-checkout, split by function: the package's own functions and the numpy
-linear algebra they call; the phi layer's functions apart (``covariance``
-and ``qr``); and the phi evaluations per profile, the calls of the
-functions ``covariance._whitener_family`` returns, less one per
-``make_whitener`` call, over the ``estimate_phi_full_model`` calls.
+Profile: ``TRACED_RUNS`` cProfile runs per workload and checkout,
+alternated as the traced runs are, each of ``--profile-passes``
+single-worker passes (``perfbench/workloads.py``'s ``WORKLOADS``, full
+size, seed 1), split by function: the package's own functions and the
+numpy linear algebra they call; the phi layer's functions apart
+(``covariance`` and ``qr``); the ``gls_fit`` calls by calling function;
+and the phi evaluations per profile, the calls of the functions
+``covariance._whitener_family`` returns, less one per ``make_whitener``
+call, over the ``estimate_phi_full_model`` calls.  The file keeps the
+median of each figure over the runs, per function.
 Every run uses one BLAS thread; the file records the core count.
 """
 
@@ -34,8 +37,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# Traced runs per workload and checkout whose median gives the per-layer numbers.
+# Traced and profiled runs per workload and checkout whose median gives the
+# per-layer numbers and the profile.
 TRACED_RUNS = 3
+# Functions the profile keeps, the most cumulative time first.
+TOP_FUNCTIONS, TOP_PHI = 40, 16
 
 PROFILE = r"""
 import cProfile, inspect, pstats, sys, tempfile
@@ -67,29 +73,31 @@ while todo:
         if key not in layer:
             layer.add(key)
             todo.append(key)
-rows, phi = [], []
+rows, phi, gls_callers = [], [], {}
 lines, first = inspect.getsourcelines(covariance._whitener_family)
 calls = {"family": 0, "make_whitener": 0, "estimate_phi_full_model": 0}
-for key, (_, ncalls, tt, ct, _) in stats.items():
+for key, (_, ncalls, tt, ct, callers) in stats.items():
     path, line, name = key
-    row = {"function": path.rsplit("/", 2)[-1] + ":" + name, "calls": ncalls // PASSES,
-           "self_ms": 1e3 * tt / PASSES, "cum_ms": 1e3 * ct / PASSES}
+    row = {"function": path.rsplit("/", 2)[-1] + ":" + name, "line": line,
+           "calls": ncalls // PASSES, "self_ms": 1e3 * tt / PASSES, "cum_ms": 1e3 * ct / PASSES}
     if "bmlselect" in path or (name in ("qr", "svd") and "linalg" in path):
         rows.append(row)
     if key in layer:
         phi.append(row)
+    if "bmlselect" in path and name == "gls_fit":
+        for (_, _, caller), (_, by, _, _) in callers.items():
+            gls_callers[caller] = gls_callers.get(caller, 0) + by // PASSES
     if path == covariance.__file__:
         if first < line < first + len(lines):  # a phi -> operator family
             calls["family"] += ncalls
         elif name in calls:
             calls[name] += ncalls
-rows.sort(key=lambda r: -r["cum_ms"])
-phi.sort(key=lambda r: -r["cum_ms"])
 profiles = calls["estimate_phi_full_model"]
 print(json.dumps({
     "pass_ms": 1e3 * total / PASSES,
-    "functions": rows[:24],
-    "phi_layer": phi[:16],
+    "functions": rows,
+    "phi_layer": phi,
+    "gls_fit_calls_by_caller": gls_callers,
     "phi_profiles_per_pass": profiles / PASSES,
     "phi_evals_per_profile":
         (calls["family"] - calls["make_whitener"]) / profiles if profiles else None,
@@ -112,25 +120,27 @@ def _bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -
     return {name: m["value"] for name, m in out["metrics"].items()}
 
 
-def _alternate(args, workload: str, seeds, trace: int) -> dict:
-    """{side: runs}, one run per seed and side; on even indices the new
-    checkout runs first, on odd ones the old."""
+def _alternate(args, label: str, keys, run) -> dict:
+    """{side: runs}, one ``run(checkout, key)`` per key and side; on even
+    indices the new checkout runs first, on odd ones the old."""
     runs = {"before": [], "after": []}
-    for k, seed in enumerate(seeds):
+    for k, key in enumerate(keys):
         order = ("after", "before") if k % 2 == 0 else ("before", "after")
         for side in order:
-            runs[side].append(_bench(getattr(args, side), workload, seed, args.seconds, trace))
-        # A traced run reports no end-to-end metric, so only its order is shown.
-        shown = ", ".join(f"{side} {runs[side][-1]['norm_wall_s']:.4g} s" if trace == 0
-                          else side for side in order)
-        print(f"{workload} seed {seed} trace {trace}: {shown}", flush=True)
+            runs[side].append(run(getattr(args, side), key))
+        # Only an untraced run reports an end-to-end metric; else only the order is shown.
+        shown = ", ".join(f"{side} {runs[side][-1]['norm_wall_s']:.4g} s"
+                          if "norm_wall_s" in runs[side][-1] else side for side in order)
+        print(f"{label} {key}: {shown}", flush=True)
     return runs
 
 
 def end_to_end(args, declared: dict) -> dict:
     result = {}
     for workload in args.workloads:
-        runs = _alternate(args, workload, range(args.first_seed, args.first_seed + args.pairs), 0)
+        runs = _alternate(args, f"{workload} seed",
+                          range(args.first_seed, args.first_seed + args.pairs),
+                          lambda checkout, seed: _bench(checkout, workload, seed, args.seconds, 0))
         metrics = {}
         for name, better in declared.items():
             before = [r[name] for r in runs["before"]]
@@ -153,13 +163,50 @@ def end_to_end(args, declared: dict) -> dict:
 def per_layer(args) -> dict:
     result = {}
     for workload in args.workloads:
-        runs = _alternate(args, workload, [1] * TRACED_RUNS, 1)
+        runs = _alternate(args, f"{workload} traced run", range(TRACED_RUNS),
+                          lambda checkout, _: _bench(checkout, workload, 1, args.seconds, 1))
         result[workload] = {
             side: {"runs": side_runs,
                    "median": {name: statistics.median(r[name] for r in side_runs)
                               for name in side_runs[0]}}
             for side, side_runs in runs.items()
         }
+    return result
+
+
+def _median_profile(runs: list[dict]) -> dict:
+    """One checkout's profile from its runs: the median of each figure, per
+    function (one present in every run), the most cumulative time first."""
+    def functions(key, top):
+        by_run = [{(r["function"], r["line"]): r for r in run[key]} for run in runs]
+        rows = [{"function": name, "line": line,
+                 **{f: statistics.median(rs[name, line][f] for rs in by_run)
+                    for f in ("calls", "self_ms", "cum_ms")}}
+                for name, line in by_run[0] if all((name, line) in rs for rs in by_run)]
+        return sorted(rows, key=lambda r: -r["cum_ms"])[:top]
+
+    gls = [run["gls_fit_calls_by_caller"] for run in runs]
+    evals = [run["phi_evals_per_profile"] for run in runs]
+    return {
+        "runs": len(runs),
+        "pass_ms": statistics.median(run["pass_ms"] for run in runs),
+        "pass_ms_runs": [run["pass_ms"] for run in runs],
+        "functions": functions("functions", TOP_FUNCTIONS),
+        "phi_layer": functions("phi_layer", TOP_PHI),
+        "gls_fit_calls_by_caller": {caller: statistics.median(g.get(caller, 0) for g in gls)
+                                    for caller in sorted(set().union(*gls))},
+        "phi_profiles_per_pass": statistics.median(run["phi_profiles_per_pass"] for run in runs),
+        "phi_evals_per_profile": None if None in evals else statistics.median(evals),
+    }
+
+
+def profile(args) -> dict:
+    result = {}
+    for workload in args.workloads:
+        script = f"import json\nNAME = {workload!r}\nPASSES = {args.profile_passes}\n" + PROFILE
+        runs = _alternate(args, f"{workload} profile", range(TRACED_RUNS),
+                          lambda checkout, _: _run(checkout, ["-c", script]))
+        result[workload] = {side: _median_profile(side_runs) for side, side_runs in runs.items()}
     return result
 
 
@@ -200,13 +247,7 @@ def main(argv=None) -> int:
         },
         "end_to_end": end_to_end(args, declared),
         "per_layer": per_layer(args),
-        "profile": {
-            workload: {side: _run(getattr(args, side),
-                                  ["-c", f"import json\nNAME = {workload!r}\n"
-                                   f"PASSES = {args.profile_passes}\n" + PROFILE])
-                       for side in ("before", "after")}
-            for workload in args.workloads
-        },
+        "profile": profile(args),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
