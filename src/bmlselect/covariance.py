@@ -7,11 +7,11 @@ symmetric positive-definite matrix.  :func:`make_whitener` is the one entry
 point from a :class:`CovarianceSpec` to an operator, the action of L^{-1}
 for the Cholesky factor V = L L^t, which is all the fitting layer needs.
 Its one dispatch on the kind builds a family phi -> operator, which the phi
-profile builds once per profile, not at each evaluation.  Dense V is
-factored by LAPACK's dpotrf, called directly (in place on the nerm V the
+profile builds once per layout of a block, not at each evaluation.  Dense V
+is factored by LAPACK's dpotrf, called directly (in place on the nerm V the
 family builds, on a copy of a custom matrix); the AR(1) operator runs in
-O(n) via the innovations recursion (its ``color`` runs x_1 = w_1, x_i =
-s w_i + phi x_{i-1} with s = sqrt(1 - phi^2)), and serves identity as the
+O(n) via the innovations recursion (its ``color`` runs x_1 = w_1, x_i = s
+w_i + phi x_{i-1} with s = sqrt(1 - phi^2)), and serves identity as the
 recursion at phi = 0; the nested-error V is built from the group labels.
 
 The coefficient prior N(0, sigma^2 W) comes in two families, ridge and
@@ -19,22 +19,25 @@ Zellner, and only this module knows them: the prior check, the terms a
 scale adds to a fit (:class:`PriorScale`), the null-model rule and lambda.
 
 Hyperparameters are estimated by deterministic plug-in rules: phi by
-profile maximum likelihood on the full model (a grid scan, exact but
-pruned for nerm by the monotone parts of the profile, then golden
-section), lambda by maximizing each candidate's marginal likelihood with
-the variance estimate held fixed (Zellner in closed form, ridge by a grid
-scan, then a Newton root of the derivative from the fit's spectrum).  The
-prior terms and the lambda search take a batch fit as they take a single
-candidate: every formula is an array expression over the batch, and the
-ridge search scans the grid and runs its safeguarded Newton steps for the
-whole batch at once, masking each candidate out as it converges.  The
-lambda grid scan, exact but pruned (:func:`_grid_argmin`), runs over the
-batch in chunks of at most ``BATCH_ELEMENTS`` doubles.
+profile maximum likelihood on the full model (a grid scan, exact but pruned
+for nerm by the monotone parts of the profile, then golden section), for
+one dataset or a block of them, whose datasets of one layout share each
+grid point's factor of V and get the estimates they get alone, bit for bit;
+lambda by maximizing each candidate's marginal likelihood with the variance
+estimate held fixed (Zellner in closed form, ridge by a grid scan, then a
+Newton root of the derivative from the fit's spectrum).  The prior terms
+and the lambda search take a batch fit as they take a single candidate:
+every formula is an array expression over the batch, and the ridge search
+scans the grid and runs its safeguarded Newton steps for the whole batch at
+once, masking each candidate out as it converges.  The lambda grid scan,
+exact but pruned (:func:`_grid_argmin`), runs over the batch in chunks of
+at most ``BATCH_ELEMENTS`` doubles.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -80,6 +83,12 @@ _INV_LAMBDA_GRID = 1.0 / _LAMBDA_GRID
 _PROBES = np.append(np.arange(0, LAMBDA_GRID_POINTS - 1, 8), LAMBDA_GRID_POINTS - 1)
 _BLOCKS = np.minimum(_PROBES[:-1, None] + np.arange(1, 8), _PROBES[1:, None] - 1)
 _PHI_PROBES = np.append(np.arange(0, GRID_POINTS - 1, 8), GRID_POINTS - 1).tolist()
+# The phi profile grids; nerm's phi >= 0 spans eight decades, log-spaced
+# plus the zero endpoint.
+_PHI_GRIDS = {
+    "ar1": np.linspace(PHI_AR1_BOUNDS[0], PHI_AR1_BOUNDS[1], GRID_POINTS),
+    "nerm": np.concatenate(([0.0], np.geomspace(1e-6, PHI_NERM_BOUNDS[1], GRID_POINTS - 1))),
+}
 _EPS = float(np.finfo(float).eps)
 
 
@@ -388,16 +397,87 @@ def _golden_min(f, a, b, x0, f0, rtol=GOLDEN_RTOL):
 # ---------------------------------------------------------------------------
 
 
-def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
-    """Profile maximum-likelihood estimate of phi on the full model.
+class _PhiProfile:
+    """One dataset's phi profile: the parts of f at an operator of its
+    layout's family (:func:`_whitener_family`), and its grid scan's values
+    and terms so far (f = inf where not yet evaluated)."""
+
+    def __init__(self, dataset: "Dataset"):
+        self.y, self.x, self.n = dataset.y, dataset.x_full, dataset.n
+        self.vals = np.full(GRID_POINTS, np.inf)
+        self.terms = {}
+
+    def parts(self, wh):
+        # (A, B, y'V^{-1}y, y'Py) at the operator wh.
+        yt = wh.whiten(self.y)
+        # Q of the reduced QR of the whitened X by np.linalg.qr's routines,
+        # minus its checks, C-ordered as it returns Q, so that Q.T @ yt
+        # takes the same BLAS path and bits.
+        qr, tau = scipy.linalg.lapack.dgeqrf(wh.whiten(self.x), overwrite_a=1)[:2]
+        c = np.ascontiguousarray(scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)[0]).T @ yt
+        yty = float(yt @ yt)
+        ypy = yty - float(c @ c)
+        return (self.n * math.log(ypy) if ypy > 0.0 else math.inf), wh.logdet, yty, ypy
+
+    def objective(self, wh) -> float:
+        a, b = self.parts(wh)[:2]
+        return a + b
+
+    def record(self, k: int, wh) -> None:
+        """Evaluate grid point k at its operator wh."""
+        self.terms[k] = terms = self.parts(wh)
+        self.vals[k] = terms[0] + terms[1]
+
+    def kept_blocks(self, prunes: bool) -> list[bool]:
+        """Whether the scan evaluates each block between probes, read from
+        the probes' terms (the bound of :func:`estimate_phi_full_model`)."""
+        m = int(np.argmin(self.vals))
+        f_m, (_, b_m, yty_m, ypy_m) = self.vals[m], self.terms[m]
+        prunes = prunes and math.isfinite(f_m)
+        rounding = 4.0 * (self.n + self.x.shape[1]) * _EPS * self.n
+        kept = []
+        for a, b in zip(_PHI_PROBES[:-1], _PHI_PROBES[1:]):
+            (_, b_a, yty_a, _), (a_b, _, _, ypy_b) = self.terms[a], self.terms[b]
+            bound, pruned = a_b + b_a, False
+            if prunes and math.isfinite(bound):
+                margin = (rounding * (yty_a / ypy_b + yty_m / ypy_m)
+                          + 1e-12 * (self.n + abs(b_a) + abs(b_m)))
+                pruned = bound - margin > f_m
+            kept.append(not pruned)
+        return kept
+
+    def estimate(self, family, kind: str, grid: np.ndarray) -> ScalarEstimate:
+        """phi_hat from the scanned grid: golden section over the argmin's
+        neighbouring cells, and its boundary flag."""
+        if not np.isfinite(self.vals).any():
+            raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
+        k = int(np.argmin(self.vals))
+        phi_hat = _golden_min(lambda phi: self.objective(family(phi)), grid[max(k - 1, 0)],
+                              grid[min(k + 1, len(grid) - 1)], grid[k], self.vals[k])[0]
+        if kind == "ar1":
+            lo, hi = PHI_AR1_BOUNDS
+            at_boundary = min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
+        else:  # log-spaced from grid[1]: below it phi_hat sits on 0
+            hi = PHI_NERM_BOUNDS[1]
+            at_boundary = (phi_hat < grid[1]
+                           or math.log(hi / phi_hat) <= 1e-6 * math.log(hi / grid[1]))
+        return ScalarEstimate(float(phi_hat), bool(at_boundary))
+
+
+def estimate_phi_full_model(
+    datasets: "Dataset | Sequence[Dataset]",
+) -> ScalarEstimate | None | list[ScalarEstimate | None]:
+    """Profile maximum-likelihood estimate of phi on the full model, for one
+    dataset or for each of a block of them (a sequence; then a list of
+    estimates, in order).
 
     The GLS coefficients and the variance are profiled out, leaving
     f(phi) = A(phi) + B(phi), A = ``n log(y' P(phi) y)`` and B = ``log|V(phi)|``
     (f = inf where the computed y'Py is not positive), to minimize over
     the admissible range: a grid scan, then golden section over the
     neighbouring cells of the grid argmin, which stays phi_hat unless the
-    search finds a lower value.  Returns ``None`` when the covariance has
-    no free parameter.
+    search finds a lower value.  A dataset whose covariance has no free
+    parameter gets ``None``.
 
     The grid scan is exact but pruned: it finds the full scan's first
     argmin and values without evaluating every point.  It evaluates every
@@ -418,71 +498,43 @@ def estimate_phi_full_model(dataset: "Dataset") -> ScalarEstimate | None:
     so a grid with no finite value raises as the full scan does.  AR(1)'s
     V is not monotone in phi, so its scan has no bound and evaluates every
     block.
+
+    The datasets of a block that share a layout (kind, nerm group sizes
+    and n) share V(phi) at every grid point, so their scans run together,
+    grid point by grid point: V is built and factored once per point that
+    any of them evaluates, and each dataset whitens its own data by that
+    factor and keeps its own probes, pruning and values.  Only one factor
+    is held at a time.  The golden section runs per dataset.  Every
+    dataset's estimate is the one it gets alone, bit for bit, and a
+    failure raises the error it raises alone.
     """
-    spec = dataset.cov
-    if not spec.has_unknown_phi:
-        return None
-    y, x, n = dataset.y, dataset.x_full, dataset.n
-    family = _whitener_family(spec, n)
+    one = not isinstance(datasets, Sequence)
+    block = [datasets] if one else list(datasets)
+    layouts = {}
+    for i, dataset in enumerate(block):
+        spec = dataset.cov
+        if spec.has_unknown_phi:
+            layouts.setdefault((spec.kind, spec.group_sizes, dataset.n), []).append(i)
+    estimates = [None] * len(block)
+    for (kind, _, n), rows in layouts.items():
+        family, grid = _whitener_family(block[rows[0]].cov, n), _PHI_GRIDS[kind]
+        profiles = [_PhiProfile(block[i]) for i in rows]
 
-    def parts(phi: float):
-        # (A, B, y'V^{-1}y, y'Py) at phi.
-        wh = family(phi)
-        yt = wh.whiten(y)
-        # Q of the reduced QR of the whitened X by np.linalg.qr's routines,
-        # minus its checks, C-ordered as it returns Q, so that Q.T @ yt
-        # takes the same BLAS path and bits.
-        qr, tau = scipy.linalg.lapack.dgeqrf(wh.whiten(x), overwrite_a=1)[:2]
-        c = np.ascontiguousarray(scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)[0]).T @ yt
-        yty = float(yt @ yt)
-        ypy = yty - float(c @ c)
-        return (n * math.log(ypy) if ypy > 0.0 else math.inf), wh.logdet, yty, ypy
+        def at(k: int, live) -> None:
+            wh = family(grid[k])
+            for profile in live:
+                profile.record(k, wh)
 
-    def objective(phi: float) -> float:
-        a, b = parts(phi)[:2]
-        return a + b
-
-    if spec.kind == "ar1":
-        lo, hi = PHI_AR1_BOUNDS
-        grid = np.linspace(lo, hi, GRID_POINTS)
-    else:
-        lo, hi = PHI_NERM_BOUNDS
-        # phi >= 0 spans eight decades; log-spaced grid plus the zero endpoint.
-        grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, GRID_POINTS - 1)))
-    vals = np.full(GRID_POINTS, np.inf)
-    terms = {}
-
-    def at(k: int):
-        if k not in terms:
-            terms[k] = parts(grid[k])
-            vals[k] = terms[k][0] + terms[k][1]
-
-    for k in _PHI_PROBES:
-        at(k)
-    m = int(np.argmin(vals))
-    f_m, (_, b_m, yty_m, ypy_m) = vals[m], terms[m]
-    prunes = spec.kind == "nerm" and math.isfinite(f_m)
-    rounding = 4.0 * (n + x.shape[1]) * _EPS * n
-    for a, b in zip(_PHI_PROBES[:-1], _PHI_PROBES[1:]):
-        (_, b_a, yty_a, _), (a_b, _, _, ypy_b) = terms[a], terms[b]
-        bound = a_b + b_a
-        if prunes and math.isfinite(bound):
-            margin = (rounding * (yty_a / ypy_b + yty_m / ypy_m)
-                      + 1e-12 * (n + abs(b_a) + abs(b_m)))
-            if bound - margin > f_m:
-                continue
-        for k in range(a + 1, b):
-            at(k)
-    if not np.isfinite(vals).any():
-        raise CovarianceError("phi estimation failed: objective non-finite over the entire grid")
-    k = int(np.argmin(vals))
-    phi_hat = _golden_min(objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)],
-                          grid[k], vals[k])[0]
-    if spec.kind == "ar1":
-        at_boundary = min(phi_hat - lo, hi - phi_hat) <= 1e-6 * (hi - lo)
-    else:  # log-spaced from grid[1]: below it phi_hat sits on 0
-        at_boundary = phi_hat < grid[1] or math.log(hi / phi_hat) <= 1e-6 * math.log(hi / grid[1])
-    return ScalarEstimate(float(phi_hat), bool(at_boundary))
+        for k in _PHI_PROBES:
+            at(k, profiles)
+        keeps = [profile.kept_blocks(kind == "nerm") for profile in profiles]
+        for j, (a, b) in enumerate(zip(_PHI_PROBES[:-1], _PHI_PROBES[1:])):
+            live = [profile for profile, keep in zip(profiles, keeps) if keep[j]]
+            for k in range(a + 1, b) if live else ():
+                at(k, live)
+        for i, profile in zip(rows, profiles):
+            estimates[i] = profile.estimate(family, kind, grid)
+    return estimates[0] if one else estimates
 
 
 def _f_terms(d: np.ndarray, c: np.ndarray, idx: np.ndarray):

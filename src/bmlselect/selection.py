@@ -3,9 +3,10 @@
 The candidates are the rows of one boolean membership array: every subset
 (:func:`enumerate_candidates`), or any rows a caller passes, such as the
 full model alone that ``bmlselect criteria`` scores.  :func:`_score_block`
-estimates phi, whitens the data and reduces it to one R factor once per
-dataset of a block (one dataset for :func:`score_candidates`, replications
-of one or more cells, of any n, for the simulation), stacks the factors into one
+estimates phi for a block of datasets in one profile (one dataset for
+:func:`score_candidates`, replications of one or more cells, of any n,
+for the simulation), then whitens each dataset's data and reduces it to
+one R factor, stacks the factors into one
 :class:`~bmlselect.model_core.WhitenedData`, then fits, estimates
 lambda for and scores each run of same-size rows across the block as
 stacked batches, writing straight into the (candidates x criteria) arrays
@@ -208,8 +209,11 @@ def _score_block(
     p_omega and any n, such as the replications of the cells of a
     simulation grid, in one pass.
 
-    Each dataset gets its own phi estimate, whitening and R factor; the
-    factors are stacked (:meth:`~bmlselect.model_core.WhitenedData.stack`), and
+    The block's phi profile (:func:`~bmlselect.covariance.estimate_phi_full_model`
+    on all its datasets at once) shares V(phi) at each grid point between the
+    datasets of one covariance layout, and gives each dataset the phi
+    estimate it gets alone; each dataset then gets its own whitening and R
+    factor.  The factors are stacked (:meth:`~bmlselect.model_core.WhitenedData.stack`), and
     the arrays of the block table hold every dataset's rows one after
     another, the same ``members`` for each.  Each candidate size is then
     fitted, given its lambda and scored as one run of rows across the block,
@@ -233,11 +237,10 @@ def _score_block(
     sizes = members.sum(axis=1)
     if not sizes.size or np.any(np.diff(sizes) < 0):
         raise ValueError("members must hold at least one row, with sizes that never decrease")
-    phi_ests, whitened = [], []
-    for dataset in datasets:
-        phi_ests.append(estimate_phi_full_model(dataset))
-        if phi_ests[-1] is not None:
-            dataset = replace(dataset, cov=dataset.cov.with_phi(phi_ests[-1].value))
+    phi_ests, whitened = estimate_phi_full_model(datasets), []
+    for dataset, est in zip(datasets, phi_ests):
+        if est is not None:
+            dataset = replace(dataset, cov=dataset.cov.with_phi(est.value))
         whitened.append(whiten(dataset))
     reps, m, c = len(datasets), len(members), len(criteria)
     block = ScoreTable(

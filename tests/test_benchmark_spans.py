@@ -7,8 +7,8 @@ refactor that calls around one of those names leaves the layer's traced
 metrics at 0 and fails nothing else; this test runs one small traced
 `select` and checks the span count of each layer.  The scoring engine
 calls ``gls_fit``, ``criteria.score`` and ``criteria.dic`` once per batch of
-same-size candidates.  It only imports the
-benchmark module.
+same-size candidates.  A simulation profiles phi once per block of
+replications.  It only imports the benchmark module.
 """
 
 import importlib.util
@@ -81,3 +81,21 @@ def test_traced_select_counts_candidates_and_exclusions_as_the_table_does(tmp_pa
     traced = {key: n for key, n in tracer.counts.items() if key.startswith("excluded: ")}
     assert traced == {"excluded: " + reason: n for reason, n in reasons.items()}
     assert Counter(span[0] for span in tracer.spans)["selection.report"] == len(CRITERION_NAMES)
+
+
+def test_traced_simulate_records_one_phi_profile_per_block(monkeypatch):
+    # run_experiment estimates phi for all the datasets of a replication
+    # block in one call, through selection.estimate_phi_full_model, the name
+    # the tracer wraps: two blocks of three replications make two spans.
+    from bmlselect import ExperimentSpec, run_experiment, simulation
+
+    spans = _load(ROOT / "perfbench" / "spans.py", "perfbench_spans")
+    monkeypatch.setattr(simulation, "REPLICATION_BLOCK", 3)
+    spec = ExperimentSpec(model_kind="nerm", n_grid=(8, 12), snr_grid=(3.0,), replications=3,
+                          criteria=("bic",), master_seed=2)
+    tasks, _ = simulation._plan_blocks(spec, 1)
+    assert [len(part) for _, part in tasks] == [3, 3]
+    with spans.Tracer() as tracer:
+        spans.instrument(tracer)
+        run_experiment(spec, workers=1)
+    assert Counter(span[0] for span in tracer.spans)["covariance.phi_profile"] == len(tasks)

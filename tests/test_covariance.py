@@ -340,8 +340,9 @@ def test_estimate_phi_is_bit_equal_to_the_per_evaluation_reference(make, seed):
     assert est.at_boundary == bool(want_flag)
 
 
-def _count_phi_evaluations(monkeypatch):
-    """The phi at which each operator family built from now on is evaluated."""
+def _record_phi_evaluations(monkeypatch, entry):
+    """``entry(spec, n, phi)`` of each evaluation of each operator family
+    built from now on."""
     called = []
     build_family = covariance._whitener_family
 
@@ -349,13 +350,18 @@ def _count_phi_evaluations(monkeypatch):
         family = build_family(spec, n)
 
         def evaluate(phi):
-            called.append(phi)
+            called.append(entry(spec, n, phi))
             return family(phi)
 
         return evaluate
 
     monkeypatch.setattr(covariance, "_whitener_family", counted)
     return called
+
+
+def _count_phi_evaluations(monkeypatch):
+    """The phi at which each operator family built from now on is evaluated."""
+    return _record_phi_evaluations(monkeypatch, lambda spec, n, phi: phi)
 
 
 def _nerm_grid():
@@ -448,6 +454,72 @@ def test_ar1_phi_scan_evaluates_every_grid_point(monkeypatch):
     grid = np.linspace(*PHI_AR1_BOUNDS, GRID_POINTS)
     assert np.count_nonzero(np.isin(called, grid)) == GRID_POINTS
     assert np.isin(grid, called).all()
+
+
+def test_a_block_profile_is_bit_equal_to_each_dataset_alone(monkeypatch):
+    # A block of nested-error datasets of three layouts, two of them at n = 80
+    # with different group sizes, plus an AR(1) dataset and two without a
+    # free phi.  The datasets of one layout share each grid point's factor,
+    # so the block evaluates every grid phi of a layout once, where its
+    # datasets alone evaluate it once each; the golden sections and every
+    # estimate are each dataset's own, bit for bit.
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((80, 7))
+    block = (
+        _nerm_dataset(rng, (4,) * 20, 0.5),
+        _nerm_dataset(rng, (4,) * 40, 0.5),
+        _ar1_dataset(rng, 80, 0.5, p=7),
+        _nerm_dataset(rng, (8,) * 10, 2.0),
+        _nerm_dataset(rng, (4,) * 20, 30.0),
+        Dataset(y=x @ np.ones(7) + rng.standard_normal(80), x_full=x,
+                cov=CovarianceSpec.identity()),
+        _nerm_dataset(rng, (4,) * 40, 0.0),
+        Dataset(y=x @ np.ones(7) + rng.standard_normal(80), x_full=x,
+                cov=CovarianceSpec.nerm((4,) * 20, 0.5)),
+        _nerm_dataset(rng, (4,) * 20, 0.01),
+        _nerm_dataset(rng, (8,) * 10, 0.0),
+    )
+    layout_of = [(ds.cov.kind, ds.cov.group_sizes, ds.n) for ds in block]
+    called = _record_phi_evaluations(
+        monkeypatch, lambda spec, n, phi: ((spec.kind, spec.group_sizes, n), phi))
+    alone, alone_calls = [], []
+    for ds in block:
+        called.clear()
+        alone.append(estimate_phi_full_model(ds))
+        alone_calls.append(list(called))
+    called.clear()
+    together = estimate_phi_full_model(block)
+    block_calls = list(called)
+    assert isinstance(together, list) and len(together) == len(block)
+    for ds, est, solo in zip(block, together, alone):
+        if not ds.cov.has_unknown_phi:
+            assert est is None and solo is None
+            continue
+        want, want_flag = _reference_phi(ds)
+        assert np.float64(est.value).tobytes() == np.float64(solo.value).tobytes()
+        assert np.float64(est.value).tobytes() == np.float64(want).tobytes()
+        assert est.at_boundary == solo.at_boundary == bool(want_flag)
+
+    estimated = {key for key, ds in zip(layout_of, block) if ds.cov.has_unknown_phi}
+    assert {key for key, _ in block_calls} == estimated
+    grids = {"ar1": np.linspace(*PHI_AR1_BOUNDS, GRID_POINTS), "nerm": _nerm_grid()}
+    shared = 0
+    for layout in estimated:
+        on_grid, off_grid, alone_grid, alone_golden = [], [], set(), []
+        grid = grids[layout[0]]
+        for key, phi in block_calls:
+            if key == layout:
+                (on_grid if phi in grid else off_grid).append(phi)
+        for i in [i for i, key in enumerate(layout_of) if key == layout]:
+            alone_grid.update(phi for _, phi in alone_calls[i] if phi in grid)
+            alone_golden += [phi for _, phi in alone_calls[i] if phi not in grid]
+            shared += len([phi for _, phi in alone_calls[i] if phi in grid])
+        assert len(set(on_grid)) == len(on_grid)
+        assert set(on_grid) == alone_grid
+        assert off_grid == alone_golden
+        shared -= len(on_grid)
+    # The layouts of several datasets evaluate fewer grid points than alone.
+    assert shared > 0
 
 
 def test_estimate_phi_identity_is_none():

@@ -124,17 +124,24 @@ def test_determinism_across_worker_counts():
             assert sa.standard_error == sb.standard_error
 
 
-@pytest.mark.parametrize("replications, n_grid", [(5, (20, 8, 30)), (70, (20, 9))])
+@pytest.mark.parametrize("replications, n_grid, model_kind", [
+    pytest.param(5, (20, 8, 30), "constant_variance", id="5-n_grid0"),
+    pytest.param(70, (20, 9), "constant_variance", id="70-n_grid1"),
+    pytest.param(4, (8, 12), "nerm", id="nerm"),
+    pytest.param(4, (9, 16), "ar1", id="ar1"),
+])
 def test_results_do_not_depend_on_how_replications_are_blocked(monkeypatch, replications,
-                                                               n_grid):
+                                                               n_grid, model_kind):
     # A block holds consecutive (cell, replication) pairs of the grid, so it
     # may span cells of different n; n = 8 and 9 leave ic_pi1's penalty
     # undefined at the top sizes of their own rows only.
     # Blocks of 1, 3 and 64 pairs (70 = 64 + 6 per cell; 64 spans the cells),
     # and with two and three workers the smaller blocks a pool cuts, which
     # divide the count neither, must give the same results: every outcome
-    # of a block is the one its replication gives alone.
-    spec = small_spec(replications=replications, n_grid=n_grid)
+    # of a block is the one its replication gives alone.  Under nerm and
+    # AR(1) each replication estimates phi, and the replications of a block
+    # with one n profile phi together, sharing each grid point's V.
+    spec = small_spec(replications=replications, n_grid=n_grid, model_kind=model_kind)
     pairs = [(cell, rep) for cell in spec.cells() for rep in range(replications)]
     runs = []
     for block in (1, 3, 64):
@@ -176,6 +183,35 @@ def test_a_failing_replication_in_a_block_is_named_as_when_run_alone(monkeypatch
     assert str(alone.value).startswith("seed 8, cell 1 (n=30, snr=3.0), replication 1: candidate")
     with pytest.raises(DegenerateVarianceError) as info:
         run_experiment(spec, workers=workers)
+    assert str(info.value) == str(alone.value)
+
+
+def test_a_phi_failure_in_a_block_is_named_as_when_run_alone(monkeypatch):
+    # One worker scores both nerm cells' six replications as one block, whose
+    # phi profile runs the replications of each cell together.  A zero
+    # response leaves y'Py = 0 on the whole grid for replication 1 of cell 1
+    # alone; its error still names that replication.
+    monkeypatch.delenv("BMLSELECT_THREADS", raising=False)
+    spec = small_spec(model_kind="nerm", n_grid=(8, 12), replications=3, criteria=("bic",),
+                      master_seed=5)
+    assert [len(part) for _, part in simulation._plan_blocks(spec, 1)[0]] == [6]
+    real = simulation.generate_dataset
+
+    def zero_at_1_of_cell_1(spec, cell, rep):
+        dataset, truth = real(spec, cell, rep)
+        if (cell.index, rep) == (1, 1):
+            dataset = replace(dataset, y=np.zeros(cell.n))
+        return dataset, truth
+
+    monkeypatch.setattr(simulation, "generate_dataset", zero_at_1_of_cell_1)
+    cells = spec.cells()
+    assert _run_replication(spec, cells[1], 0).keys() == {"bic"}
+    with pytest.raises(CovarianceError) as alone:
+        _run_replication(spec, cells[1], 1)
+    assert str(alone.value) == ("seed 5, cell 1 (n=12, snr=3.0), replication 1: "
+                                "phi estimation failed: objective non-finite over the entire grid")
+    with pytest.raises(CovarianceError) as info:
+        run_experiment(spec, workers=1)
     assert str(info.value) == str(alone.value)
 
 

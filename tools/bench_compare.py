@@ -18,10 +18,16 @@ single-worker passes (``perfbench/workloads.py``'s ``WORKLOADS``, full
 size, seed 1), split by function: the package's own functions and the
 numpy linear algebra they call; the phi layer's functions apart
 (``covariance`` and ``qr``); the ``gls_fit`` calls by calling function;
-and the phi evaluations per profile, the calls of the functions
-``covariance._whitener_family`` returns, less one per ``make_whitener``
-call, over the ``estimate_phi_full_model`` calls.  The file keeps the
-median of each figure over the runs, per function.
+the phi profiles per pass, one ``_golden_min`` call per estimated
+dataset; the phi objective evaluations per profile, the calls of
+``parts``; and the phi factorizations per pass, the calls of the
+functions ``covariance._whitener_family`` returns less one per
+``make_whitener`` call.  Each profiled run times one calibration mix
+(``perfbench/calibration.py``) before and one after its passes, and
+rescales the pass and the phi layer times by ``NOMINAL_S`` over their
+mean, as ``perfbench/run.py`` does, so that host drift between runs
+does not read as change.  The file keeps the median of each figure over
+the runs, per function.
 Every run uses one BLAS thread; the file records the core count.
 """
 
@@ -44,20 +50,25 @@ TRACED_RUNS = 3
 TOP_FUNCTIONS, TOP_PHI = 40, 16
 
 PROFILE = r"""
-import cProfile, inspect, pstats, sys, tempfile
+import cProfile, inspect, pstats, statistics, sys, tempfile
 from pathlib import Path
 sys.path.insert(0, "perfbench")
+from calibration import NOMINAL_S, Mix
 from workloads import WORKLOADS
 from bmlselect import covariance
 workload = WORKLOADS[NAME]
+mix = Mix()
 with tempfile.TemporaryDirectory() as tmp:
     work = workload(1, workload.FULL, Path(tmp), None)
     work.run_pass(1)
+    mix_s = [mix.time()]
     prof = cProfile.Profile()
     prof.enable()
     for _ in range(PASSES):
         work.run_pass(1)
     prof.disable()
+    mix_s.append(mix.time())
+speed = NOMINAL_S / statistics.fmean(mix_s)
 stats = pstats.Stats(prof).stats
 total = max(ct for _, _, _, ct, _ in stats.values())
 # The phi layer: estimate_phi_full_model and every function it calls, directly
@@ -75,7 +86,8 @@ while todo:
             todo.append(key)
 rows, phi, gls_callers = [], [], {}
 lines, first = inspect.getsourcelines(covariance._whitener_family)
-calls = {"family": 0, "make_whitener": 0, "estimate_phi_full_model": 0}
+calls = {"family": 0, "make_whitener": 0, "_golden_min": 0, "parts": 0}
+phi_ms = 0.0
 for key, (_, ncalls, tt, ct, callers) in stats.items():
     path, line, name = key
     row = {"function": path.rsplit("/", 2)[-1] + ":" + name, "line": line,
@@ -84,6 +96,8 @@ for key, (_, ncalls, tt, ct, callers) in stats.items():
         rows.append(row)
     if key in layer:
         phi.append(row)
+    if "bmlselect" in path and name == "estimate_phi_full_model":
+        phi_ms += row["cum_ms"]
     if "bmlselect" in path and name == "gls_fit":
         for (_, _, caller), (_, by, _, _) in callers.items():
             gls_callers[caller] = gls_callers.get(caller, 0) + by // PASSES
@@ -92,15 +106,19 @@ for key, (_, ncalls, tt, ct, callers) in stats.items():
             calls["family"] += ncalls
         elif name in calls:
             calls[name] += ncalls
-profiles = calls["estimate_phi_full_model"]
+profiles = calls["_golden_min"]
 print(json.dumps({
     "pass_ms": 1e3 * total / PASSES,
+    "mix_s": mix_s,
+    "norm_pass_ms": 1e3 * total / PASSES * speed,
+    "phi_ms": phi_ms,
+    "norm_phi_ms": phi_ms * speed,
     "functions": rows,
     "phi_layer": phi,
     "gls_fit_calls_by_caller": gls_callers,
     "phi_profiles_per_pass": profiles / PASSES,
-    "phi_evals_per_profile":
-        (calls["family"] - calls["make_whitener"]) / profiles if profiles else None,
+    "phi_evals_per_profile": calls["parts"] / profiles if profiles else None,
+    "phi_factorizations_per_pass": (calls["family"] - calls["make_whitener"]) / PASSES,
 }))
 """
 
@@ -185,18 +203,27 @@ def _median_profile(runs: list[dict]) -> dict:
                 for name, line in by_run[0] if all((name, line) in rs for rs in by_run)]
         return sorted(rows, key=lambda r: -r["cum_ms"])[:top]
 
+    def median(key):
+        return statistics.median(run[key] for run in runs)
+
     gls = [run["gls_fit_calls_by_caller"] for run in runs]
     evals = [run["phi_evals_per_profile"] for run in runs]
     return {
         "runs": len(runs),
-        "pass_ms": statistics.median(run["pass_ms"] for run in runs),
+        "pass_ms": median("pass_ms"),
         "pass_ms_runs": [run["pass_ms"] for run in runs],
+        "mix_s_runs": [run["mix_s"] for run in runs],
+        "norm_pass_ms": median("norm_pass_ms"),
+        "norm_pass_ms_runs": [run["norm_pass_ms"] for run in runs],
+        "phi_ms": median("phi_ms"),
+        "norm_phi_ms": median("norm_phi_ms"),
         "functions": functions("functions", TOP_FUNCTIONS),
         "phi_layer": functions("phi_layer", TOP_PHI),
         "gls_fit_calls_by_caller": {caller: statistics.median(g.get(caller, 0) for g in gls)
                                     for caller in sorted(set().union(*gls))},
-        "phi_profiles_per_pass": statistics.median(run["phi_profiles_per_pass"] for run in runs),
+        "phi_profiles_per_pass": median("phi_profiles_per_pass"),
         "phi_evals_per_profile": None if None in evals else statistics.median(evals),
+        "phi_factorizations_per_pass": median("phi_factorizations_per_pass"),
     }
 
 
